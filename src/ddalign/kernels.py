@@ -7,24 +7,24 @@ block-sum estimator
 
 where S_ab sums the kernel k(u, v) = exp(-||u - v||^2 / sigma) over all pairs
 of the respective blocks. The conditional variant applies the same estimator
-per class and averages over classes present in both sides. Gradient helpers
-return exact derivatives with respect to the input features so the training
-loop can backpropagate through both statistics; the bandwidth is treated as a
-constant of the evaluation even when it was chosen by the median heuristic.
+per class and averages over classes present in both sides.
+
+Every statistic is computed on one pooled Gram matrix K over the stacked rows
+Z = [X; Y]. A statistic is then the quadratic form w^T K w of a signed weight
+column w (positive on X's rows, negative on Y's), so the marginal term and
+all class terms cost one product K @ W, and their exact gradients with respect
+to Z reuse the same K. The bandwidth is a constant of the evaluation even
+when it was chosen by the median heuristic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import gaussian_kernel_matrix, pairwise_sq_dists
 from .errors import ValidationError
 
 SIGMA_FIXED = "fixed"
 SIGMA_MEDIAN = "median_heuristic"
-
-# float residue of mmd(X, X) may dip this far below zero before clamping
-MMD_NEGATIVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,25 +87,106 @@ def gaussian_kernel(u: np.ndarray, v: np.ndarray, cfg: KernelConfig) -> float:
     return float(np.exp(-d2 / sigma))
 
 
+def pooled_sq_dists(Z: np.ndarray) -> np.ndarray:
+    """Squared distances between all rows of Z from one Gram product.
+
+    The rows are centered first: ||a - b||^2 = |a|^2 + |b|^2 - 2 a.b loses
+    digits to cancellation when rows sit far from the origin, and centering
+    leaves only their spread. The squared norms are read off the Gram
+    diagonal, so identical rows are exactly 0 apart. The result is exactly
+    symmetric, clamped at 0, with an exact zero diagonal.
+    """
+    Zc = Z - Z.mean(axis=0)
+    G = Zc @ Zc.T
+    sq = G.diagonal().copy()
+    G *= 2.0
+    D = sq[:, None] + sq[None, :]
+    D -= G
+    np.maximum(D, 0.0, out=D)
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def _median_upper(D: np.ndarray) -> float:
+    """Median of the distinct-pair distances; 1.0 when that median is 0."""
+    upper = D[~np.tri(D.shape[0], dtype=bool)]
+    med = float(np.median(upper, overwrite_input=True))
+    return med if med > 0.0 else 1.0
+
+
+def pooled_gram(Z: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, float]:
+    """Gaussian kernel over every pair of rows of Z, and the sigma it used.
+
+    With the median heuristic sigma comes from the same distances as K.
+    """
+    K = pooled_sq_dists(Z)
+    sigma = float(cfg.sigma) if cfg.sigma_mode == SIGMA_FIXED else _median_upper(K)
+    # in place: each [N, N] temporary costs as much as the exp itself
+    K /= -sigma
+    np.exp(K, out=K)
+    return K, sigma
+
+
+def signed_weights(
+    src_labels: np.ndarray, tgt_labels: np.ndarray, n_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weight columns ``W`` over the pooled rows [src; tgt], one per class
+    present on both sides, and their ``scale``.
+
+    Column c holds m_c on source rows of class c and -n_c on target rows of
+    class c (n_c, m_c the class counts), so scale_c * w_c^T K w_c with
+    scale_c = 1 / (n_c m_c)^2 is the class-c mmd. Integer weights make a
+    constant kernel sum to exactly zero. Labels outside [0, n_classes), such
+    as -1, mark rows that no column uses.
+    """
+    classes = np.arange(n_classes)
+    S = np.asarray(src_labels)[:, None] == classes
+    T = np.asarray(tgt_labels)[:, None] == classes
+    n_c, m_c = S.sum(axis=0), T.sum(axis=0)
+    shared = (n_c > 0) & (m_c > 0)
+    n_c, m_c = n_c[shared], m_c[shared]
+    W = np.vstack([S[:, shared] * m_c, T[:, shared] * -n_c]).astype(np.float64)
+    return W, 1.0 / (n_c * m_c).astype(np.float64) ** 2
+
+
+def discrepancies(K: np.ndarray, W: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Unclamped mmd of each weight column: scale_k * w_k^T K w_k."""
+    return scale * np.einsum("ik,ik->k", W, K @ W)
+
+
+def discrepancy_grad(
+    K: np.ndarray, W: np.ndarray, coef: np.ndarray, Z: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Exact gradient of sum_k coef_k w_k^T K w_k with respect to the rows of Z.
+
+    With M = K o (W diag(coef) W^T), each row gets
+    -(4 / sigma) sum_j M_ij (z_i - z_j), from
+    d/du exp(-||u - v||^2 / sigma) = -(2 / sigma) k(u, v) (u - v). Rows that
+    no weighted column uses get exactly zero.
+    """
+    M = (W * coef) @ W.T
+    M *= K
+    Zc = Z - Z.mean(axis=0)
+    return (4.0 / sigma) * (M @ Zc - M.sum(axis=1)[:, None] * Zc)
+
+
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """Kernel Gram block with entry (i, j) = k(X_i, Y_j)."""
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValidationError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    return gaussian_kernel_matrix(X, Y, _require_sigma(cfg))
+    sigma = _require_sigma(cfg)
+    D = pooled_sq_dists(np.vstack([X, Y]))
+    return np.exp(D[:X.shape[0], X.shape[0]:] / -sigma)
 
 
 def median_bandwidth(Z: np.ndarray) -> float:
     """Median of pairwise squared distances over distinct rows; 1.0 if degenerate."""
     Z = _as_matrix(Z, "Z")
-    n = Z.shape[0]
-    if n < 2:
+    if Z.shape[0] < 2:
         raise ValidationError("median bandwidth needs at least 2 rows")
-    d2 = pairwise_sq_dists(Z, Z)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(d2[iu]))
-    return med if med > 0.0 else 1.0
+    return _median_upper(pooled_sq_dists(Z))
 
 
 def resolve_sigma(cfg: KernelConfig, pooled: np.ndarray | None = None) -> float:
@@ -125,32 +206,6 @@ def _require_sigma(cfg: KernelConfig) -> float:
     return float(cfg.sigma)
 
 
-def mmd_raw(Xs: np.ndarray, Xt: np.ndarray, sigma: float) -> float:
-    """Unclamped block-sum estimator for a resolved bandwidth."""
-    n, m = Xs.shape[0], Xt.shape[0]
-    k_ss = gaussian_kernel_matrix(Xs, Xs, sigma)
-    k_tt = gaussian_kernel_matrix(Xt, Xt, sigma)
-    k_st = gaussian_kernel_matrix(Xs, Xt, sigma)
-    return float(k_ss.sum() / n**2 + k_tt.sum() / m**2 - 2.0 * k_st.sum() / (n * m))
-
-
-def cmmd_raw(
-    Xs: np.ndarray, ys: np.ndarray, Xt: np.ndarray, yt: np.ndarray,
-    sigma: float, n_classes: int,
-) -> float:
-    """Unclamped per-class average for a resolved bandwidth; 0.0 if no shared class."""
-    total = 0.0
-    shared = 0
-    for c in range(n_classes):
-        xs_c = Xs[ys == c]
-        xt_c = Xt[yt == c]
-        if xs_c.shape[0] == 0 or xt_c.shape[0] == 0:
-            continue
-        total += mmd_raw(xs_c, xt_c, sigma)
-        shared += 1
-    return total / shared if shared else 0.0
-
-
 def mmd(Xs: np.ndarray, Xt: np.ndarray, cfg: KernelConfig) -> float:
     """Marginal discrepancy between two feature clouds, clamped to >= 0."""
     Xs = _as_matrix(Xs, "Xs")
@@ -159,8 +214,9 @@ def mmd(Xs: np.ndarray, Xt: np.ndarray, cfg: KernelConfig) -> float:
         raise ValidationError("mmd needs at least one sample on each side")
     if Xs.shape[1] != Xt.shape[1]:
         raise ValidationError(f"dimension mismatch: {Xs.shape[1]} vs {Xt.shape[1]}")
-    sigma = resolve_sigma(cfg, np.vstack([Xs, Xt]))
-    return max(mmd_raw(Xs, Xt, sigma), 0.0)
+    K, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
+    W, scale = signed_weights(np.zeros(Xs.shape[0]), np.zeros(Xt.shape[0]), 1)
+    return max(float(discrepancies(K, W, scale)[0]), 0.0)
 
 
 def cmmd(src: LabeledBatch, tgt: LabeledBatch, cfg: KernelConfig, n_classes: int) -> float:
@@ -176,64 +232,8 @@ def cmmd(src: LabeledBatch, tgt: LabeledBatch, cfg: KernelConfig, n_classes: int
             raise ValidationError(f"{name} label exceeds n_classes={n_classes}")
     if src.features.shape[1] != tgt.features.shape[1]:
         raise ValidationError("feature dimension mismatch between batches")
-    sigma = resolve_sigma(cfg, np.vstack([src.features, tgt.features]))
-    raw = cmmd_raw(src.features, src.labels, tgt.features, tgt.labels, sigma, n_classes)
-    return max(raw, 0.0)
-
-
-def mmd_with_grad(
-    Xs: np.ndarray, Xt: np.ndarray, sigma: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Raw (unclamped) mmd value plus exact gradients w.r.t. both inputs.
-
-    Sigma is a fixed constant here; the kernel Gram blocks are the only
-    coupling between rows, so each gradient is a weighted combination of
-    kernel row sums and kernel-matrix products.
-    """
-    n, m = Xs.shape[0], Xt.shape[0]
-    k_ss = gaussian_kernel_matrix(Xs, Xs, sigma)
-    k_tt = gaussian_kernel_matrix(Xt, Xt, sigma)
-    k_st = gaussian_kernel_matrix(Xs, Xt, sigma)
-    value = float(k_ss.sum() / n**2 + k_tt.sum() / m**2 - 2.0 * k_st.sum() / (n * m))
-
-    # d/du exp(-||u-v||^2/sigma) = k(u,v) * (-2/sigma) (u - v); summing over
-    # pair weights gives diag(row-sum) X - K Y combinations per block.
-    c_ss = 4.0 / (sigma * n * n)
-    c_tt = 4.0 / (sigma * m * m)
-    c_st = 4.0 / (sigma * n * m)
-    d_xs = -c_ss * (k_ss.sum(axis=1)[:, None] * Xs - k_ss @ Xs)
-    d_xs += c_st * (k_st.sum(axis=1)[:, None] * Xs - k_st @ Xt)
-    d_xt = -c_tt * (k_tt.sum(axis=1)[:, None] * Xt - k_tt @ Xt)
-    d_xt += c_st * (k_st.sum(axis=0)[:, None] * Xt - k_st.T @ Xs)
-    return value, d_xs, d_xt
-
-
-def cmmd_with_grad(
-    Xs: np.ndarray,
-    ys: np.ndarray,
-    Xt: np.ndarray,
-    yt: np.ndarray,
-    sigma: float,
-    n_classes: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Raw class-conditional mmd plus exact gradients w.r.t. both feature sets.
-
-    Rows whose class is absent on the other side receive zero gradient.
-    """
-    d_xs = np.zeros_like(Xs)
-    d_xt = np.zeros_like(Xt)
-    total = 0.0
-    shared = 0
-    for c in range(n_classes):
-        s_idx = np.flatnonzero(ys == c)
-        t_idx = np.flatnonzero(yt == c)
-        if s_idx.size == 0 or t_idx.size == 0:
-            continue
-        val_c, g_s, g_t = mmd_with_grad(Xs[s_idx], Xt[t_idx], sigma)
-        total += val_c
-        d_xs[s_idx] += g_s
-        d_xt[t_idx] += g_t
-        shared += 1
-    if shared == 0:
-        return 0.0, d_xs, d_xt
-    return total / shared, d_xs / shared, d_xt / shared
+    K, _ = pooled_gram(np.vstack([src.features, tgt.features]), cfg)
+    W, scale = signed_weights(src.labels, tgt.labels, n_classes)
+    if W.shape[1] == 0:
+        return 0.0
+    return max(float(discrepancies(K, W, scale).mean()), 0.0)

@@ -6,8 +6,9 @@ Layout per batch row: input -> ReLU(x W1 + b1) -> dropout -> ReLU(. W2 + b2)
 contributes a cross-entropy term; the marginal and class-conditional kernel
 statistics act on the embeddings of both batches. Pseudo-label choices, the
 confidence mask, and the kernel bandwidth are constants of a step: no
-gradient flows through them. Everything is float64 numpy; dropout is the
-inverted kind so evaluation applies no scaling.
+gradient flows through them. Both kernel statistics share one pooled Gram
+matrix per step, which the backward pass reuses. Everything is float64
+numpy; dropout is the inverted kind so evaluation applies no scaling.
 """
 
 import struct
@@ -200,9 +201,10 @@ class StepTrace:
     raw_l_mmd: float
     raw_l_cmmd: float
     sigma: float | None
+    K: np.ndarray | None           # pooled Gram over [h_src; h_tgt]
+    W: np.ndarray | None           # signed weights: marginal column, then one per shared class
+    w_scale: np.ndarray | None
     kept_idx: np.ndarray           # rows of the target batch feeding the conditional term
-    kept_labels: np.ndarray
-    n_classes: int
     use_mmd: bool
     use_cmmd: bool
     target_empty: bool
@@ -262,27 +264,29 @@ def compute_losses(
     tgt_trace = None
     raw_l_mmd = 0.0
     raw_l_cmmd = 0.0
-    sigma = None
+    sigma = K = W = w_scale = None
     kept_idx = np.empty(0, dtype=np.int64)
-    kept_labels = np.empty(0, dtype=np.int64)
     pseudo_empty = True
 
     if not target_empty and (use_mmd or use_cmmd):
         h_tgt, tgt_trace = forward_features(tgt_x, params, train=train, rng=rng)
-        sigma = kernels.resolve_sigma(kcfg, np.vstack([h_src, h_tgt]))
-        if use_mmd:
-            raw_l_mmd = kernels.mmd_raw(h_src, h_tgt, sigma)
+        K, sigma = kernels.pooled_gram(np.vstack([h_src, h_tgt]), kcfg)
+        n, m = h_src.shape[0], h_tgt.shape[0]
+        W, w_scale = kernels.signed_weights(np.zeros(n), np.zeros(m), 1)
         if use_cmmd:
             labels, conf = pseudo_label_scores(tgt_x, params)
-            keep = confidence_mask(conf, tau) if confidence_filter else np.ones(len(conf), bool)
+            keep = confidence_mask(conf, tau) if confidence_filter else np.ones(m, bool)
             kept_idx = np.flatnonzero(keep)
-            kept_labels = labels[kept_idx]
             pseudo_empty = kept_idx.size == 0
-            if not pseudo_empty:
-                src_labels = y_onehot.argmax(axis=1)
-                raw_l_cmmd = kernels.cmmd_raw(
-                    h_src, src_labels, h_tgt[kept_idx], kept_labels, sigma, params.n_classes
-                )
+            W_c, scale_c = kernels.signed_weights(
+                y_onehot.argmax(axis=1), np.where(keep, labels, -1), params.n_classes
+            )
+            W, w_scale = np.hstack([W, W_c]), np.concatenate([w_scale, scale_c])
+        values = kernels.discrepancies(K, W, w_scale)
+        if use_mmd:
+            raw_l_mmd = float(values[0])
+        if values.size > 1:
+            raw_l_cmmd = float(values[1:].mean())
 
     return StepTrace(
         params_ref=params,
@@ -294,9 +298,10 @@ def compute_losses(
         raw_l_mmd=raw_l_mmd,
         raw_l_cmmd=raw_l_cmmd,
         sigma=sigma,
+        K=K,
+        W=W,
+        w_scale=w_scale,
         kept_idx=kept_idx,
-        kept_labels=kept_labels,
-        n_classes=params.n_classes,
         use_mmd=use_mmd,
         use_cmmd=use_cmmd,
         target_empty=target_empty,
@@ -351,54 +356,49 @@ def _check_trace(trace: StepTrace, params: ModelParams) -> None:
         raise ValidationError("stale trace: parameters changed since the forward pass")
 
 
-def _alignment_head_grads(trace: StepTrace):
-    """(dL_mmd/dh_src, dL_mmd/dh_tgt, dL_cmmd/dh_src, dL_cmmd/dh_tgt).
+def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
+    """(dL/dh_src, dL/dh_tgt) of alpha*l_mmd + beta*l_cmmd, or None if zero.
 
-    Zero arrays when a head is inactive or its raw value was clamped to zero.
+    A head contributes nothing when it is inactive or its raw value was
+    clamped to zero.
     """
-    h_src = trace.src.h
-    zeros_s = np.zeros_like(h_src)
-    if trace.tgt is None:
-        return zeros_s, None, zeros_s, None
-    h_tgt = trace.tgt.h
-    mmd_s, mmd_t = zeros_s, np.zeros_like(h_tgt)
-    cmmd_s, cmmd_t = zeros_s.copy(), np.zeros_like(h_tgt)
+    if trace.K is None:
+        return None
+    coef = np.zeros(trace.W.shape[1])
     if trace.use_mmd and trace.raw_l_mmd > 0.0:
-        _, mmd_s, mmd_t = kernels.mmd_with_grad(h_src, h_tgt, trace.sigma)
-    if trace.use_cmmd and not trace.pseudo_empty and trace.raw_l_cmmd > 0.0:
-        src_labels = trace.y_src.argmax(axis=1)
-        _, g_s, g_kept = kernels.cmmd_with_grad(
-            h_src, src_labels, h_tgt[trace.kept_idx], trace.kept_labels,
-            trace.sigma, trace.n_classes,
-        )
-        cmmd_s = g_s
-        cmmd_t[trace.kept_idx] = g_kept
-    return mmd_s, mmd_t, cmmd_s, cmmd_t
+        coef[0] = alpha
+    if trace.use_cmmd and trace.raw_l_cmmd > 0.0:
+        coef[1:] = beta / (coef.size - 1)
+    if not coef.any():
+        return None
+    Z = np.vstack([trace.src.h, trace.tgt.h])
+    d_z = kernels.discrepancy_grad(trace.K, trace.W, coef * trace.w_scale, Z, trace.sigma)
+    n = trace.src.h.shape[0]
+    return d_z[:n], d_z[n:]
+
+
+def _params_grad(trace: StepTrace, params: ModelParams, d_logits, alpha, beta) -> ModelParams:
+    """Gradient of l_ds (through ``d_logits``) + alpha*l_mmd + beta*l_cmmd."""
+    d_h_src = d_logits @ params.Wc.T
+    align = _alignment_grads(trace, alpha, beta)
+    if align is not None:
+        d_h_src = d_h_src + align[0]
+    g_w1, g_b1, g_w2, g_b2 = _extractor_backward(trace.src, d_h_src, params)
+    if align is not None and np.any(align[1]):
+        t_w1, t_b1, t_w2, t_b2 = _extractor_backward(trace.tgt, align[1], params)
+        g_w1 += t_w1
+        g_b1 += t_b1
+        g_w2 += t_w2
+        g_b2 += t_b2
+    return ModelParams(W1=g_w1, b1=g_b1, W2=g_w2, b2=g_b2,
+                       Wc=trace.src.h.T @ d_logits, bc=d_logits.sum(axis=0))
 
 
 def backward(trace: StepTrace, params: ModelParams, alpha: float, beta: float) -> ModelParams:
     """Exact gradient of l_ds + alpha*l_mmd + beta*l_cmmd w.r.t. every parameter."""
     _check_trace(trace, params)
     B = trace.probs_src.shape[0]
-    d_logits = (trace.probs_src - trace.y_src) / B
-    g_wc = trace.src.h.T @ d_logits
-    g_bc = d_logits.sum(axis=0)
-    d_h_src = d_logits @ params.Wc.T
-
-    mmd_s, mmd_t, cmmd_s, cmmd_t = _alignment_head_grads(trace)
-    d_h_src = d_h_src + alpha * mmd_s + beta * cmmd_s
-    g_w1, g_b1, g_w2, g_b2 = _extractor_backward(trace.src, d_h_src, params)
-
-    if trace.tgt is not None:
-        d_h_tgt = alpha * mmd_t + beta * cmmd_t
-        if np.any(d_h_tgt):
-            t_w1, t_b1, t_w2, t_b2 = _extractor_backward(trace.tgt, d_h_tgt, params)
-            g_w1 += t_w1
-            g_b1 += t_b1
-            g_w2 += t_w2
-            g_b2 += t_b2
-
-    return ModelParams(W1=g_w1, b1=g_b1, W2=g_w2, b2=g_b2, Wc=g_wc, bc=g_bc)
+    return _params_grad(trace, params, (trace.probs_src - trace.y_src) / B, alpha, beta)
 
 
 def backward_parts(
@@ -408,22 +408,10 @@ def backward_parts(
     _check_trace(trace, params)
     B = trace.probs_src.shape[0]
     d_logits = (trace.probs_src - trace.y_src) / B
-    w1, b1, w2, b2 = _extractor_backward(trace.src, d_logits @ params.Wc.T, params)
-    g_ds = ModelParams(W1=w1, b1=b1, W2=w2, b2=b2,
-                       Wc=trace.src.h.T @ d_logits, bc=d_logits.sum(axis=0))
-
-    mmd_s, mmd_t, cmmd_s, cmmd_t = _alignment_head_grads(trace)
-
-    def head_grad(d_src, d_tgt):
-        w1, b1, w2, b2 = _extractor_backward(trace.src, d_src, params)
-        if trace.tgt is not None and d_tgt is not None and np.any(d_tgt):
-            t = _extractor_backward(trace.tgt, d_tgt, params)
-            w1, b1, w2, b2 = w1 + t[0], b1 + t[1], w2 + t[2], b2 + t[3]
-        zc = np.zeros_like(params.Wc)
-        zb = np.zeros_like(params.bc)
-        return ModelParams(W1=w1, b1=b1, W2=w2, b2=b2, Wc=zc, bc=zb)
-
-    return g_ds, head_grad(mmd_s, mmd_t), head_grad(cmmd_s, cmmd_t)
+    no_logits = np.zeros_like(d_logits)
+    return (_params_grad(trace, params, d_logits, 0.0, 0.0),
+            _params_grad(trace, params, no_logits, 1.0, 0.0),
+            _params_grad(trace, params, no_logits, 0.0, 1.0))
 
 
 def add_scaled(base: ModelParams, other: ModelParams, scale: float) -> ModelParams:

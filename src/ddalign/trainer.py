@@ -239,20 +239,23 @@ def train(
         for start in range(0, order.shape[0], cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             tgt_batch = tgt_x[targets.take(batch.shape[0])]
-            trace = compute_losses(
-                src_x[batch], src_y[batch], tgt_batch, params, tau, cfg.kernel,
-                dropout_rng, train=True,
-                use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
-                confidence_filter=flags.confidence_filter,
-            )
-            beta = beta_of(trace.l_ds, sched) if flags.dynamic_weights else 1.0
-            breakdown = breakdown_from(trace, alpha, beta)
-            if not np.isfinite(breakdown.total):
-                raise NumericsError(f"non-finite loss at step {step}")
-            grads = backward(trace, params, alpha, beta)
-            params, opt = sgd_step(
-                params, grads, opt, lr_ext, lr_cls, cfg.momentum, cfg.weight_decay
-            )
+            try:
+                trace = compute_losses(
+                    src_x[batch], src_y[batch], tgt_batch, params, tau, cfg.kernel,
+                    dropout_rng, train=True,
+                    use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
+                    confidence_filter=flags.confidence_filter,
+                )
+                beta = beta_of(trace.l_ds, sched) if flags.dynamic_weights else 1.0
+                breakdown = breakdown_from(trace, alpha, beta)
+                if not np.isfinite(breakdown.total):
+                    raise NumericsError("non-finite loss")
+                grads = backward(trace, params, alpha, beta)
+                params, opt = sgd_step(
+                    params, grads, opt, lr_ext, lr_cls, cfg.momentum, cfg.weight_decay
+                )
+            except NumericsError as err:
+                raise NumericsError(f"step {step} (epoch {epoch}): {err}") from err
             history.append(StepRecord(
                 step=step, epoch=epoch,
                 l_ds=breakdown.l_ds, l_mmd=breakdown.l_mmd, l_cmmd=breakdown.l_cmmd,

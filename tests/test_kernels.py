@@ -11,13 +11,15 @@ from ddalign.kernels import (
     KernelConfig,
     LabeledBatch,
     cmmd,
-    cmmd_with_grad,
+    discrepancy_grad,
     gaussian_kernel,
     kernel_matrix,
     median_bandwidth,
     mmd,
-    mmd_with_grad,
+    pooled_gram,
+    pooled_sq_dists,
     resolve_sigma,
+    signed_weights,
 )
 
 
@@ -209,6 +211,37 @@ class TestCmmd:
             cmmd(src, tgt, FIXED, 2)
 
 
+class TestPooledKernel:
+    def test_offset_nearly_identical_rows_match_oracle(self):
+        # rows 1e3 from the origin and 1e-3 apart: the uncentered Gram trick
+        # loses about ten of sixteen digits of every distance here
+        rng = np.random.default_rng(15)
+        Xs = 1e3 + 1e-3 * rng.normal(size=(7, 3))
+        Xt = 1e3 + 1e-3 * rng.normal(size=(6, 3)) + 5e-4
+        Xt[0] = Xs[0]
+        ys, yt = np.array([0, 0, 1, 1, 2, 2, 0]), np.array([0, 1, 1, 2, 2, 0])
+        pooled = list(np.vstack([Xs, Xt]))
+        d2 = [sum((a - b) ** 2 for a, b in zip(pooled[i], pooled[j]))
+              for i in range(len(pooled)) for j in range(i + 1, len(pooled))]
+        sigma = float(np.median(d2))
+        cfg = KernelConfig(sigma_mode="median_heuristic")
+        npt.assert_allclose(median_bandwidth(np.vstack([Xs, Xt])), sigma, rtol=1e-10)
+        npt.assert_allclose(mmd(Xs, Xt, cfg), mmd_oracle(Xs, Xt, sigma), rtol=1e-10)
+        npt.assert_allclose(cmmd(LabeledBatch(Xs, ys), LabeledBatch(Xt, yt), cfg, 3),
+                            cmmd_oracle(list(Xs), list(ys), list(Xt), list(yt), sigma, 3),
+                            rtol=1e-10)
+
+    def test_distances_symmetric_nonnegative_zero_diagonal(self):
+        rng = np.random.default_rng(16)
+        base = 1e3 + rng.normal(size=(40, 8))
+        Z = np.vstack([base, base[:10], base[:10] + 1e-9])  # duplicates, near-duplicates
+        D = pooled_sq_dists(Z)
+        npt.assert_array_equal(D, D.T)
+        assert (D >= 0.0).all()
+        npt.assert_array_equal(np.diag(D), 0.0)
+        npt.assert_array_equal(D[40:50, :10][np.diag_indices(10)], 0.0)
+
+
 class TestGradients:
     @staticmethod
     def fd_grad(f, X, eps=1e-6):
@@ -220,11 +253,20 @@ class TestGradients:
             g[idx] = (f(Xp) - f(Xm)) / (2 * eps)
         return g
 
+    @staticmethod
+    def pooled_grad(Xs, ys, Xt, yt, sigma, n_classes):
+        """d/dZ of the class-averaged statistic on the pooled rows [Xs; Xt]."""
+        Z = np.vstack([Xs, Xt])
+        K, _ = pooled_gram(Z, KernelConfig(sigma=sigma, sigma_mode="fixed"))
+        W, scale = signed_weights(ys, yt, n_classes)
+        d_z = discrepancy_grad(K, W, scale / W.shape[1], Z, sigma)
+        return d_z[:len(Xs)], d_z[len(Xs):]
+
     def test_mmd_grad_vs_finite_differences(self):
         rng = np.random.default_rng(12)
         Xs, Xt = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
         sigma = 1.7
-        _, d_xs, d_xt = mmd_with_grad(Xs, Xt, sigma)
+        d_xs, d_xt = self.pooled_grad(Xs, np.zeros(4), Xt, np.zeros(5), sigma, 1)
         fd_s = self.fd_grad(lambda A: mmd_oracle(A, Xt, sigma), Xs)
         fd_t = self.fd_grad(lambda A: mmd_oracle(Xs, A, sigma), Xt)
         npt.assert_allclose(d_xs, fd_s, rtol=1e-6, atol=1e-9)
@@ -236,7 +278,7 @@ class TestGradients:
         ys = np.array([0, 0, 1, 1, 2, 2])
         yt = np.array([0, 1, 1, 2, 2])
         sigma = 0.9
-        _, d_xs, d_xt = cmmd_with_grad(Xs, ys, Xt, yt, sigma, 3)
+        d_xs, d_xt = self.pooled_grad(Xs, ys, Xt, yt, sigma, 3)
         fd_s = self.fd_grad(lambda A: cmmd_oracle(list(A), list(ys), list(Xt), list(yt), sigma, 3), Xs)
         fd_t = self.fd_grad(lambda A: cmmd_oracle(list(Xs), list(ys), list(A), list(yt), sigma, 3), Xt)
         npt.assert_allclose(d_xs, fd_s, rtol=1e-6, atol=1e-9)
@@ -246,6 +288,7 @@ class TestGradients:
         rng = np.random.default_rng(14)
         Xs, Xt = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
         ys = np.array([0, 0, 1, 1])
-        yt = np.array([0, 0, 0, 0])  # class 1 absent on target side
-        _, d_xs, _ = cmmd_with_grad(Xs, ys, Xt, yt, 1.0, 2)
+        yt = np.array([0, 0, 0, -1])  # class 1 absent on target side, last row unused
+        d_xs, d_xt = self.pooled_grad(Xs, ys, Xt, yt, 1.0, 2)
         npt.assert_array_equal(d_xs[2:], 0.0)
+        npt.assert_array_equal(d_xt[3], 0.0)

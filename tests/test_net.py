@@ -302,6 +302,68 @@ class TestBackward:
             npt.assert_array_equal(a, b)
 
 
+class TestDegenerateSteps:
+    """Degenerate alignment cases through compute_losses and backward."""
+
+    MEDIAN = KernelConfig(sigma_mode="median_heuristic")
+
+    @staticmethod
+    def assert_zero(grads: ModelParams):
+        for arr in grads.arrays():
+            npt.assert_array_equal(arr, 0.0)
+
+    def test_collapsed_embeddings(self):
+        params, src_x, _, tgt_x = tiny_setup(24)
+        # W2 = 0 maps every row to the same nonzero embedding relu(b2)
+        params = ModelParams(params.W1, params.b1, np.zeros_like(params.W2),
+                             np.full(4, 0.3), params.Wc, params.bc)
+        labels, _ = pseudo_label_scores(tgt_x, params)
+        src_y = np.full(src_x.shape[0], labels[0])  # one class, shared by both sides
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=self.MEDIAN,
+                               train=False)
+        assert trace.sigma == 1.0
+        assert trace.raw_l_mmd == 0.0 and trace.raw_l_cmmd == 0.0
+        assert trace.kept_idx.size == tgt_x.shape[0]
+        g_ds, g_mmd, g_cmmd = backward_parts(trace, params)
+        self.assert_zero(g_mmd)
+        self.assert_zero(g_cmmd)
+        for a, b in zip(backward(trace, params, 1.0, 1.0).arrays(), g_ds.arrays()):
+            npt.assert_array_equal(a, b)
+
+    def test_no_class_shared_with_kept_target(self):
+        params, src_x, _, tgt_x = tiny_setup(25)
+        # a large class-2 bias makes every target pseudo-label 2; the source has none
+        params = ModelParams(params.W1, params.b1, params.W2, params.b2, params.Wc,
+                             np.array([0.0, 0.0, 30.0]))
+        src_y = np.array([0, 1, 0, 1, 0])
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.5, kcfg=self.MEDIAN,
+                               train=False)
+        assert trace.kept_idx.size == tgt_x.shape[0] and not trace.pseudo_empty
+        assert trace.raw_l_cmmd == 0.0 and trace.raw_l_mmd > 0.0
+        _, g_mmd, g_cmmd = backward_parts(trace, params)
+        self.assert_zero(g_cmmd)
+        assert np.any(g_mmd.W1)
+
+    def test_tau_one_empties_pseudo_labels(self):
+        params, src_x, src_y, tgt_x = tiny_setup(26)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=1.0, kcfg=self.MEDIAN,
+                               train=False)
+        assert trace.kept_idx.size == 0 and trace.pseudo_empty
+        assert trace.raw_l_cmmd == 0.0
+        self.assert_zero(backward_parts(trace, params)[2])
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    def test_backward_is_sum_of_parts(self, alpha, beta):
+        params, src_x, src_y, tgt_x = tiny_setup(27)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=self.MEDIAN,
+                               train=True, rng=np.random.default_rng(5))
+        assert trace.raw_l_mmd > 0.0 and trace.raw_l_cmmd > 0.0
+        g_ds, g_mmd, g_cmmd = backward_parts(trace, params)
+        expected = add_scaled(add_scaled(g_ds, g_mmd, alpha), g_cmmd, beta)
+        for a, b in zip(backward(trace, params, alpha, beta).arrays(), expected.arrays()):
+            npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(310, 64, 64, 3, np.random.default_rng(22))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.errors import ValidationError
+from ddalign.errors import NumericsError, ValidationError
 from ddalign.net import ModelParams, init_params
 from ddalign.schedules import ScheduleConfig
 from ddalign.trainer import (
@@ -190,6 +190,13 @@ class TestTrain:
             TrainConfig(momentum=1.5)
         with pytest.raises(ValidationError):
             TrainConfig(weight_decay=-1e-4)
+
+    def test_non_finite_error_names_step_and_layer(self):
+        src_x, src_y, tgt_x = toy_task(8)
+        src_x[:] = 1e308  # x @ W1 overflows in the first layer
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericsError, match=r"^step 0 \(epoch 0\): .*extractor layer 1"):
+            train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP6"]))
 
     def test_schedule_synced_to_epochs(self):
         cfg = TrainConfig(epochs=7)
