@@ -39,13 +39,11 @@ from .kernels import (
     KernelConfig,
     LabeledBatch,
     cmmd,
-    gaussian_kernel,
     kernel_matrix,
     median_bandwidth,
     mmd,
 )
 from .net import (
-    LossBreakdown,
     ModelParams,
     backward,
     cross_entropy,
@@ -55,11 +53,9 @@ from .net import (
     load_checkpoint,
     parameter_count,
     save_checkpoint,
-    total_loss,
 )
 from .schedules import (
     ScheduleConfig,
-    ScheduleState,
     alpha_at,
     beta_of,
     confidence_threshold,
@@ -69,8 +65,6 @@ from .trainer import (
     VARIANTS,
     AblationFlags,
     TrainConfig,
-    filter_pseudo_labels,
-    generate_pseudo_labels,
     sgd_step,
     train,
 )

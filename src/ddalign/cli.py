@@ -104,6 +104,11 @@ def cmd_extract_features(args) -> int:
         step = int(round(args.window_seconds * recording.fs))
         if step < recording.fs:
             raise ValidationError("--window-seconds must cover at least one second")
+        if step > recording.n_samples:
+            raise ValidationError(
+                f"--window-seconds {args.window_seconds:g} is longer than the recording "
+                f"({recording.n_samples / recording.fs:g} s)"
+            )
         windows = [
             RawWindow(recording.samples[:, start:start + step], recording.fs)
             for start in range(0, recording.n_samples - step + 1, step)

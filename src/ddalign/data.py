@@ -103,7 +103,10 @@ def load_features(path) -> FeatureDataset:
         with open(path, "rb") as f:
             if f.read(4) != _FEAT_MAGIC:
                 raise DataFormatError(f"{path}: not a feature file")
-            version, n, d, has_labels, n_classes = struct.unpack("<IQQQQ", f.read(36))
+            header = f.read(36)
+            if len(header) != 36:
+                raise DataFormatError(f"{path}: truncated header")
+            version, n, d, has_labels, n_classes = struct.unpack("<IQQQQ", header)
             if version != _BIN_VERSION:
                 raise DataFormatError(f"{path}: unsupported version {version}")
             feats = np.frombuffer(f.read(8 * n * d), dtype="<f8")
@@ -130,12 +133,17 @@ def load_features(path) -> FeatureDataset:
     width = d + (1 if has_labels else 0)
     feats = np.empty((n, d))
     labels = np.empty(n, dtype=np.int64) if has_labels else None
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        feats[i] = [float(v) for v in row[:d]]
-        if has_labels:
-            labels[i] = int(row[d])
+    try:
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise DataFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+            feats[i] = [float(v) for v in row[:d]]
+            if has_labels:
+                labels[i] = int(row[d])
+    except DataFormatError:
+        raise
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: row {i}: {exc}") from exc
     return FeatureDataset(feats, labels, n_classes)
 
 
@@ -164,7 +172,10 @@ def load_raw_recording(path) -> RawWindow:
         with open(path, "rb") as f:
             if f.read(4) != _RAW_MAGIC:
                 raise DataFormatError(f"{path}: not a raw recording file")
-            version, n_ch, fs, n_samp = struct.unpack("<IQdQ", f.read(28))
+            header = f.read(28)
+            if len(header) != 28:
+                raise DataFormatError(f"{path}: truncated header")
+            version, n_ch, fs, n_samp = struct.unpack("<IQdQ", header)
             if version != _BIN_VERSION:
                 raise DataFormatError(f"{path}: unsupported version {version}")
             data = np.frombuffer(f.read(8 * n_ch * n_samp), dtype="<f8")
@@ -183,10 +194,15 @@ def load_raw_recording(path) -> RawWindow:
     if len(rows) != n_ch:
         raise DataFormatError(f"{path}: header says {n_ch} channels, file has {len(rows)}")
     data = np.empty((n_ch, n_samp))
-    for i, row in enumerate(rows):
-        if len(row) != n_samp:
-            raise DataFormatError(f"{path}: channel {i} has {len(row)} samples, expected {n_samp}")
-        data[i] = [float(v) for v in row]
+    try:
+        for i, row in enumerate(rows):
+            if len(row) != n_samp:
+                raise DataFormatError(f"{path}: channel {i} has {len(row)} samples, expected {n_samp}")
+            data[i] = [float(v) for v in row]
+    except DataFormatError:
+        raise
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: row {i}: {exc}") from exc
     return RawWindow(data, fs)
 
 

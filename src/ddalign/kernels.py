@@ -74,19 +74,6 @@ def _as_matrix(X, name: str) -> np.ndarray:
     return X
 
 
-def gaussian_kernel(u: np.ndarray, v: np.ndarray, cfg: KernelConfig) -> float:
-    """k(u, v) = exp(-||u - v||^2 / sigma) for two single vectors."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValidationError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValidationError("non-finite input")
-    sigma = _require_sigma(cfg)
-    d2 = float(np.dot(u - v, u - v))
-    return float(np.exp(-d2 / sigma))
-
-
 def pooled_sq_dists(Z: np.ndarray) -> np.ndarray:
     """Squared distances between all rows of Z from one Gram product.
 
@@ -189,18 +176,9 @@ def median_bandwidth(Z: np.ndarray) -> float:
     return _median_upper(pooled_sq_dists(Z))
 
 
-def resolve_sigma(cfg: KernelConfig, pooled: np.ndarray | None = None) -> float:
-    """Fixed sigma, or the median heuristic applied to ``pooled`` rows."""
-    if cfg.sigma_mode == SIGMA_FIXED:
-        return float(cfg.sigma)
-    if pooled is None:
-        raise ValidationError("median_heuristic sigma needs pooled features")
-    return median_bandwidth(pooled)
-
-
 def _require_sigma(cfg: KernelConfig) -> float:
     if cfg.sigma is None:
-        raise ValidationError("sigma unresolved; call resolve_sigma first or use fixed mode")
+        raise ValidationError("sigma unresolved; kernel_matrix needs an explicit sigma")
     if cfg.sigma <= 0:
         raise ValidationError("sigma must be positive")
     return float(cfg.sigma)

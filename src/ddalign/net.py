@@ -173,22 +173,6 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 @dataclass
-class LossBreakdown:
-    """One step's loss components; total = l_ds + alpha*l_mmd + beta*l_cmmd."""
-
-    l_ds: float
-    l_mmd: float
-    l_cmmd: float
-    total: float
-    alpha: float
-    beta: float
-    raw_l_mmd: float = 0.0   # before the clamp at zero
-    raw_l_cmmd: float = 0.0
-    target_empty: bool = False
-    pseudo_empty: bool = False
-
-
-@dataclass
 class StepTrace:
     """Everything backward() needs; valid only for the params it was built with."""
 
@@ -198,17 +182,25 @@ class StepTrace:
     probs_src: np.ndarray
     y_src: np.ndarray              # one-hot
     l_ds: float
-    raw_l_mmd: float
+    raw_l_mmd: float               # before the clamp at zero; 0.0 when the head is off
     raw_l_cmmd: float
     sigma: float | None
     K: np.ndarray | None           # pooled Gram over [h_src; h_tgt]
     W: np.ndarray | None           # signed weights: marginal column, then one per shared class
     w_scale: np.ndarray | None
     kept_idx: np.ndarray           # rows of the target batch feeding the conditional term
-    use_mmd: bool
-    use_cmmd: bool
-    target_empty: bool
-    pseudo_empty: bool
+
+    @property
+    def l_mmd(self) -> float:
+        return max(self.raw_l_mmd, 0.0)
+
+    @property
+    def l_cmmd(self) -> float:
+        return max(self.raw_l_cmmd, 0.0)
+
+    def total(self, alpha: float, beta: float) -> float:
+        """The loss backward() differentiates, with both heads clamped at zero."""
+        return self.l_ds + alpha * self.l_mmd + beta * self.l_cmmd
 
 
 def pseudo_label_scores(tgt_x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -260,15 +252,13 @@ def compute_losses(
     probs_src = forward_logits(h_src, params)
     l_ds = cross_entropy(probs_src, y_onehot)
 
-    target_empty = tgt_x.shape[0] == 0
     tgt_trace = None
     raw_l_mmd = 0.0
     raw_l_cmmd = 0.0
     sigma = K = W = w_scale = None
     kept_idx = np.empty(0, dtype=np.int64)
-    pseudo_empty = True
 
-    if not target_empty and (use_mmd or use_cmmd):
+    if tgt_x.shape[0] > 0 and (use_mmd or use_cmmd):
         h_tgt, tgt_trace = forward_features(tgt_x, params, train=train, rng=rng)
         K, sigma = kernels.pooled_gram(np.vstack([h_src, h_tgt]), kcfg)
         n, m = h_src.shape[0], h_tgt.shape[0]
@@ -277,7 +267,6 @@ def compute_losses(
             labels, conf = pseudo_label_scores(tgt_x, params)
             keep = confidence_mask(conf, tau) if confidence_filter else np.ones(m, bool)
             kept_idx = np.flatnonzero(keep)
-            pseudo_empty = kept_idx.size == 0
             W_c, scale_c = kernels.signed_weights(
                 y_onehot.argmax(axis=1), np.where(keep, labels, -1), params.n_classes
             )
@@ -302,37 +291,7 @@ def compute_losses(
         W=W,
         w_scale=w_scale,
         kept_idx=kept_idx,
-        use_mmd=use_mmd,
-        use_cmmd=use_cmmd,
-        target_empty=target_empty,
-        pseudo_empty=pseudo_empty,
     )
-
-
-def breakdown_from(trace: StepTrace, alpha: float, beta: float) -> LossBreakdown:
-    """Assemble the weighted total from a step's components (clamped at zero)."""
-    l_mmd = max(trace.raw_l_mmd, 0.0)
-    l_cmmd = max(trace.raw_l_cmmd, 0.0)
-    return LossBreakdown(
-        l_ds=trace.l_ds,
-        l_mmd=l_mmd,
-        l_cmmd=l_cmmd,
-        total=trace.l_ds + alpha * l_mmd + beta * l_cmmd,
-        alpha=alpha,
-        beta=beta,
-        raw_l_mmd=trace.raw_l_mmd,
-        raw_l_cmmd=trace.raw_l_cmmd,
-        target_empty=trace.target_empty,
-        pseudo_empty=trace.pseudo_empty,
-    )
-
-
-def total_loss(
-    src_x, src_y, tgt_x, params, sched, kcfg, rng=None, **flags
-) -> tuple[LossBreakdown, StepTrace]:
-    """Losses for one step under a resolved schedule state (alpha, beta, tau)."""
-    trace = compute_losses(src_x, src_y, tgt_x, params, sched.tau, kcfg, rng, **flags)
-    return breakdown_from(trace, sched.alpha, sched.beta), trace
 
 
 def _extractor_backward(trace: FeatureTrace, d_h: np.ndarray, params: ModelParams):
@@ -351,23 +310,18 @@ def _extractor_backward(trace: FeatureTrace, d_h: np.ndarray, params: ModelParam
     return g_w1, g_b1, g_w2, g_b2
 
 
-def _check_trace(trace: StepTrace, params: ModelParams) -> None:
-    if trace.params_ref is not params:
-        raise ValidationError("stale trace: parameters changed since the forward pass")
-
-
 def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
     """(dL/dh_src, dL/dh_tgt) of alpha*l_mmd + beta*l_cmmd, or None if zero.
 
-    A head contributes nothing when it is inactive or its raw value was
-    clamped to zero.
+    A head contributes nothing when its raw value was clamped to zero; an
+    inactive head's raw value stays 0.0.
     """
     if trace.K is None:
         return None
     coef = np.zeros(trace.W.shape[1])
-    if trace.use_mmd and trace.raw_l_mmd > 0.0:
+    if trace.raw_l_mmd > 0.0:
         coef[0] = alpha
-    if trace.use_cmmd and trace.raw_l_cmmd > 0.0:
+    if trace.raw_l_cmmd > 0.0:
         coef[1:] = beta / (coef.size - 1)
     if not coef.any():
         return None
@@ -377,8 +331,11 @@ def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
     return d_z[:n], d_z[n:]
 
 
-def _params_grad(trace: StepTrace, params: ModelParams, d_logits, alpha, beta) -> ModelParams:
-    """Gradient of l_ds (through ``d_logits``) + alpha*l_mmd + beta*l_cmmd."""
+def backward(trace: StepTrace, params: ModelParams, alpha: float, beta: float) -> ModelParams:
+    """Exact gradient of trace.total(alpha, beta) w.r.t. every parameter."""
+    if trace.params_ref is not params:
+        raise ValidationError("stale trace: parameters changed since the forward pass")
+    d_logits = (trace.probs_src - trace.y_src) / trace.probs_src.shape[0]
     d_h_src = d_logits @ params.Wc.T
     align = _alignment_grads(trace, alpha, beta)
     if align is not None:
@@ -392,30 +349,6 @@ def _params_grad(trace: StepTrace, params: ModelParams, d_logits, alpha, beta) -
         g_b2 += t_b2
     return ModelParams(W1=g_w1, b1=g_b1, W2=g_w2, b2=g_b2,
                        Wc=trace.src.h.T @ d_logits, bc=d_logits.sum(axis=0))
-
-
-def backward(trace: StepTrace, params: ModelParams, alpha: float, beta: float) -> ModelParams:
-    """Exact gradient of l_ds + alpha*l_mmd + beta*l_cmmd w.r.t. every parameter."""
-    _check_trace(trace, params)
-    B = trace.probs_src.shape[0]
-    return _params_grad(trace, params, (trace.probs_src - trace.y_src) / B, alpha, beta)
-
-
-def backward_parts(
-    trace: StepTrace, params: ModelParams
-) -> tuple[ModelParams, ModelParams, ModelParams]:
-    """Per-component gradients (classification, marginal, conditional)."""
-    _check_trace(trace, params)
-    B = trace.probs_src.shape[0]
-    d_logits = (trace.probs_src - trace.y_src) / B
-    no_logits = np.zeros_like(d_logits)
-    return (_params_grad(trace, params, d_logits, 0.0, 0.0),
-            _params_grad(trace, params, no_logits, 1.0, 0.0),
-            _params_grad(trace, params, no_logits, 0.0, 1.0))
-
-
-def add_scaled(base: ModelParams, other: ModelParams, scale: float) -> ModelParams:
-    return ModelParams(*(a + scale * b for a, b in zip(base.arrays(), other.arrays())))
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -433,7 +366,10 @@ def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as f:
         if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file")
-        version, d, h1, h2, c = struct.unpack("<IQQQQ", f.read(4 + 8 * 4))
+        header = f.read(4 + 8 * 4)
+        if len(header) != 4 + 8 * 4:
+            raise DataFormatError(f"{path}: truncated checkpoint header")
+        version, d, h1, h2, c = struct.unpack("<IQQQQ", header)
         if version != _CKPT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
         shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,)]

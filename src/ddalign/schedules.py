@@ -7,7 +7,7 @@ confidence threshold tau rises through staged plateaus; and the per-group
 learning rates anneal as base / (1 + 10 p)^0.75 with progress p.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -45,18 +45,6 @@ class ScheduleConfig:
             raise ValidationError("learning rates must be positive")
         if self.alpha_decay not in ("linear", "exponential"):
             raise ValidationError(f"unknown alpha_decay {self.alpha_decay!r}")
-
-
-@dataclass(frozen=True)
-class ScheduleState:
-    """Resolved scalars for one epoch; beta is filled in per step."""
-
-    epoch: int
-    alpha: float
-    beta: float
-    tau: float
-    lr_extractor: float
-    lr_classifier: float
 
 
 def alpha_at(epoch: int, cfg: ScheduleConfig) -> float:
@@ -109,14 +97,3 @@ def learning_rate(epoch: int, cfg: ScheduleConfig, base_lr: float) -> float:
     p = epoch / cfg.total_epochs
     return base_lr / (1.0 + LR_ANNEAL_GAIN * p) ** LR_ANNEAL_POWER
 
-
-def state_at(epoch: int, cfg: ScheduleConfig, beta: float = 1.0) -> ScheduleState:
-    """Bundle all schedule values for one epoch."""
-    return ScheduleState(
-        epoch=epoch,
-        alpha=alpha_at(epoch, cfg),
-        beta=beta,
-        tau=confidence_threshold(epoch, cfg),
-        lr_extractor=learning_rate(epoch, cfg, cfg.lr_extractor),
-        lr_classifier=learning_rate(epoch, cfg, cfg.lr_classifier),
-    )

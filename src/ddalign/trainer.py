@@ -10,6 +10,7 @@ bit-identical parameter trajectories.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,11 +20,8 @@ from .kernels import KernelConfig
 from .net import (
     ModelParams,
     backward,
-    breakdown_from,
     compute_losses,
-    confidence_mask,
     init_params,
-    pseudo_label_scores,
     zeros_like_params,
 )
 from .schedules import (
@@ -88,29 +86,6 @@ class TrainConfig:
 
 
 @dataclass
-class OptimizerState:
-    """Velocity buffers matching the parameter shapes."""
-
-    velocity: ModelParams
-
-    @classmethod
-    def zero(cls, params: ModelParams) -> "OptimizerState":
-        return cls(velocity=zeros_like_params(params))
-
-
-@dataclass
-class PseudoLabelSet:
-    """Target-batch rows with predicted class and max-softmax confidence."""
-
-    indices: np.ndarray
-    labels: np.ndarray
-    confidences: np.ndarray
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
-@dataclass
 class StepRecord:
     step: int
     epoch: int
@@ -130,39 +105,20 @@ class TrainResult:
     history: list[StepRecord]
 
 
-def generate_pseudo_labels(tgt_x: np.ndarray, params: ModelParams) -> PseudoLabelSet:
-    """Unfiltered predictions for a target batch (deterministic, no dropout)."""
-    labels, conf = pseudo_label_scores(tgt_x, params)
-    return PseudoLabelSet(
-        indices=np.arange(labels.shape[0], dtype=np.int64),
-        labels=labels,
-        confidences=conf,
-    )
-
-
-def filter_pseudo_labels(pset: PseudoLabelSet, tau: float) -> PseudoLabelSet:
-    """Retain entries whose confidence clears tau; tau = 1 keeps only saturated rows."""
-    keep = confidence_mask(pset.confidences, tau)
-    return PseudoLabelSet(
-        indices=pset.indices[keep],
-        labels=pset.labels[keep],
-        confidences=pset.confidences[keep],
-    )
-
-
 def sgd_step(
     params: ModelParams,
     grads: ModelParams,
-    opt: OptimizerState,
+    velocity: ModelParams,
     lr_extractor: float,
     lr_classifier: float,
     momentum: float,
     weight_decay: float,
-) -> tuple[ModelParams, OptimizerState]:
+) -> tuple[ModelParams, ModelParams]:
     """v <- momentum v + (grad + wd * param); param <- param - lr v.
 
     Decay applies to weight matrices only, never biases; the extractor and
-    classifier groups carry their own learning rates.
+    classifier groups carry their own learning rates. Returns the new
+    parameters and the new velocity.
     """
     new_params = {}
     new_velocity = {}
@@ -171,14 +127,14 @@ def sgd_step(
         g = getattr(grads, name)
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for {name}")
-        v = getattr(opt.velocity, name)
+        v = getattr(velocity, name)
         if weight_decay > 0 and name not in BIAS_FIELDS:
             g = g + weight_decay * p
         v = momentum * v + g
         lr = lr_extractor if name in EXTRACTOR_FIELDS else lr_classifier
         new_params[name] = p - lr * v
         new_velocity[name] = v
-    return ModelParams(**new_params), OptimizerState(ModelParams(**new_velocity))
+    return ModelParams(**new_params), ModelParams(**new_velocity)
 
 
 class _TargetCycle:
@@ -223,10 +179,17 @@ def train(
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)
     )
     params = init_params(src_x.shape[1], cfg.hidden1, cfg.hidden2, cfg.n_classes, init_rng)
-    opt = OptimizerState.zero(params)
+    velocity = zeros_like_params(params)
     targets = _TargetCycle(tgt_x.shape[0], target_rng)
     flags = cfg.flags
     sched = cfg.schedule
+    if (flags.confidence_filter and sched.stage_taus[0] == 0
+            and sched.stage_epochs[0] >= cfg.epochs):
+        warnings.warn(
+            f"confidence filter is inert: its first stage keeps tau at 0 until epoch "
+            f"{sched.stage_epochs[0]}, and the run has only {cfg.epochs} epochs",
+            stacklevel=2,
+        )
 
     history: list[StepRecord] = []
     step = 0
@@ -247,18 +210,17 @@ def train(
                     confidence_filter=flags.confidence_filter,
                 )
                 beta = beta_of(trace.l_ds, sched) if flags.dynamic_weights else 1.0
-                breakdown = breakdown_from(trace, alpha, beta)
-                if not np.isfinite(breakdown.total):
+                if not np.isfinite(trace.total(alpha, beta)):
                     raise NumericsError("non-finite loss")
                 grads = backward(trace, params, alpha, beta)
-                params, opt = sgd_step(
-                    params, grads, opt, lr_ext, lr_cls, cfg.momentum, cfg.weight_decay
+                params, velocity = sgd_step(
+                    params, grads, velocity, lr_ext, lr_cls, cfg.momentum, cfg.weight_decay
                 )
             except NumericsError as err:
                 raise NumericsError(f"step {step} (epoch {epoch}): {err}") from err
             history.append(StepRecord(
                 step=step, epoch=epoch,
-                l_ds=breakdown.l_ds, l_mmd=breakdown.l_mmd, l_cmmd=breakdown.l_cmmd,
+                l_ds=trace.l_ds, l_mmd=trace.l_mmd, l_cmmd=trace.l_cmmd,
                 alpha=alpha, beta=beta, tau=tau, lr=lr_ext,
                 n_pseudo_retained=int(trace.kept_idx.size),
             ))

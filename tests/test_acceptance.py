@@ -20,7 +20,6 @@ from ddalign.kernels import KernelConfig, LabeledBatch, cmmd, mmd
 from ddalign.net import (
     backward,
     compute_losses,
-    breakdown_from,
     forward_features,
     init_params,
     parameter_count,
@@ -97,7 +96,7 @@ def test_criterion_2_gradient_correctness():
 
     def loss_at(p, alpha, beta):
         trace = compute_losses(src_x, src_y, tgt_x, p, tau=0.0, kcfg=kcfg, train=False)
-        return breakdown_from(trace, alpha, beta).total
+        return trace.total(alpha, beta)
 
     def fd(alpha, beta):
         from ddalign.net import ModelParams

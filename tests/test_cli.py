@@ -12,6 +12,7 @@ from ddalign.cli import main
 from ddalign.data import FeatureDataset, save_features
 from ddalign.features import RawWindow
 from ddalign.data import save_raw_recording
+from ddalign.net import init_params, save_checkpoint
 
 
 def run_cli(*argv) -> int:
@@ -112,6 +113,16 @@ class TestEvaluate:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert np.array(payload["confusion"]).sum() == payload["n_samples"]
 
+    def test_truncated_bin_data_exit_3(self, tmp_path, capsys):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(4, 2, 2, 3, np.random.default_rng(0)), model)
+        data = tmp_path / "data.bin"
+        save_features(data, FeatureDataset(np.zeros((3, 4)), np.zeros(3, dtype=int), 3))
+        data.write_bytes(data.read_bytes()[:30])
+        code = run_cli("evaluate", "--model", str(model), "--data", str(data))
+        assert code == 3
+        assert "data.bin: truncated header" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_synth_ablation_writes_summary_and_histories(self, tmp_path):
@@ -165,6 +176,15 @@ class TestExtractFeatures:
         feats = load_features(out)
         assert feats.n_samples == 3       # 6 s cut into 2 s windows
         assert feats.feature_dim == 20    # 4 channels x 5 bands
+
+    def test_window_longer_than_recording_exit_3(self, tmp_path, capsys):
+        rec_path = tmp_path / "rec.csv"
+        save_raw_recording(rec_path, RawWindow(np.zeros((2, 200 * 3)), fs=200.0))
+        code = run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(tmp_path / "features.csv"), "--window-seconds", "4")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "--window-seconds 4 is longer than the recording (3 s)" in err
 
 
 class TestDumpEmbeddings:

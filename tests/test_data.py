@@ -67,6 +67,21 @@ class TestFeatureFiles:
         with pytest.raises(ValidationError):
             FeatureDataset(np.ones((2, 2)), np.array([0, 5]), 3)
 
+    def test_truncated_bin_header_named(self, tmp_path):
+        path = tmp_path / "feat.bin"
+        save_features(path, labeled_dataset())
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(DataFormatError, match=r"feat\.bin: truncated header"):
+            load_features(path)
+
+    @pytest.mark.parametrize("row", ["3,abc,1", "3,,1", "3,4,x"])
+    def test_non_numeric_csv_field_names_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("# features n_samples=2 feature_dim=2 has_labels=1 n_classes=2\n"
+                        f"1,2,0\n{row}\n")
+        with pytest.raises(DataFormatError, match=r"bad\.csv: row 1"):
+            load_features(path)
+
 
 class TestRawFiles:
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])
@@ -78,6 +93,22 @@ class TestRawFiles:
         again = load_raw_recording(path)
         npt.assert_array_equal(again.samples, win.samples)
         assert again.fs == win.fs
+
+    def test_truncated_bin_header_named(self, tmp_path):
+        path = tmp_path / "rec.bin"
+        save_raw_recording(path, RawWindow(np.zeros((2, 125)), fs=125.0))
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(DataFormatError, match=r"rec\.bin: truncated header"):
+            load_raw_recording(path)
+
+    def test_non_numeric_csv_sample_names_row(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        save_raw_recording(path, RawWindow(np.zeros((2, 2)), fs=2.0))
+        lines = path.read_text().splitlines()
+        lines[2] = "0,zero"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=r"rec\.csv: row 1"):
+            load_raw_recording(path)
 
 
 class TestManifest:

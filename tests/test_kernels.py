@@ -12,13 +12,11 @@ from ddalign.kernels import (
     LabeledBatch,
     cmmd,
     discrepancy_grad,
-    gaussian_kernel,
     kernel_matrix,
     median_bandwidth,
     mmd,
     pooled_gram,
     pooled_sq_dists,
-    resolve_sigma,
     signed_weights,
 )
 
@@ -52,15 +50,20 @@ def cmmd_oracle(Xs, ys, Xt, yt, sigma, n_classes):
 FIXED = KernelConfig(sigma=1.0, sigma_mode="fixed")
 
 
+def kernel_of_pair(u, v, cfg):
+    """k(u, v) of two single vectors, read off a one-by-one kernel_matrix."""
+    return float(kernel_matrix(np.atleast_2d(u), np.atleast_2d(v), cfg)[0, 0])
+
+
 class TestGaussianKernel:
     def test_zero_distance(self):
         u = np.array([0.3, -1.2, 4.0])
-        assert gaussian_kernel(u, u, FIXED) == 1.0
+        assert kernel_of_pair(u, u, FIXED) == 1.0
 
     def test_distance_equal_sigma(self):
         # ||u - v||^2 = sigma gives exactly e^{-1}
         cfg = KernelConfig(sigma=4.0, sigma_mode="fixed")
-        assert gaussian_kernel([0.0], [2.0], cfg) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert kernel_of_pair([0.0], [2.0], cfg) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
@@ -68,17 +71,17 @@ class TestGaussianKernel:
             u, v = rng.normal(size=5), rng.normal(size=5)
             sigma = float(rng.uniform(0.5, 3.0))
             cfg = KernelConfig(sigma=sigma, sigma_mode="fixed")
-            assert gaussian_kernel(u, v, cfg) == pytest.approx(
+            assert kernel_of_pair(u, v, cfg) == pytest.approx(
                 kernel_oracle(u, v, sigma), rel=1e-12
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            gaussian_kernel([1.0, 2.0], [1.0], FIXED)
+            kernel_of_pair([1.0, 2.0], [1.0], FIXED)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
-            gaussian_kernel([np.nan], [1.0], FIXED)
+            kernel_of_pair([np.nan], [1.0], FIXED)
 
 
 class TestKernelMatrix:
@@ -121,9 +124,11 @@ class TestMedianBandwidth:
         with pytest.raises(ValidationError):
             median_bandwidth(np.ones((1, 2)))
 
-    def test_resolve_sigma_median(self):
+    def test_median_sigma_of_pooled_gram(self):
         cfg = KernelConfig(sigma_mode="median_heuristic")
-        assert resolve_sigma(cfg, np.array([[0.0], [2.0]])) == 4.0
+        K, sigma = pooled_gram(np.array([[0.0], [2.0]]), cfg)
+        assert sigma == 4.0
+        assert K[0, 1] == pytest.approx(math.exp(-1), rel=1e-12)
 
 
 class TestMmd:

@@ -6,14 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.errors import NumericsError, ValidationError
+from ddalign.errors import DataFormatError, NumericsError, ValidationError
 from ddalign.kernels import KernelConfig
 from ddalign.net import (
     ModelParams,
-    add_scaled,
     backward,
-    backward_parts,
-    breakdown_from,
     compute_losses,
     cross_entropy,
     forward_features,
@@ -23,9 +20,7 @@ from ddalign.net import (
     parameter_count,
     pseudo_label_scores,
     save_checkpoint,
-    total_loss,
 )
-from ddalign.schedules import ScheduleState
 
 FIXED = KernelConfig(sigma=2.0, sigma_mode="fixed")
 
@@ -138,47 +133,38 @@ class TestParameterCount:
 class TestTotalLoss:
     def test_zero_weights_total_is_lds(self):
         params, src_x, src_y, tgt_x = tiny_setup(7)
-        sched = ScheduleState(0, alpha=0.0, beta=0.0, tau=0.0,
-                              lr_extractor=1e-3, lr_classifier=1e-2)
-        breakdown, _ = total_loss(src_x, src_y, tgt_x, params, sched, FIXED, train=False)
-        assert breakdown.total == breakdown.l_ds
+        trace = compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED, train=False)
+        assert trace.total(0.0, 0.0) == trace.l_ds
 
     def test_identical_batches_align_to_zero(self):
         params, src_x, _, _ = tiny_setup(8)
         # use the model's own predictions as source labels, so the identical
         # target batch carries identical pseudo-labels per class
         src_y, _ = pseudo_label_scores(src_x, params)
-        sched = ScheduleState(0, alpha=1.0, beta=1.0, tau=0.0,
-                              lr_extractor=1e-3, lr_classifier=1e-2)
-        breakdown, _ = total_loss(src_x, src_y, src_x.copy(), params, sched, FIXED, train=False)
-        assert breakdown.l_mmd <= 1e-10
-        assert breakdown.l_cmmd <= 1e-10
+        trace = compute_losses(src_x, src_y, src_x.copy(), params, 0.0, FIXED, train=False)
+        assert trace.l_mmd <= 1e-10
+        assert trace.l_cmmd <= 1e-10
 
     def test_total_recomposes_from_components(self):
         params, src_x, src_y, tgt_x = tiny_setup(9)
-        sched = ScheduleState(0, alpha=0.7, beta=0.3, tau=0.0,
-                              lr_extractor=1e-3, lr_classifier=1e-2)
-        breakdown, _ = total_loss(src_x, src_y, tgt_x, params, sched, FIXED, train=False)
-        recomposed = breakdown.l_ds + 0.7 * breakdown.l_mmd + 0.3 * breakdown.l_cmmd
-        assert breakdown.total == pytest.approx(recomposed, abs=1e-9)
-        assert breakdown.l_mmd > 0 and breakdown.l_cmmd >= 0
+        trace = compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED, train=False)
+        recomposed = trace.l_ds + 0.7 * trace.l_mmd + 0.3 * trace.l_cmmd
+        assert trace.total(0.7, 0.3) == pytest.approx(recomposed, abs=1e-9)
+        assert trace.l_mmd > 0 and trace.l_cmmd >= 0
 
     def test_empty_target_flagged(self):
         params, src_x, src_y, _ = tiny_setup(10)
-        sched = ScheduleState(0, alpha=1.0, beta=1.0, tau=0.0,
-                              lr_extractor=1e-3, lr_classifier=1e-2)
-        breakdown, _ = total_loss(src_x, src_y, np.empty((0, 6)), params, sched, FIXED,
-                                  train=False)
-        assert breakdown.target_empty
-        assert breakdown.l_mmd == 0.0 and breakdown.l_cmmd == 0.0
+        trace = compute_losses(src_x, src_y, np.empty((0, 6)), params, 0.0, FIXED,
+                               train=False)
+        assert trace.tgt is None and trace.K is None and trace.kept_idx.size == 0
+        assert trace.l_mmd == 0.0 and trace.l_cmmd == 0.0
+        assert trace.total(1.0, 1.0) == trace.l_ds
 
     def test_empty_source_rejected(self):
         params, *_ = tiny_setup(11)
-        sched = ScheduleState(0, alpha=1.0, beta=1.0, tau=0.0,
-                              lr_extractor=1e-3, lr_classifier=1e-2)
         with pytest.raises(ValidationError):
-            total_loss(np.empty((0, 6)), np.empty(0, int), np.zeros((2, 6)), params,
-                       sched, FIXED)
+            compute_losses(np.empty((0, 6)), np.empty(0, int), np.zeros((2, 6)), params,
+                           0.0, FIXED)
 
 
 class TestPseudoLabels:
@@ -219,32 +205,37 @@ def max_rel_err(analytic: ModelParams, numeric: ModelParams) -> float:
     return worst
 
 
-class TestBackward:
-    def _loss_fn(self, src_x, src_y, tgt_x, component, kcfg):
-        def fn(p):
-            trace = compute_losses(src_x, src_y, tgt_x, p, tau=0.0, kcfg=kcfg,
-                                   train=False)
-            return {"ds": trace.l_ds,
-                    "mmd": max(trace.raw_l_mmd, 0.0),
-                    "cmmd": max(trace.raw_l_cmmd, 0.0)}[component]
-        return fn
+UNIT_WEIGHTS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
+
+def unit_weight_grads(trace, params) -> list[ModelParams]:
+    """backward at (alpha, beta) = (0, 0), (1, 0) and (0, 1)."""
+    return [backward(trace, params, alpha, beta) for alpha, beta in UNIT_WEIGHTS]
+
+
+def linear_in_weights(g00, g10, g01, alpha, beta) -> ModelParams:
+    """g00 + alpha (g10 - g00) + beta (g01 - g00): backward is linear in (alpha, beta)."""
+    return ModelParams(*(a + alpha * (b - a) + beta * (c - a)
+                         for a, b, c in zip(g00.arrays(), g10.arrays(), g01.arrays())))
+
+
+class TestBackward:
     def test_components_match_finite_differences(self):
         params, src_x, src_y, tgt_x = tiny_setup(14)
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
                                train=False)
-        g_ds, g_mmd, g_cmmd = backward_parts(trace, params)
-        for comp, g in (("ds", g_ds), ("mmd", g_mmd), ("cmmd", g_cmmd)):
-            fd = fd_param_grads(self._loss_fn(src_x, src_y, tgt_x, comp, FIXED), params)
-            assert max_rel_err(g, fd) <= 1e-4, comp
+        for (alpha, beta), g in zip(UNIT_WEIGHTS, unit_weight_grads(trace, params)):
+            fd = fd_param_grads(
+                lambda p: compute_losses(src_x, src_y, tgt_x, p, tau=0.0, kcfg=FIXED,
+                                         train=False).total(alpha, beta), params)
+            assert max_rel_err(g, fd) <= 1e-4, (alpha, beta)
 
     def test_combined_backward_matches_weighted_parts(self):
         params, src_x, src_y, tgt_x = tiny_setup(15)
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
                                train=False)
-        g_ds, g_mmd, g_cmmd = backward_parts(trace, params)
         combined = backward(trace, params, alpha=0.6, beta=0.4)
-        expected = add_scaled(add_scaled(g_ds, g_mmd, 0.6), g_cmmd, 0.4)
+        expected = linear_in_weights(*unit_weight_grads(trace, params), 0.6, 0.4)
         for a, b in zip(combined.arrays(), expected.arrays()):
             npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
@@ -308,9 +299,9 @@ class TestDegenerateSteps:
     MEDIAN = KernelConfig(sigma_mode="median_heuristic")
 
     @staticmethod
-    def assert_zero(grads: ModelParams):
-        for arr in grads.arrays():
-            npt.assert_array_equal(arr, 0.0)
+    def assert_same(a: ModelParams, b: ModelParams):
+        for x, y in zip(a.arrays(), b.arrays()):
+            npt.assert_array_equal(x, y)
 
     def test_collapsed_embeddings(self):
         params, src_x, _, tgt_x = tiny_setup(24)
@@ -324,11 +315,10 @@ class TestDegenerateSteps:
         assert trace.sigma == 1.0
         assert trace.raw_l_mmd == 0.0 and trace.raw_l_cmmd == 0.0
         assert trace.kept_idx.size == tgt_x.shape[0]
-        g_ds, g_mmd, g_cmmd = backward_parts(trace, params)
-        self.assert_zero(g_mmd)
-        self.assert_zero(g_cmmd)
-        for a, b in zip(backward(trace, params, 1.0, 1.0).arrays(), g_ds.arrays()):
-            npt.assert_array_equal(a, b)
+        g00, g10, g01 = unit_weight_grads(trace, params)
+        self.assert_same(g10, g00)
+        self.assert_same(g01, g00)
+        self.assert_same(backward(trace, params, 1.0, 1.0), g00)
 
     def test_no_class_shared_with_kept_target(self):
         params, src_x, _, tgt_x = tiny_setup(25)
@@ -338,19 +328,20 @@ class TestDegenerateSteps:
         src_y = np.array([0, 1, 0, 1, 0])
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.5, kcfg=self.MEDIAN,
                                train=False)
-        assert trace.kept_idx.size == tgt_x.shape[0] and not trace.pseudo_empty
+        assert trace.kept_idx.size == tgt_x.shape[0]
         assert trace.raw_l_cmmd == 0.0 and trace.raw_l_mmd > 0.0
-        _, g_mmd, g_cmmd = backward_parts(trace, params)
-        self.assert_zero(g_cmmd)
-        assert np.any(g_mmd.W1)
+        g00, g10, g01 = unit_weight_grads(trace, params)
+        self.assert_same(g01, g00)
+        assert np.any(g10.W1 != g00.W1)
 
     def test_tau_one_empties_pseudo_labels(self):
         params, src_x, src_y, tgt_x = tiny_setup(26)
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=1.0, kcfg=self.MEDIAN,
                                train=False)
-        assert trace.kept_idx.size == 0 and trace.pseudo_empty
+        assert trace.kept_idx.size == 0
         assert trace.raw_l_cmmd == 0.0
-        self.assert_zero(backward_parts(trace, params)[2])
+        g00, _, g01 = unit_weight_grads(trace, params)
+        self.assert_same(g01, g00)
 
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     def test_backward_is_sum_of_parts(self, alpha, beta):
@@ -358,8 +349,7 @@ class TestDegenerateSteps:
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=self.MEDIAN,
                                train=True, rng=np.random.default_rng(5))
         assert trace.raw_l_mmd > 0.0 and trace.raw_l_cmmd > 0.0
-        g_ds, g_mmd, g_cmmd = backward_parts(trace, params)
-        expected = add_scaled(add_scaled(g_ds, g_mmd, alpha), g_cmmd, beta)
+        expected = linear_in_weights(*unit_weight_grads(trace, params), alpha, beta)
         for a, b in zip(backward(trace, params, alpha, beta).arrays(), expected.arrays()):
             npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
@@ -379,6 +369,13 @@ class TestCheckpoint:
         with pytest.raises(Exception, match="not a checkpoint"):
             load_checkpoint(path)
 
+    def test_truncated_header_named(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(3, 2, 2, 2, np.random.default_rng(0)), path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(DataFormatError, match=r"model\.ckpt: truncated checkpoint header"):
+            load_checkpoint(path)
+
 
 class TestBreakdown:
     def test_negative_residue_clamped_but_raw_kept(self):
@@ -386,6 +383,6 @@ class TestBreakdown:
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
                                train=False)
         trace.raw_l_mmd = -1e-15
-        breakdown = breakdown_from(trace, alpha=1.0, beta=0.0)
-        assert breakdown.l_mmd == 0.0
-        assert breakdown.raw_l_mmd == -1e-15
+        assert trace.l_mmd == 0.0
+        assert trace.raw_l_mmd == -1e-15
+        assert trace.total(1.0, 0.0) == trace.l_ds

@@ -9,7 +9,6 @@ from ddalign.schedules import (
     beta_of,
     confidence_threshold,
     learning_rate,
-    state_at,
 )
 
 CFG = ScheduleConfig()
@@ -106,13 +105,12 @@ class TestLearningRate:
 
 
 class TestConfigAndState:
-    def test_state_bundles_all_values(self):
-        st = state_at(20, CFG, beta=0.5)
-        assert st.alpha == alpha_at(20, CFG)
-        assert st.tau == 0.5
-        assert st.beta == 0.5
-        assert st.lr_extractor == learning_rate(20, CFG, 0.001)
-        assert st.lr_classifier == learning_rate(20, CFG, 0.01)
+    def test_epoch_values_from_one_config(self):
+        # epoch 20 of 100: alpha 1 - 0.99 * 20/99, second tau stage, progress 0.2
+        assert alpha_at(20, CFG) == pytest.approx(1 - 0.99 * 20 / 99, rel=1e-12)
+        assert confidence_threshold(20, CFG) == 0.5
+        assert learning_rate(20, CFG, CFG.lr_extractor) == pytest.approx(0.001 / 3**0.75, rel=1e-12)
+        assert learning_rate(20, CFG, CFG.lr_classifier) == pytest.approx(0.01 / 3**0.75, rel=1e-12)
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ValidationError):

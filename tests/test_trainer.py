@@ -1,20 +1,25 @@
 """Training loop: pseudo-label ops, SGD update formulas, determinism, ablations."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ddalign.data import build_run_config
 from ddalign.errors import NumericsError, ValidationError
-from ddalign.net import ModelParams, init_params
+from ddalign.net import (
+    ModelParams,
+    confidence_mask,
+    init_params,
+    pseudo_label_scores,
+    zeros_like_params,
+)
 from ddalign.schedules import ScheduleConfig
 from ddalign.trainer import (
     VARIANTS,
     AblationFlags,
-    OptimizerState,
-    PseudoLabelSet,
     TrainConfig,
-    filter_pseudo_labels,
-    generate_pseudo_labels,
     save_history,
     sgd_step,
     train,
@@ -43,8 +48,8 @@ class TestPseudoLabels:
     def test_batch_cardinality_before_filtering(self):
         params = init_params(8, 8, 8, 3, np.random.default_rng(0))
         tgt_x = np.random.default_rng(1).normal(size=(11, 8))
-        pset = generate_pseudo_labels(tgt_x, params)
-        assert len(pset) == 11
+        labels, conf = pseudo_label_scores(tgt_x, params)
+        assert labels.shape == conf.shape == (11,)
 
     def test_saturated_row_label_and_confidence(self):
         params = init_params(2, 2, 2, 3, np.random.default_rng(2))
@@ -52,68 +57,58 @@ class TestPseudoLabels:
         Wc[:, 2] = 1000.0
         params = ModelParams(np.abs(params.W1), params.b1, np.abs(params.W2),
                              params.b2, Wc, np.zeros(3))
-        pset = generate_pseudo_labels(np.array([[1.0, 1.0]]), params)
-        assert pset.labels[0] == 2
-        assert pset.confidences[0] == pytest.approx(1.0, abs=1e-9)
+        labels, conf = pseudo_label_scores(np.array([[1.0, 1.0]]), params)
+        assert labels[0] == 2
+        assert conf[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_row_tie_breaks_to_class_zero(self):
         params = init_params(2, 2, 2, 3, np.random.default_rng(3))
         params = ModelParams(params.W1, params.b1, params.W2, params.b2,
                              np.zeros((2, 3)), np.zeros(3))
-        pset = generate_pseudo_labels(np.array([[0.5, -0.5]]), params)
-        assert pset.labels[0] == 0
-        assert pset.confidences[0] == pytest.approx(1 / 3, rel=1e-12)
+        labels, conf = pseudo_label_scores(np.array([[0.5, -0.5]]), params)
+        assert labels[0] == 0
+        assert conf[0] == pytest.approx(1 / 3, rel=1e-12)
 
     def test_filter_threshold_rule(self):
-        pset = PseudoLabelSet(
-            indices=np.array([0, 1, 2]),
-            labels=np.array([1, 0, 2]),
-            confidences=np.array([0.9, 0.6, 0.4]),
-        )
-        kept = filter_pseudo_labels(pset, 0.75)
-        npt.assert_array_equal(kept.indices, [0])
-        assert filter_pseudo_labels(pset, 0.0).indices.shape[0] == 3
+        conf = np.array([0.9, 0.6, 0.4])
+        npt.assert_array_equal(np.flatnonzero(confidence_mask(conf, 0.75)), [0])
+        assert confidence_mask(conf, 0.0).sum() == 3
 
     def test_tau_one_excludes_unsaturated(self):
-        pset = PseudoLabelSet(
-            indices=np.arange(3),
-            labels=np.zeros(3, int),
-            confidences=np.array([0.999, 0.5, 0.9]),
-        )
-        assert len(filter_pseudo_labels(pset, 1.0)) == 0
+        assert confidence_mask(np.array([0.999, 0.5, 0.9]), 1.0).sum() == 0
 
     def test_retention_non_increasing_in_tau(self):
-        rng = np.random.default_rng(4)
-        pset = PseudoLabelSet(np.arange(50), rng.integers(0, 3, 50), rng.random(50))
-        counts = [len(filter_pseudo_labels(pset, t)) for t in np.linspace(0, 1, 21)]
+        conf = np.random.default_rng(4).random(50)
+        counts = [confidence_mask(conf, t).sum() for t in np.linspace(0, 1, 21)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 class TestSgdStep:
     def setup_method(self):
         self.params = init_params(4, 3, 3, 2, np.random.default_rng(5))
-        self.opt = OptimizerState.zero(self.params)
+        self.velocity = zeros_like_params(self.params)
 
     def grads(self, value=0.1):
         return ModelParams(*(np.full_like(a, value) for a in self.params.arrays()))
 
     def test_plain_gradient_descent(self):
         g = self.grads(0.1)
-        new, _ = sgd_step(self.params, g, self.opt, 0.5, 0.5, momentum=0.0, weight_decay=0.0)
+        new, _ = sgd_step(self.params, g, self.velocity, 0.5, 0.5, momentum=0.0, weight_decay=0.0)
         for p_new, p_old, g_a in zip(new.arrays(), self.params.arrays(), g.arrays()):
             npt.assert_allclose(p_new, p_old - 0.5 * g_a, rtol=1e-12)
 
     def test_velocity_carries_with_zero_grad(self):
         v = self.grads(0.2)
-        opt = OptimizerState(v)
-        new, new_opt = sgd_step(self.params, self.grads(0.0), opt, 0.1, 0.1,
-                                momentum=0.9, weight_decay=0.0)
+        new, new_v = sgd_step(self.params, self.grads(0.0), v, 0.1, 0.1,
+                              momentum=0.9, weight_decay=0.0)
         for p_new, p_old, v_a in zip(new.arrays(), self.params.arrays(), v.arrays()):
             npt.assert_allclose(p_new, p_old - 0.1 * 0.9 * v_a, rtol=1e-12)
+        for v_new, v_a in zip(new_v.arrays(), v.arrays()):
+            npt.assert_allclose(v_new, 0.9 * v_a, rtol=1e-12)
 
     def test_weight_decay_shrinks_weights_only(self):
         lam = 0.01
-        new, _ = sgd_step(self.params, self.grads(0.0), self.opt, 0.1, 0.1,
+        new, _ = sgd_step(self.params, self.grads(0.0), self.velocity, 0.1, 0.1,
                           momentum=0.0, weight_decay=lam)
         npt.assert_allclose(new.W1, self.params.W1 * (1 - 0.1 * lam), rtol=1e-12)
         npt.assert_array_equal(new.b1, self.params.b1)
@@ -121,7 +116,7 @@ class TestSgdStep:
 
     def test_per_group_learning_rates(self):
         g = self.grads(1.0)
-        new, _ = sgd_step(self.params, g, self.opt, 0.001, 0.01,
+        new, _ = sgd_step(self.params, g, self.velocity, 0.001, 0.01,
                           momentum=0.0, weight_decay=0.0)
         npt.assert_allclose(self.params.W1 - new.W1, 0.001, rtol=1e-12)
         npt.assert_allclose(self.params.Wc - new.Wc, 0.01, rtol=1e-12)
@@ -201,6 +196,25 @@ class TestTrain:
     def test_schedule_synced_to_epochs(self):
         cfg = TrainConfig(epochs=7)
         assert cfg.schedule.total_epochs == 7
+
+
+class TestInertFilterWarning:
+    @staticmethod
+    def preset_cfg(variant, preset=None):
+        overrides = {"variant": variant, "preset": preset, "hidden1": 8, "hidden2": 8}
+        return build_run_config(overrides=overrides).train_config()
+
+    def test_short_preset_exp6_warns(self):
+        src_x, src_y, tgt_x = toy_task(5)
+        with pytest.warns(UserWarning, match=r"inert.*epoch 10.*only 10 epochs"):
+            train(src_x, src_y, tgt_x, self.preset_cfg("EXP6", "short"))
+
+    @pytest.mark.parametrize("variant, preset", [("EXP5", "short"), ("EXP6", None)])
+    def test_no_warning_when_filter_acts_or_is_off(self, variant, preset):
+        src_x, src_y, tgt_x = toy_task(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train(src_x, src_y, tgt_x, self.preset_cfg(variant, preset))
 
 
 class TestHistoryFile:
