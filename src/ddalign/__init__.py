@@ -12,9 +12,11 @@ from .data import (
     SubjectDataset,
     SynthShiftConfig,
     generate_synth_shift,
+    load_checkpoint,
     load_dataset,
     load_features,
     parse_config,
+    save_checkpoint,
     save_features,
 )
 from .evaluation import (
@@ -50,9 +52,7 @@ from .net import (
     forward_features,
     forward_logits,
     init_params,
-    load_checkpoint,
     parameter_count,
-    save_checkpoint,
 )
 from .schedules import (
     ScheduleConfig,

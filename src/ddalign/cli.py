@@ -21,10 +21,12 @@ from .data import (
     FeatureDataset,
     build_run_config,
     generate_synth_shift,
+    load_checkpoint,
     load_dataset,
     load_features,
     load_raw_recording,
     read_config_file,
+    save_checkpoint,
     save_features,
 )
 from .errors import ValidationError
@@ -36,7 +38,6 @@ from .evaluation import (
     save_summary,
 )
 from .features import DEFAULT_BANDS, BandSpec, RawWindow, build_feature_vector
-from .net import load_checkpoint, save_checkpoint
 from .trainer import save_history, train
 
 RUN_OVERRIDE_KEYS = (

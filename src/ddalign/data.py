@@ -4,12 +4,13 @@ configuration parsing.
 Feature files come in two equivalent flavors selected by suffix: ``.csv`` is
 a plain text matrix under a single comment header line, ``.bin`` is the same
 content as packed little-endian binary. Both round-trip float64 exactly.
-Raw multichannel recordings use the same scheme with their own header. A
-manifest is a CSV of (subject, session, path) rows with paths resolved
-relative to the manifest location.
+Raw multichannel recordings use the same scheme with their own header, and
+model checkpoints its binary half. A manifest is a CSV of (subject,
+session, path) rows with paths resolved relative to the manifest location.
 """
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,12 +20,9 @@ import numpy as np
 from .errors import DataFormatError, ValidationError
 from .features import RawWindow
 from .kernels import KernelConfig
+from .net import ModelParams
 from .schedules import ScheduleConfig
 from .trainer import VARIANTS, TrainConfig
-
-_FEAT_MAGIC = b"DFEA"
-_RAW_MAGIC = b"DRAW"
-_BIN_VERSION = 1
 
 
 @dataclass
@@ -57,19 +55,94 @@ class FeatureDataset:
         return self.features.shape[1]
 
 
-def save_features(path, dataset: FeatureDataset) -> None:
+_BIN_VERSION = 1
+# One header struct per .bin layout, magic first; "<" adds no padding.
+_FEATURE_BIN = (b"DFEA", struct.Struct("<4sIQQQQ"))  # n, d, has_labels, n_classes
+_RAW_BIN = (b"DRAW", struct.Struct("<4sIQdQ"))  # n_channels, fs, n_samples
+_CKPT_BIN = (b"DDALCKPT", struct.Struct("<8sIQQQQ"))  # input_dim, h1, h2, n_classes
+
+
+def _regular_file(path, kind: str) -> Path:
     path = Path(path)
+    if not path.exists():
+        raise DataFormatError(f"{path}: {kind} file not found")
+    if not path.is_file():
+        raise DataFormatError(f"{path}: not a regular file")
+    return path
+
+
+def _write_bin(path, layout, fields, blocks) -> None:
+    """Header (magic, version, ``fields``), then each (array, dtype) block."""
+    magic, header = layout
+    with open(path, "wb") as f:
+        f.write(header.pack(magic, _BIN_VERSION, *fields))
+        for block, dtype in blocks:
+            f.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
+
+
+def _read_bin(path, kind: str, layout, blocks_of):
+    """Header fields and body blocks of a ``.bin`` file. ``blocks_of`` maps the
+    fields to each block's (shape, 8-byte dtype); the body size they declare
+    must equal the file's, checked before the body is allocated or read."""
+    magic, header = layout
+    path = _regular_file(path, kind)
+    with open(path, "rb") as f:
+        head = f.read(header.size)
+        if head[:len(magic)] != magic:
+            raise DataFormatError(f"{path}: not a {kind} file")
+        if len(head) != header.size:
+            raise DataFormatError(f"{path}: truncated header")
+        _, version, *fields = header.unpack(head)
+        if version != _BIN_VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        blocks = blocks_of(*fields)
+        sizes = [math.prod(shape) for shape, _ in blocks]
+        body = path.stat().st_size - header.size
+        if body != 8 * sum(sizes):
+            raise DataFormatError(f"{path}: header declares {8 * sum(sizes)} body bytes, "
+                                  f"file has {body}")
+        buf = bytearray(body)
+        f.readinto(buf)
+    arrays, offset = [], 0
+    for (shape, dtype), size in zip(blocks, sizes):
+        arrays.append(np.frombuffer(buf, dtype, size, offset).reshape(shape))
+        offset += 8 * size
+    return fields, arrays
+
+
+def _read_csv(path, kind: str, types: dict, shape_of):
+    """Header fields, typed by ``types``, and rows of a ``# <kind> key=value``
+    CSV file. ``shape_of`` maps the fields to the row count and row width,
+    both checked before the caller allocates a matrix."""
+    path = _regular_file(path, kind)
+    with open(path, newline="") as f:
+        parts = f.readline().lstrip("#").split()
+        if not parts or parts[0] != kind:
+            raise DataFormatError(f"{path}: expected a '# {kind} ...' header line")
+        raw = dict(item.partition("=")[::2] for item in parts[1:])
+        try:
+            header = {key: cast(raw[key]) for key, cast in types.items()}
+        except (KeyError, ValueError) as exc:
+            raise DataFormatError(f"{path}: malformed header ({exc})") from exc
+        rows = list(csv.reader(f))
+    n, width = shape_of(**header)
+    if len(rows) != n:
+        raise DataFormatError(f"{path}: header says {n} rows, file has {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+    return header, rows
+
+
+def save_features(path, dataset: FeatureDataset) -> None:
     has_labels = dataset.labels is not None
-    if path.suffix == ".bin":
-        with open(path, "wb") as f:
-            f.write(_FEAT_MAGIC)
-            f.write(struct.pack(
-                "<IQQQQ", _BIN_VERSION, dataset.n_samples, dataset.feature_dim,
-                int(has_labels), dataset.n_classes,
-            ))
-            f.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
-            if has_labels:
-                f.write(np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes())
+    if Path(path).suffix == ".bin":
+        blocks = [(dataset.features, "<f8")]
+        if has_labels:
+            blocks.append((dataset.labels, "<i8"))
+        _write_bin(path, _FEATURE_BIN,
+                   (dataset.n_samples, dataset.feature_dim, int(has_labels), dataset.n_classes),
+                   blocks)
         return
     with open(path, "w", newline="") as f:
         f.write(
@@ -84,77 +157,36 @@ def save_features(path, dataset: FeatureDataset) -> None:
             writer.writerow(row)
 
 
-def _parse_header_line(line: str, expected_kind: str, path) -> dict[str, str]:
-    parts = line.lstrip("#").split()
-    if not parts or parts[0] != expected_kind:
-        raise DataFormatError(f"{path}: expected a '# {expected_kind} ...' header line")
-    out = {}
-    for item in parts[1:]:
-        key, _, value = item.partition("=")
-        out[key] = value
-    return out
-
-
 def load_features(path) -> FeatureDataset:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file not found")
-    if path.suffix == ".bin":
-        with open(path, "rb") as f:
-            if f.read(4) != _FEAT_MAGIC:
-                raise DataFormatError(f"{path}: not a feature file")
-            header = f.read(36)
-            if len(header) != 36:
-                raise DataFormatError(f"{path}: truncated header")
-            version, n, d, has_labels, n_classes = struct.unpack("<IQQQQ", header)
-            if version != _BIN_VERSION:
-                raise DataFormatError(f"{path}: unsupported version {version}")
-            feats = np.frombuffer(f.read(8 * n * d), dtype="<f8")
-            if feats.size != n * d:
-                raise DataFormatError(f"{path}: truncated feature block")
-            labels = None
-            if has_labels:
-                labels = np.frombuffer(f.read(8 * n), dtype="<i8").copy()
-                if labels.size != n:
-                    raise DataFormatError(f"{path}: truncated label block")
-        return FeatureDataset(feats.reshape(n, d).copy(), labels, int(n_classes))
-    with open(path, newline="") as f:
-        header = _parse_header_line(f.readline(), "features", path)
-        try:
-            n = int(header["n_samples"])
-            d = int(header["feature_dim"])
-            has_labels = bool(int(header["has_labels"]))
-            n_classes = int(header["n_classes"])
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed header ({exc})") from exc
-        rows = list(csv.reader(f))
-    if len(rows) != n:
-        raise DataFormatError(f"{path}: header says {n} rows, file has {len(rows)}")
-    width = d + (1 if has_labels else 0)
-    feats = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64) if has_labels else None
+    if Path(path).suffix == ".bin":
+        (_, _, has_labels, n_classes), (feats, labels) = _read_bin(
+            path, "features", _FEATURE_BIN,
+            lambda n, d, labeled, _: [((n, d), "<f8"), ((n if labeled else 0,), "<i8")],
+        )
+        return FeatureDataset(feats, labels if has_labels else None, n_classes)
+    header, rows = _read_csv(
+        path, "features",
+        {"n_samples": int, "feature_dim": int, "has_labels": int, "n_classes": int},
+        lambda n_samples, feature_dim, has_labels, n_classes:
+            (n_samples, feature_dim + bool(has_labels)),
+    )
+    d = header["feature_dim"]
+    feats = np.empty((len(rows), d))
+    labels = np.empty(len(rows), dtype=np.int64) if header["has_labels"] else None
     try:
         for i, row in enumerate(rows):
-            if len(row) != width:
-                raise DataFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
             feats[i] = [float(v) for v in row[:d]]
-            if has_labels:
+            if labels is not None:
                 labels[i] = int(row[d])
-    except DataFormatError:
-        raise
     except ValueError as exc:
         raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-    return FeatureDataset(feats, labels, n_classes)
+    return FeatureDataset(feats, labels, header["n_classes"])
 
 
 def save_raw_recording(path, window: RawWindow) -> None:
-    path = Path(path)
-    if path.suffix == ".bin":
-        with open(path, "wb") as f:
-            f.write(_RAW_MAGIC)
-            f.write(struct.pack("<IQdQ", _BIN_VERSION, window.n_channels,
-                                float(window.fs), window.n_samples))
-            f.write(np.ascontiguousarray(window.samples, dtype="<f8").tobytes())
+    if Path(path).suffix == ".bin":
+        _write_bin(path, _RAW_BIN, (window.n_channels, float(window.fs), window.n_samples),
+                   [(window.samples, "<f8")])
         return
     with open(path, "w", newline="") as f:
         f.write(f"# raw n_channels={window.n_channels} fs={window.fs:.17g} "
@@ -165,45 +197,35 @@ def save_raw_recording(path, window: RawWindow) -> None:
 
 
 def load_raw_recording(path) -> RawWindow:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file not found")
-    if path.suffix == ".bin":
-        with open(path, "rb") as f:
-            if f.read(4) != _RAW_MAGIC:
-                raise DataFormatError(f"{path}: not a raw recording file")
-            header = f.read(28)
-            if len(header) != 28:
-                raise DataFormatError(f"{path}: truncated header")
-            version, n_ch, fs, n_samp = struct.unpack("<IQdQ", header)
-            if version != _BIN_VERSION:
-                raise DataFormatError(f"{path}: unsupported version {version}")
-            data = np.frombuffer(f.read(8 * n_ch * n_samp), dtype="<f8")
-            if data.size != n_ch * n_samp:
-                raise DataFormatError(f"{path}: truncated sample block")
-        return RawWindow(data.reshape(n_ch, n_samp).copy(), fs)
-    with open(path, newline="") as f:
-        header = _parse_header_line(f.readline(), "raw", path)
-        try:
-            n_ch = int(header["n_channels"])
-            fs = float(header["fs"])
-            n_samp = int(header["n_samples"])
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed header ({exc})") from exc
-        rows = list(csv.reader(f))
-    if len(rows) != n_ch:
-        raise DataFormatError(f"{path}: header says {n_ch} channels, file has {len(rows)}")
-    data = np.empty((n_ch, n_samp))
+    if Path(path).suffix == ".bin":
+        (_, fs, _), (data,) = _read_bin(path, "raw", _RAW_BIN,
+                                        lambda n_ch, fs, n_samp: [((n_ch, n_samp), "<f8")])
+        return RawWindow(data, fs)
+    header, rows = _read_csv(
+        path, "raw", {"n_channels": int, "fs": float, "n_samples": int},
+        lambda n_channels, fs, n_samples: (n_channels, n_samples),
+    )
+    data = np.empty((len(rows), header["n_samples"]))
     try:
         for i, row in enumerate(rows):
-            if len(row) != n_samp:
-                raise DataFormatError(f"{path}: channel {i} has {len(row)} samples, expected {n_samp}")
             data[i] = [float(v) for v in row]
-    except DataFormatError:
-        raise
     except ValueError as exc:
         raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-    return RawWindow(data, fs)
+    return RawWindow(data, header["fs"])
+
+
+def save_checkpoint(params: ModelParams, path) -> None:
+    """Flat binary: magic, version, four dims, six float64 arrays row-major."""
+    _write_bin(path, _CKPT_BIN,
+               (params.input_dim, params.W1.shape[1], params.W2.shape[1], params.n_classes),
+               [(a, "<f8") for a in params.arrays()])
+
+
+def load_checkpoint(path) -> ModelParams:
+    _, arrays = _read_bin(path, "checkpoint", _CKPT_BIN, lambda d, h1, h2, c: [
+        (shape, "<f8") for shape in ((d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,))
+    ])
+    return ModelParams(*arrays)
 
 
 @dataclass
@@ -215,9 +237,7 @@ class ManifestEntry:
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: manifest not found")
+    path = _regular_file(path, "manifest")
     entries = []
     seen = set()
     with open(path, newline="") as f:
@@ -468,9 +488,7 @@ def _coerce(key: str, raw) -> object:
 
 def read_config_file(path) -> dict:
     """key = value lines; '#' starts a comment; unknown keys are rejected."""
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: config file not found")
+    path = _regular_file(path, "config")
     out = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()

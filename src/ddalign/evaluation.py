@@ -123,6 +123,8 @@ def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
     """Eval-mode forward, argmax prediction, accuracy plus confusion matrix."""
     if target.labels is None:
         raise ValidationError("evaluation needs a labeled dataset")
+    if target.n_samples == 0:
+        raise ValidationError("evaluation needs at least one row")
     if target.feature_dim != params.input_dim:
         raise ValidationError(
             f"model expects {params.input_dim} features, data has {target.feature_dim}"

@@ -11,19 +11,15 @@ matrix per step, which the backward pass reuses. Everything is float64
 numpy; dropout is the inverted kind so evaluation applies no scaling.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import DataFormatError, NumericsError, ValidationError
+from .errors import NumericsError, ValidationError
 
 DROPOUT_P = 0.25
 LOG_CLAMP = 1e-12
-
-_CKPT_MAGIC = b"DDALCKPT"
-_CKPT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -349,37 +345,3 @@ def backward(trace: StepTrace, params: ModelParams, alpha: float, beta: float) -
         g_b2 += t_b2
     return ModelParams(W1=g_w1, b1=g_b1, W2=g_w2, b2=g_b2,
                        Wc=trace.src.h.T @ d_logits, bc=d_logits.sum(axis=0))
-
-
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Flat binary: magic, version, four dims, six float64 arrays row-major."""
-    h1 = params.W1.shape[1]
-    h2 = params.W2.shape[1]
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<IQQQQ", _CKPT_VERSION, params.input_dim, h1, h2, params.n_classes))
-        for a in params.arrays():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as f:
-        if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise DataFormatError(f"{path}: not a checkpoint file")
-        header = f.read(4 + 8 * 4)
-        if len(header) != 4 + 8 * 4:
-            raise DataFormatError(f"{path}: truncated checkpoint header")
-        version, d, h1, h2, c = struct.unpack("<IQQQQ", header)
-        if version != _CKPT_VERSION:
-            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,)]
-        arrays = []
-        for shape in shapes:
-            n = int(np.prod(shape))
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise DataFormatError(f"{path}: truncated checkpoint")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-        if f.read(1):
-            raise DataFormatError(f"{path}: trailing bytes in checkpoint")
-    return ModelParams(*arrays)

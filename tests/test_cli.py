@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from ddalign.cli import main
-from ddalign.data import FeatureDataset, save_features
+from ddalign.data import FeatureDataset, save_checkpoint, save_features, save_raw_recording
 from ddalign.features import RawWindow
-from ddalign.data import save_raw_recording
-from ddalign.net import init_params, save_checkpoint
+from ddalign.net import init_params
 
 
 def run_cli(*argv) -> int:
@@ -123,6 +122,15 @@ class TestEvaluate:
         assert code == 3
         assert "data.bin: truncated header" in capsys.readouterr().err
 
+    def test_zero_rows_exit_3(self, tmp_path, capsys):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(4, 2, 2, 3, np.random.default_rng(0)), model)
+        data = tmp_path / "empty.csv"
+        save_features(data, FeatureDataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3))
+        code = run_cli("evaluate", "--model", str(model), "--data", str(data))
+        assert code == 3
+        assert "at least one row" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_synth_ablation_writes_summary_and_histories(self, tmp_path):
@@ -214,7 +222,25 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
-    def test_runtime_failure_exits_1(self, capsys):
-        code = run_cli("evaluate", "--model", "/nonexistent/m.ckpt", "--data", "x.csv")
+    def test_runtime_failure_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "huge.csv"  # 32 columns of 1e308: x @ W1 overflows
+        save_features(source, FeatureDataset(np.full((8, 32), 1e308), np.arange(8) % 3, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--source", str(source), "--target", str(source),
+                           "--variant", "EXP1", "--epochs", "1", "--batch-size", "8")
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith("error: step 0 (epoch 0)")
+
+    def test_missing_model_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        save_features(data, FeatureDataset(np.zeros((3, 4)), np.zeros(3, dtype=int), 3))
+        code = run_cli("evaluate", "--model", str(tmp_path / "absent.ckpt"), "--data", str(data))
+        assert code == 3
+        assert "absent.ckpt: checkpoint file not found" in capsys.readouterr().err
+
+    def test_directory_as_data_exits_3(self, tmp_path, capsys):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(4, 2, 2, 3, np.random.default_rng(0)), model)
+        code = run_cli("evaluate", "--model", str(model), "--data", str(tmp_path))
+        assert code == 3
+        assert f"{tmp_path}: not a regular file" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """File formats, manifests, the synthetic shift generator, and config parsing."""
 
+import re
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,18 +13,21 @@ from ddalign.data import (
     SynthShiftConfig,
     build_run_config,
     generate_synth_shift,
+    load_checkpoint,
     load_dataset,
     load_features,
     load_manifest,
     load_raw_recording,
     parse_config,
     read_config_file,
+    save_checkpoint,
     save_features,
     save_raw_recording,
 )
 from ddalign.errors import DataFormatError, ValidationError
 from ddalign.features import RawWindow
 from ddalign.kernels import KernelConfig, mmd
+from ddalign.net import init_params
 
 
 def labeled_dataset(seed=0, n=10, d=4, C=3):
@@ -109,6 +115,61 @@ class TestRawFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=r"rec\.csv: row 1"):
             load_raw_recording(path)
+
+
+# Each .bin layout: a writer of a small valid file, its loader, its header
+# struct, and the indices of the header fields that are dimensions.
+BIN_FILES = {
+    "features": (lambda p: save_features(p, labeled_dataset()), load_features,
+                 "<4sIQQQQ", (2, 3)),
+    "raw": (lambda p: save_raw_recording(p, RawWindow(np.zeros((2, 125)), fs=125.0)),
+            load_raw_recording, "<4sIQdQ", (2, 4)),
+    "checkpoint": (lambda p: save_checkpoint(init_params(3, 2, 2, 2, np.random.default_rng(0)), p),
+                   load_checkpoint, "<8sIQQQQ", (2, 3, 4, 5)),
+}
+
+
+def oversized_dims(data, fmt, dims):
+    header = struct.Struct(fmt)
+    fields = list(header.unpack_from(data))
+    for i in dims:
+        fields[i] = 2**40
+    return header.pack(*fields) + data[header.size:]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("kind", list(BIN_FILES))
+    @pytest.mark.parametrize("damage", [
+        pytest.param(oversized_dims, id="dims-2**40"),
+        pytest.param(lambda data, fmt, dims: data + b"\0", id="trailing-byte"),
+        pytest.param(lambda data, fmt, dims: data[:-1], id="one-byte-short"),
+    ])
+    def test_bin_body_must_match_header(self, tmp_path, kind, damage):
+        write, load, fmt, dims = BIN_FILES[kind]
+        path = tmp_path / "file.bin"
+        write(path)
+        path.write_bytes(damage(path.read_bytes(), fmt, dims))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: header declares")):
+            load(path)
+
+    def test_raw_csv_huge_declared_width_checked_per_row(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text(f"# raw n_channels=1 fs=2 n_samples={2**40}\n0,0\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: row 0 has 2 fields")):
+            load_raw_recording(path)
+
+    @pytest.mark.parametrize("load", [load_features, load_raw_recording, load_checkpoint,
+                                      load_manifest])
+    def test_directory_rejected(self, tmp_path, load):
+        with pytest.raises(DataFormatError, match=re.escape(f"{tmp_path}: not a regular file")):
+            load(tmp_path)
+
+    def test_manifest_entry_naming_directory(self, tmp_path):
+        (tmp_path / "s0.csv").mkdir()
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("sub0,1,s0.csv\n")
+        with pytest.raises(DataFormatError, match=re.escape("s0.csv: not a regular file")):
+            load_dataset(manifest)
 
 
 class TestManifest:

@@ -122,6 +122,12 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="features"):
             evaluate(params, data)
 
+    def test_zero_rows_rejected(self):
+        params = init_params(6, 4, 4, 3, np.random.default_rng(5))
+        data = FeatureDataset(np.zeros((0, 6)), np.zeros(0, dtype=int), 3)
+        with pytest.raises(ValidationError, match="at least one row"):
+            evaluate(params, data)
+
 
 def fast_cfg(**kw):
     defaults = dict(batch_size=8, epochs=2, seed=3, n_classes=3, hidden1=6, hidden2=6,

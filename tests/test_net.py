@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ddalign.data import load_checkpoint, save_checkpoint
 from ddalign.errors import DataFormatError, NumericsError, ValidationError
 from ddalign.kernels import KernelConfig
 from ddalign.net import (
@@ -16,10 +17,8 @@ from ddalign.net import (
     forward_features,
     forward_logits,
     init_params,
-    load_checkpoint,
     parameter_count,
     pseudo_label_scores,
-    save_checkpoint,
 )
 
 FIXED = KernelConfig(sigma=2.0, sigma_mode="fixed")
@@ -373,7 +372,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_params(3, 2, 2, 2, np.random.default_rng(0)), path)
         path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(DataFormatError, match=r"model\.ckpt: truncated checkpoint header"):
+        with pytest.raises(DataFormatError, match=r"model\.ckpt: truncated header"):
             load_checkpoint(path)
 
 
