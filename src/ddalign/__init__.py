@@ -34,6 +34,7 @@ from .features import (
     FeatureVector,
     RawWindow,
     band_variance,
+    build_feature_matrix,
     build_feature_vector,
     differential_entropy,
 )

@@ -11,10 +11,9 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .data import (
     ACCEPT_SYNTH,
@@ -37,7 +36,7 @@ from .evaluation import (
     run_synth_protocol,
     save_summary,
 )
-from .features import DEFAULT_BANDS, BandSpec, RawWindow, build_feature_vector
+from .features import DEFAULT_BANDS, VARIANCE_FLOOR, BandSpec, build_feature_matrix
 from .trainer import save_history, train
 
 RUN_OVERRIDE_KEYS = (
@@ -99,9 +98,8 @@ def _parse_bands(spec: str | None):
 def cmd_extract_features(args) -> int:
     recording = load_raw_recording(args.input)
     bands = _parse_bands(args.bands)
-    if args.window_seconds is None:
-        windows = [recording]
-    else:
+    step = recording.n_samples
+    if args.window_seconds is not None:
         step = int(round(args.window_seconds * recording.fs))
         if step < recording.fs:
             raise ValidationError("--window-seconds must cover at least one second")
@@ -110,12 +108,15 @@ def cmd_extract_features(args) -> int:
                 f"--window-seconds {args.window_seconds:g} is longer than the recording "
                 f"({recording.n_samples / recording.fs:g} s)"
             )
-        windows = [
-            RawWindow(recording.samples[:, start:start + step], recording.fs)
-            for start in range(0, recording.n_samples - step + 1, step)
-        ]
-    rows = [build_feature_vector(w, bands).values for w in windows]
-    dataset = FeatureDataset(np.vstack(rows))
+    values, floored = build_feature_matrix(recording, step, bands)
+    if floored:
+        warnings.warn(
+            f"{len(floored)} (window, channel, band) values fell below the variance floor "
+            f"{VARIANCE_FLOOR:g} and were clamped; first affected channel: "
+            f"{min(ch for _, ch, _ in floored)}",
+            stacklevel=2,
+        )
+    dataset = FeatureDataset(values)
     save_features(args.out, dataset)
     print(f"wrote {dataset.n_samples} x {dataset.feature_dim} features to {args.out}")
     return 0

@@ -124,6 +124,9 @@ def _read_csv(path, kind: str, types: dict, shape_of):
             header = {key: cast(raw[key]) for key, cast in types.items()}
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"{path}: malformed header ({exc})") from exc
+        negative = [f"{k}={v}" for k, v in header.items() if types[k] is int and v < 0]
+        if negative:
+            raise DataFormatError(f"{path}: negative header count {', '.join(negative)}")
         rows = list(csv.reader(f))
     n, width = shape_of(**header)
     if len(rows) != n:

@@ -9,7 +9,9 @@ band-limited signal's differential entropy:
     de(sigma^2) = 0.5 * ln(2 * pi * e * sigma^2)
 
 Segments are mean-removed before windowing, so a constant channel carries no
-band power. All functions are pure; nothing here touches files.
+band power. Every (window, channel) row of a recording goes through one
+batched FFT, and a 0/1 band matrix reduces the spectra to band variances.
+All functions are pure; nothing here touches files.
 """
 
 import math
@@ -21,6 +23,10 @@ from .errors import ValidationError
 
 # variance floor applied before the log on silent channel/band pairs
 VARIANCE_FLOOR = 1e-12
+
+# samples per batched FFT chunk (32 MB of float64), bounding the spectral
+# pass's working memory on long windows
+_CHUNK_SAMPLES = 2**22
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,11 @@ class RawWindow:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 2 or self.samples.shape[0] < 1:
             raise ValidationError("samples must be a [n_channels, n_samples] matrix")
-        if self.fs <= 0:
-            raise ValidationError("sampling rate must be positive")
+        if not self.fs >= 1:
+            raise ValidationError(
+                f"sampling rate {self.fs:g} Hz is below 1 Hz; a 1-second segment "
+                "needs at least one sample"
+            )
         if self.samples.shape[1] < self.fs:
             raise ValidationError("window must span at least one second")
         if not np.isfinite(self.samples).all():
@@ -107,42 +116,49 @@ def validate_bands(bands: tuple[BandSpec, ...] | list[BandSpec], fs: float) -> N
             raise ValidationError(f"bands {a.name!r} and {b.name!r} overlap or are unordered")
 
 
-def _segment_psd(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged one-sided PSD over non-overlapping 1-second Hann segments.
+def _band_variances(x: np.ndarray, fs: float, bands) -> np.ndarray:
+    """Band-limited variances of every row of ``x``: [..., n_samples] -> [..., n_bands].
 
-    Returns (freqs, psd) with the PSD scaled so that sum(psd) * df equals the
-    mean-removed signal variance.
+    Each row is cut into non-overlapping 1-second segments (a partial last
+    segment is dropped); each segment is mean-removed and Hann-windowed, and
+    the one-sided PSD, scaled so that sum(psd) * df equals the mean-removed
+    variance, is averaged over segments. A band's variance is the PSD summed
+    over bins with lo_hz <= f < hi_hz, times df. Rows go through the FFT in
+    chunks of at most _CHUNK_SAMPLES samples (at least one row per chunk).
     """
     nper = int(round(fs))
-    if x.shape[0] < nper:
+    n_seg = x.shape[-1] // nper
+    if n_seg < 1:
         raise ValidationError(
-            f"window has {x.shape[0]} samples, shorter than one {nper}-sample segment"
+            f"window has {x.shape[-1]} samples, shorter than one {nper}-sample segment"
         )
-    n_seg = x.shape[0] // nper
-    segs = x[: n_seg * nper].reshape(n_seg, nper)
-    segs = segs - segs.mean(axis=1, keepdims=True)
-    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nper) / nper)
-    spec = np.fft.rfft(segs * w, axis=1)
-    psd = (spec.real**2 + spec.imag**2) / (fs * np.sum(w**2))
-    psd[:, 1:] *= 2.0
-    if nper % 2 == 0:
-        psd[:, -1] /= 2.0  # Nyquist bin is not mirrored
     freqs = np.fft.rfftfreq(nper, d=1.0 / fs)
-    return freqs, psd.mean(axis=0)
+    lo = np.array([b.lo_hz for b in bands])
+    hi = np.array([b.hi_hz for b in bands])
+    band_mask = ((freqs[:, None] >= lo) & (freqs[:, None] < hi)).astype(np.float64)
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nper) / nper)
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty((rows.shape[0], len(bands)))
+    per_chunk = max(1, _CHUNK_SAMPLES // x.shape[-1])
+    for start in range(0, rows.shape[0], per_chunk):
+        segs = rows[start:start + per_chunk, : n_seg * nper].reshape(-1, n_seg, nper)
+        segs = segs - segs.mean(axis=-1, keepdims=True)
+        segs *= w
+        spec = np.fft.rfft(segs, axis=-1)
+        psd = (spec.real**2 + spec.imag**2) / (fs * np.sum(w**2))
+        psd[..., 1:] *= 2.0
+        if nper % 2 == 0:
+            psd[..., -1] /= 2.0  # Nyquist bin is not mirrored
+        out[start:start + per_chunk] = psd.mean(axis=-2) @ band_mask
+    return (out * (fs / nper)).reshape(*x.shape[:-1], len(bands))
 
 
 def band_variance(window: RawWindow, band: BandSpec, channel: int) -> float:
     """Band-limited signal variance from STFT power summed over in-band bins."""
     if not 0 <= channel < window.n_channels:
         raise ValidationError(f"channel {channel} outside [0, {window.n_channels})")
-    if band.hi_hz > window.fs / 2:
-        raise ValidationError(
-            f"band {band.name!r} upper edge {band.hi_hz} Hz exceeds Nyquist {window.fs / 2} Hz"
-        )
-    freqs, psd = _segment_psd(window.samples[channel], window.fs)
-    mask = (freqs >= band.lo_hz) & (freqs < band.hi_hz)
-    df = window.fs / int(round(window.fs))
-    return float(psd[mask].sum() * df)
+    validate_bands((band,), window.fs)
+    return float(_band_variances(window.samples[channel], window.fs, (band,))[0])
 
 
 def differential_entropy(variance: float) -> float:
@@ -150,6 +166,41 @@ def differential_entropy(variance: float) -> float:
     if not np.isfinite(variance) or variance <= 0:
         raise ValidationError(f"variance must be positive and finite, got {variance}")
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
+
+
+def build_feature_matrix(
+    recording: RawWindow, step: int, bands: tuple[BandSpec, ...] | list[BandSpec] = DEFAULT_BANDS
+) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
+    """Differential entropy of every (window, channel, band) in one batched pass.
+
+    The recording is cut into consecutive windows of ``step`` samples; a tail
+    shorter than ``step`` is dropped. Returns the [n_windows, n_channels *
+    n_bands] matrix, channel-major within a row, and the (window, channel,
+    band name) triples whose variance fell below VARIANCE_FLOOR and was
+    clamped before the log. A negative or non-finite power estimate raises a
+    ValidationError naming its window, channel and band.
+    """
+    validate_bands(bands, recording.fs)
+    if not 1 <= step <= recording.n_samples:
+        raise ValidationError(
+            f"window step {step} outside [1, {recording.n_samples}] samples"
+        )
+    n_win = recording.n_samples // step
+    # channel-major rows keep the whole-recording case (one window) a view
+    x = recording.samples[:, : n_win * step].reshape(recording.n_channels, n_win, step)
+    var = _band_variances(x, recording.fs, bands).transpose(1, 0, 2)
+    bad = ~np.isfinite(var) | (var < 0)
+    if bad.any():
+        w, ch, b = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"window {w}, channel {ch}, band {bands[b].name!r}: "
+            f"invalid band variance {var[w, ch, b]}"
+        )
+    low = var < VARIANCE_FLOOR
+    floored = [(int(w), int(ch), bands[b].name) for w, ch, b in np.argwhere(low)]
+    var = np.where(low, VARIANCE_FLOOR, var)
+    values = 0.5 * np.log(2.0 * math.pi * math.e * var)
+    return values.reshape(n_win, -1), floored
 
 
 def build_feature_vector(
@@ -161,26 +212,10 @@ def build_feature_vector(
     result's ``floored`` metadata; negative or non-finite power estimates
     propagate as errors naming the offending channel and band.
     """
-    validate_bands(bands, window.fs)
-    values = np.empty(window.n_channels * len(bands))
-    floored: list[tuple[int, str]] = []
-    df = window.fs / int(round(window.fs))
-    for ch in range(window.n_channels):
-        freqs, psd = _segment_psd(window.samples[ch], window.fs)
-        for bi, band in enumerate(bands):
-            mask = (freqs >= band.lo_hz) & (freqs < band.hi_hz)
-            var = float(psd[mask].sum() * df)
-            if not np.isfinite(var) or var < 0:
-                raise ValidationError(
-                    f"channel {ch}, band {band.name!r}: invalid band variance {var}"
-                )
-            if var < VARIANCE_FLOOR:
-                var = VARIANCE_FLOOR
-                floored.append((ch, band.name))
-            values[ch * len(bands) + bi] = differential_entropy(var)
+    values, floored = build_feature_matrix(window, window.n_samples, bands)
     return FeatureVector(
-        values=values,
+        values=values[0],
         n_channels=window.n_channels,
         band_names=tuple(b.name for b in bands),
-        floored=floored,
+        floored=[(ch, name) for _, ch, name in floored],
     )

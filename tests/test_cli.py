@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 from ddalign.cli import main
 from ddalign.data import FeatureDataset, save_checkpoint, save_features, save_raw_recording
-from ddalign.features import RawWindow
+from ddalign.features import RawWindow, build_feature_vector
 from ddalign.net import init_params
 
 
@@ -112,6 +113,15 @@ class TestEvaluate:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert np.array(payload["confusion"]).sum() == payload["n_samples"]
 
+    def test_negative_header_count_exit_3(self, tmp_path, capsys):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(4, 2, 2, 2, np.random.default_rng(0)), model)
+        data = tmp_path / "data.csv"
+        data.write_text("# features n_samples=0 feature_dim=-1 has_labels=1 n_classes=2\n")
+        code = run_cli("evaluate", "--model", str(model), "--data", str(data))
+        assert code == 3
+        assert f"{data}: negative header count feature_dim=-1" in capsys.readouterr().err
+
     def test_truncated_bin_data_exit_3(self, tmp_path, capsys):
         model = tmp_path / "model.ckpt"
         save_checkpoint(init_params(4, 2, 2, 3, np.random.default_rng(0)), model)
@@ -193,6 +203,47 @@ class TestExtractFeatures:
         assert code == 3
         err = capsys.readouterr().err
         assert "--window-seconds 4 is longer than the recording (3 s)" in err
+
+    def test_output_matches_per_window_vectors(self, tmp_path):
+        rng = np.random.default_rng(2)
+        samples = rng.normal(size=(6, 125 * 7 + 40))  # 40-sample tail is dropped
+        rec_path = tmp_path / "rec.bin"
+        save_raw_recording(rec_path, RawWindow(samples, fs=125.0))
+        out = tmp_path / "features.bin"
+        assert run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(out), "--window-seconds", "1") == 0
+        from ddalign.data import load_features
+
+        want = np.vstack([
+            build_feature_vector(RawWindow(samples[:, w * 125:(w + 1) * 125], fs=125.0)).values
+            for w in range(7)
+        ])
+        np.testing.assert_allclose(load_features(out).features, want, rtol=0, atol=1e-12)
+
+    def test_flat_recording_warns_of_floored_values(self, tmp_path, capsys):
+        rec_path = tmp_path / "rec.csv"
+        save_raw_recording(rec_path, RawWindow(np.zeros((2, 200 * 3)), fs=200.0))
+        out = tmp_path / "features.csv"
+        with pytest.warns(UserWarning) as record:
+            code = run_cli("extract-features", "--input", str(rec_path),
+                           "--out", str(out), "--window-seconds", "1")
+        assert code == 0
+        assert len(record) == 1
+        assert str(record[0].message).startswith(
+            "30 (window, channel, band) values fell below the variance floor")
+        assert str(record[0].message).endswith("first affected channel: 0")
+        assert capsys.readouterr().out == f"wrote 3 x 10 features to {out}\n"
+
+    def test_sampling_rate_below_one_hz_exit_3(self, tmp_path, capsys):
+        rec_path = tmp_path / "rec.bin"
+        save_raw_recording(rec_path, RawWindow(np.zeros((1, 8)), fs=8.0))
+        data = bytearray(rec_path.read_bytes())
+        struct.pack_into("<d", data, 16, 0.4)  # fs field of the DRAW header
+        rec_path.write_bytes(bytes(data))
+        code = run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(tmp_path / "features.csv"), "--bands", "a:0.05-0.1")
+        assert code == 3
+        assert "sampling rate 0.4 Hz is below 1 Hz" in capsys.readouterr().err
 
 
 class TestDumpEmbeddings:

@@ -158,6 +158,19 @@ class TestMalformedFiles:
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: row 0 has 2 fields")):
             load_raw_recording(path)
 
+    @pytest.mark.parametrize("load, header", [
+        pytest.param(load_features,
+                     "# features n_samples=0 feature_dim=-1 has_labels=1 n_classes=2",
+                     id="features"),
+        pytest.param(load_raw_recording, "# raw n_channels=0 fs=200 n_samples=-1", id="raw"),
+    ])
+    def test_negative_csv_header_count_rejected(self, tmp_path, load, header):
+        path = tmp_path / "file.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: negative header count")):
+            load(path)
+
     @pytest.mark.parametrize("load", [load_features, load_raw_recording, load_checkpoint,
                                       load_manifest])
     def test_directory_rejected(self, tmp_path, load):

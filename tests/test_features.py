@@ -6,12 +6,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ddalign import features
 from ddalign.errors import ValidationError
 from ddalign.features import (
     DEFAULT_BANDS,
+    VARIANCE_FLOOR,
     BandSpec,
     RawWindow,
     band_variance,
+    build_feature_matrix,
     build_feature_vector,
     differential_entropy,
     validate_bands,
@@ -168,6 +171,106 @@ class TestBuildFeatureVector:
         assert spread(40) < spread(5)
 
 
+def _segment_psd(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged one-sided PSD over non-overlapping 1-second Hann segments.
+
+    Returns (freqs, psd) with the PSD scaled so that sum(psd) * df equals the
+    mean-removed signal variance.
+    """
+    nper = int(round(fs))
+    if x.shape[0] < nper:
+        raise ValidationError(
+            f"window has {x.shape[0]} samples, shorter than one {nper}-sample segment"
+        )
+    n_seg = x.shape[0] // nper
+    segs = x[: n_seg * nper].reshape(n_seg, nper)
+    segs = segs - segs.mean(axis=1, keepdims=True)
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nper) / nper)
+    spec = np.fft.rfft(segs * w, axis=1)
+    psd = (spec.real**2 + spec.imag**2) / (fs * np.sum(w**2))
+    psd[:, 1:] *= 2.0
+    if nper % 2 == 0:
+        psd[:, -1] /= 2.0  # Nyquist bin is not mirrored
+    freqs = np.fft.rfftfreq(nper, d=1.0 / fs)
+    return freqs, psd.mean(axis=0)
+
+
+def loop_oracle(samples, fs, step, bands=DEFAULT_BANDS):
+    """Independent reference: one FFT per window and channel, one boolean mask
+    per band, as the per-channel loop computed it before the batched pass."""
+    n_win = samples.shape[1] // step
+    values = np.empty((n_win, samples.shape[0] * len(bands)))
+    floored = []
+    df = fs / int(round(fs))
+    for w in range(n_win):
+        for ch in range(samples.shape[0]):
+            freqs, psd = _segment_psd(samples[ch, w * step:(w + 1) * step], fs)
+            for bi, band in enumerate(bands):
+                mask = (freqs >= band.lo_hz) & (freqs < band.hi_hz)
+                var = float(psd[mask].sum() * df)
+                if var < VARIANCE_FLOOR:
+                    var = VARIANCE_FLOOR
+                    floored.append((w, ch, band.name))
+                values[w, ch * len(bands) + bi] = 0.5 * math.log(2 * math.pi * math.e * var)
+    return values, floored
+
+
+class TestBatchedMatchesLoopOracle:
+    def check(self, samples, fs, step):
+        got, got_floored = build_feature_matrix(RawWindow(samples, fs), step, DEFAULT_BANDS)
+        want, want_floored = loop_oracle(samples, fs, step)
+        assert got.shape == want.shape
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got_floored == want_floored
+        return got_floored
+
+    @pytest.mark.parametrize("fs", [125.0, 128.0, 200.0])  # 125 Hz: odd segment length
+    def test_one_second_windows(self, fs):
+        samples = np.random.default_rng(10).normal(size=(5, int(fs) * 6))
+        self.check(samples, fs, int(fs))
+
+    def test_windows_ending_in_partial_segment(self):
+        # 2.5 s windows hold two full 1-second segments and a dropped half
+        samples = np.random.default_rng(11).normal(size=(4, 200 * 10))
+        self.check(samples, 200.0, int(round(2.5 * 200.0)))
+
+    def test_tail_shorter_than_a_window_dropped(self):
+        samples = np.random.default_rng(12).normal(size=(3, 128 * 7 + 50))
+        got, _ = build_feature_matrix(RawWindow(samples, 128.0), 256, DEFAULT_BANDS)
+        assert got.shape == (3, 15)
+        self.check(samples, 128.0, 256)
+
+    def test_flat_channel_floored_like_the_loop(self):
+        samples = np.random.default_rng(13).normal(size=(3, 200 * 4))
+        samples[1] = 3.7
+        floored = self.check(samples, 200.0, 200)
+        assert floored == [(w, 1, b.name) for w in range(4) for b in DEFAULT_BANDS]
+
+    @pytest.mark.parametrize("chunk", [1, 3 * 125, 7 * 125])
+    def test_chunked_rows_match(self, monkeypatch, chunk):
+        # budgets below one row, a few rows, and a count not dividing the rows
+        monkeypatch.setattr(features, "_CHUNK_SAMPLES", chunk)
+        samples = np.random.default_rng(14).normal(size=(6, 125 * 5))
+        samples[4] = 0.0
+        self.check(samples, 125.0, 125)
+
+
+class TestBuildFeatureMatrix:
+    def test_step_outside_recording_rejected(self):
+        win = RawWindow(np.ones((1, 400)), fs=200.0)
+        for step in (0, 401):
+            with pytest.raises(ValidationError, match=f"window step {step}"):
+                build_feature_matrix(win, step)
+
+    def test_invalid_variance_names_window(self):
+        samples = np.random.default_rng(16).normal(size=(2, 200 * 3))
+        samples[1, 400:] *= 1e200  # band power overflows to inf in window 2
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValidationError,
+                               match=r"window 2, channel 1, band 'delta': invalid band variance"):
+                build_feature_matrix(RawWindow(samples, 200.0), 200)
+
+
 class TestValidation:
     def test_overlapping_bands_rejected(self):
         with pytest.raises(ValidationError):
@@ -180,6 +283,11 @@ class TestValidation:
             RawWindow(np.full((1, 200), np.inf), fs=100.0)
         with pytest.raises(ValidationError):
             RawWindow(np.ones((1, 200)), fs=-1.0)
+
+    @pytest.mark.parametrize("fs", [0.4, 0.0, math.nan])
+    def test_sampling_rate_below_one_hz_rejected(self, fs):
+        with pytest.raises(ValidationError, match=f"sampling rate {fs:g} Hz is below 1 Hz"):
+            RawWindow(np.ones((1, 8)), fs=fs)
 
     def test_band_edge_order_enforced(self):
         with pytest.raises(ValidationError):
