@@ -8,8 +8,10 @@ embedding dumps. Results go to stdout, diagnostics to stderr. Exit codes:
 """
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -100,6 +102,8 @@ def cmd_extract_features(args) -> int:
     bands = _parse_bands(args.bands)
     step = recording.n_samples
     if args.window_seconds is not None:
+        if not math.isfinite(args.window_seconds):
+            raise ValidationError(f"--window-seconds must be finite, got {args.window_seconds}")
         step = int(round(args.window_seconds * recording.fs))
         if step < recording.fs:
             raise ValidationError("--window-seconds must cover at least one second")
@@ -248,7 +252,9 @@ def cmd_dump_embeddings(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="ddalign",
         description="Semi-supervised domain adaptation with dynamic distribution alignment",
@@ -323,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

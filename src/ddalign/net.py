@@ -343,5 +343,8 @@ def backward(trace: StepTrace, params: ModelParams, alpha: float, beta: float) -
         g_b1 += t_b1
         g_w2 += t_w2
         g_b2 += t_b2
-    return ModelParams(W1=g_w1, b1=g_b1, W2=g_w2, b2=g_b2,
-                       Wc=trace.src.h.T @ d_logits, bc=d_logits.sum(axis=0))
+    try:
+        return ModelParams(W1=g_w1, b1=g_b1, W2=g_w2, b2=g_b2,
+                           Wc=trace.src.h.T @ d_logits, bc=d_logits.sum(axis=0))
+    except ValidationError as err:
+        raise NumericsError(f"gradient overflowed: {err}") from err

@@ -118,15 +118,14 @@ def sgd_step(
 
     Decay applies to weight matrices only, never biases; the extractor and
     classifier groups carry their own learning rates. Returns the new
-    parameters and the new velocity.
+    parameters and the new velocity; an update that overflows raises a
+    NumericsError naming the parameter.
     """
     new_params = {}
     new_velocity = {}
     for name in ("W1", "b1", "W2", "b2", "Wc", "bc"):
         p = getattr(params, name)
         g = getattr(grads, name)
-        if not np.isfinite(g).all():
-            raise NumericsError(f"non-finite gradient for {name}")
         v = getattr(velocity, name)
         if weight_decay > 0 and name not in BIAS_FIELDS:
             g = g + weight_decay * p
@@ -134,7 +133,11 @@ def sgd_step(
         lr = lr_extractor if name in EXTRACTOR_FIELDS else lr_classifier
         new_params[name] = p - lr * v
         new_velocity[name] = v
-    return ModelParams(**new_params), ModelParams(**new_velocity)
+    try:
+        # a non-finite velocity always leaves a non-finite parameter
+        return ModelParams(**new_params), ModelParams(**new_velocity)
+    except ValidationError as err:
+        raise NumericsError(f"update diverged: {err}") from err
 
 
 class _TargetCycle:

@@ -78,6 +78,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    def test_diverging_run_exits_1_naming_step(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 1\nbatch_size = 16\nhidden1 = 8\nhidden2 = 8\n"
+                       "lr_extractor = 1e300\nlr_classifier = 1e300\nvariant = EXP1\n")
+        rng = np.random.default_rng(4)
+        source, target = tmp_path / "source.bin", tmp_path / "target.bin"
+        save_features(source, FeatureDataset(rng.normal(size=(32, 4)) * 1e100,
+                                             rng.integers(0, 3, 32), 3))
+        save_features(target, FeatureDataset(rng.normal(size=(32, 4)) * 1e100))
+        with np.errstate(over="ignore"):
+            code = run_cli("train", "--config", str(cfg),
+                           "--source", str(source), "--target", str(target))
+        assert code == 1
+        assert "error: step 0 (epoch 0): update diverged: W1" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_dimension_mismatch_exit_3(self, tmp_path, synth_dir, capsys):
@@ -244,6 +259,43 @@ class TestExtractFeatures:
                        "--out", str(tmp_path / "features.csv"), "--bands", "a:0.05-0.1")
         assert code == 3
         assert "sampling rate 0.4 Hz is below 1 Hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_non_finite_window_seconds_exit_3(self, tmp_path, capsys, seconds):
+        rec_path = tmp_path / "rec.csv"
+        save_raw_recording(rec_path, RawWindow(np.ones((2, 200 * 3)), fs=200.0))
+        code = run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(tmp_path / "features.csv"), "--window-seconds", seconds)
+        assert code == 3
+        assert f"--window-seconds must be finite, got {seconds}" in capsys.readouterr().err
+
+
+class TestCachedParser:
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        from ddalign.cli import build_parser
+        from ddalign.data import load_features
+
+        assert build_parser() is build_parser()
+        rec_path = tmp_path / "rec.bin"
+        samples = np.random.default_rng(3).normal(size=(62, 200 * 3))
+        save_raw_recording(rec_path, RawWindow(samples, fs=200.0))
+
+        def extract(out, *extra):
+            return run_cli("extract-features", "--input", str(rec_path),
+                           "--out", str(out), "--window-seconds", "1", *extra)
+
+        assert extract(tmp_path / "two.bin", "--bands", "a:1-4,b:4-8") == 0
+        assert load_features(tmp_path / "two.bin").feature_dim == 124
+        assert extract(tmp_path / "five.bin") == 0     # --bands does not stick
+        assert load_features(tmp_path / "five.bin").feature_dim == 310
+        with pytest.raises(SystemExit) as exc:
+            run_cli("extract-features", "--input", str(rec_path))  # no --out
+        assert exc.value.code == 2
+        assert extract(tmp_path / "again.bin") == 0
+        assert extract(tmp_path / "again2.bin") == 0
+        again = (tmp_path / "again.bin").read_bytes()
+        assert again == (tmp_path / "again2.bin").read_bytes()
+        assert again == (tmp_path / "five.bin").read_bytes()
 
 
 class TestDumpEmbeddings:

@@ -254,6 +254,22 @@ class TestBatchedMatchesLoopOracle:
         samples[4] = 0.0
         self.check(samples, 125.0, 125)
 
+    def test_recording_spanning_production_chunks(self):
+        # 62 x 30 1-second windows at 200 Hz fill several default-sized chunks
+        assert 62 * 30 * 200 > 2 * features._CHUNK_SAMPLES
+        samples = np.random.default_rng(15).normal(size=(62, 200 * 30))
+        samples[7] = 0.0
+        self.check(samples, 200.0, 200)
+
+    def test_output_independent_of_chunk_budget(self, monkeypatch):
+        samples = np.random.default_rng(16).normal(size=(9, 128 * 4))
+        rec = RawWindow(samples, 128.0)
+        want, _ = build_feature_matrix(rec, 128, DEFAULT_BANDS)
+        for chunk in (1, 2 * 128, 5 * 128, 2**22):
+            monkeypatch.setattr(features, "_CHUNK_SAMPLES", chunk)
+            got, _ = build_feature_matrix(rec, 128, DEFAULT_BANDS)
+            npt.assert_array_equal(got, want)
+
 
 class TestBuildFeatureMatrix:
     def test_step_outside_recording_rejected(self):

@@ -251,6 +251,17 @@ class TestBackward:
         for arr in grads.arrays():
             npt.assert_allclose(arr, 0.0, atol=1e-12)
 
+    def test_gradient_overflow_is_numerics_error(self):
+        # layer 1 stays finite (x * W1 ~ 1), but x.T @ d_z1 overflows
+        params, src_x, src_y, tgt_x = tiny_setup(18)
+        params = ModelParams(params.W1 * 1e-300, params.b1, params.W2,
+                             params.b2, params.Wc * 1e10, params.bc)
+        with np.errstate(over="ignore"):
+            trace = compute_losses(src_x * 1e300, src_y, tgt_x, params, tau=0.0,
+                                   kcfg=FIXED, train=False, use_mmd=False, use_cmmd=False)
+            with pytest.raises(NumericsError, match="gradient overflowed: W1"):
+                backward(trace, params, alpha=0.0, beta=0.0)
+
     def test_duplicating_source_batch_keeps_gradient(self):
         params, src_x, src_y, tgt_x = tiny_setup(17)
         trace1 = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,

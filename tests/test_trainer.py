@@ -121,6 +121,13 @@ class TestSgdStep:
         npt.assert_allclose(self.params.W1 - new.W1, 0.001, rtol=1e-12)
         npt.assert_allclose(self.params.Wc - new.Wc, 0.01, rtol=1e-12)
 
+    def test_diverging_update_is_numerics_error(self):
+        g = ModelParams(*(np.full_like(a, 1e300) for a in self.params.arrays()))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericsError, match=r"^update diverged: W1 contains non-finite values"):
+            sgd_step(self.params, g, self.velocity, 1e300, 1e300,
+                     momentum=0.9, weight_decay=0.0)
+
 
 class TestTrain:
     def test_baseline_has_zero_alignment_losses(self):
@@ -192,6 +199,15 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericsError, match=r"^step 0 \(epoch 0\): .*extractor layer 1"):
             train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP6"]))
+
+    def test_diverging_update_names_step(self):
+        src_x, src_y, tgt_x = toy_task(9)
+        sched = ScheduleConfig(stage_epochs=(1, 2, 3), total_epochs=3,
+                               lr_extractor=1e300, lr_classifier=1e300)
+        cfg = small_cfg(flags=VARIANTS["EXP1"], schedule=sched)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericsError, match=r"^step 0 \(epoch 0\): update diverged: W1 "):
+            train(src_x * 1e100, src_y, tgt_x * 1e100, cfg)
 
     def test_schedule_synced_to_epochs(self):
         cfg = TrainConfig(epochs=7)
