@@ -83,7 +83,8 @@ def _write_bin(path, layout, fields, blocks) -> None:
 def _read_bin(path, kind: str, layout, blocks_of):
     """Header fields and body blocks of a ``.bin`` file. ``blocks_of`` maps the
     fields to each block's (shape, 8-byte dtype); the body size they declare
-    must equal the file's, checked before the body is allocated or read."""
+    must equal the file's, checked before the body is allocated or read, and
+    a read that comes up short (the file shrank meanwhile) is an error too."""
     magic, header = layout
     path = _regular_file(path, kind)
     with open(path, "rb") as f:
@@ -101,8 +102,10 @@ def _read_bin(path, kind: str, layout, blocks_of):
         if body != 8 * sum(sizes):
             raise DataFormatError(f"{path}: header declares {8 * sum(sizes)} body bytes, "
                                   f"file has {body}")
-        buf = bytearray(body)
-        f.readinto(buf)
+        buf = np.empty(body, np.uint8)
+        got = f.readinto(buf)
+        if got != body:
+            raise DataFormatError(f"{path}: read {got} of {body} body bytes")
     arrays, offset = [], 0
     for (shape, dtype), size in zip(blocks, sizes):
         arrays.append(np.frombuffer(buf, dtype, size, offset).reshape(shape))

@@ -13,18 +13,20 @@ Every statistic is computed on one pooled Gram matrix K over the stacked rows
 Z = [X; Y]. A statistic is then the quadratic form w^T K w of a signed weight
 column w (positive on X's rows, negative on Y's), so the marginal term and
 all class terms cost one product K @ W, and their exact gradients with respect
-to Z reuse the same K. The bandwidth is a constant of the evaluation even
-when it was chosen by the median heuristic.
+to Z reuse the same K and the centered rows it was built from. The bandwidth
+is a constant of the evaluation even when it was chosen by the median
+heuristic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 SIGMA_FIXED = "fixed"
 SIGMA_MEDIAN = "median_heuristic"
+_BLOCK_ROWS = 64  # rows of the distance matrix assembled per pass
 
 
 @dataclass(frozen=True)
@@ -74,44 +76,67 @@ def _as_matrix(X, name: str) -> np.ndarray:
     return X
 
 
-def pooled_sq_dists(Z: np.ndarray) -> np.ndarray:
-    """Squared distances between all rows of Z from one Gram product.
+def pooled_sq_dists(Zc: np.ndarray) -> np.ndarray:
+    """Squared distances between all rows of Zc, rows centered on their mean.
 
-    The rows are centered first: ||a - b||^2 = |a|^2 + |b|^2 - 2 a.b loses
-    digits to cancellation when rows sit far from the origin, and centering
-    leaves only their spread. The squared norms are read off the Gram
-    diagonal, so identical rows are exactly 0 apart. The result is exactly
-    symmetric, clamped at 0, with an exact zero diagonal.
+    ||a - b||^2 = |a|^2 + |b|^2 - 2 a.b loses digits to cancellation when rows
+    sit far from the origin, and centering leaves only their spread. The
+    squared norms are read off the Gram diagonal, so identical rows are exactly
+    0 apart. The result is exactly symmetric, clamped at 0, with an exact zero
+    diagonal, and is assembled in the Gram buffer in row blocks, so no second
+    [N, N] array is made. Non-finite distances raise NumericsError.
     """
-    Zc = Z - Z.mean(axis=0)
-    G = Zc @ Zc.T
-    sq = G.diagonal().copy()
-    G *= 2.0
-    D = sq[:, None] + sq[None, :]
-    D -= G
-    np.maximum(D, 0.0, out=D)
+    D = Zc @ Zc.T
+    sq = D.diagonal().copy()
+    sums = np.empty((min(_BLOCK_ROWS, sq.size), sq.size))
+    for start in range(0, sq.size, _BLOCK_ROWS):
+        block = D[start:start + _BLOCK_ROWS]
+        pair = sums[:block.shape[0]]
+        np.add(sq[start:start + _BLOCK_ROWS, None], sq, out=pair)
+        block *= 2.0
+        np.subtract(pair, block, out=block)
+        # before the clamp, which would turn -inf into 0
+        if not np.isfinite(block).all():
+            raise NumericsError("non-finite pooled distances in the kernel layer")
+        np.maximum(block, 0.0, out=block)
     np.fill_diagonal(D, 0.0)
     return D
 
 
 def _median_upper(D: np.ndarray) -> float:
-    """Median of the distinct-pair distances; 1.0 when that median is 0."""
+    """Median of the distinct-pair distances; 1.0 when that median is 0 or
+    there is no pair.
+
+    One selection: the upper middle value is the k-th smallest, and for an even
+    count the lower one is the largest value below it. Their mean is what
+    np.median returns, but np.median partitions at two positions, which takes
+    a generic path several times slower.
+    """
     upper = D[~np.tri(D.shape[0], dtype=bool)]
-    med = float(np.median(upper, overwrite_input=True))
+    if upper.size == 0:
+        return 1.0
+    k = upper.size // 2
+    upper.partition(k)
+    med = upper[k]
+    if upper.size % 2 == 0:
+        med = (upper[:k].max() + med) / 2
+    med = float(med)
     return med if med > 0.0 else 1.0
 
 
-def pooled_gram(Z: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, float]:
-    """Gaussian kernel over every pair of rows of Z, and the sigma it used.
+def pooled_gram(Z: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, float, np.ndarray]:
+    """Gaussian kernel over every pair of rows of Z, the sigma it used, and the
+    centered rows it was computed from, which discrepancy_grad takes.
 
     With the median heuristic sigma comes from the same distances as K.
     """
-    K = pooled_sq_dists(Z)
+    Zc = Z - Z.mean(axis=0)
+    K = pooled_sq_dists(Zc)
     sigma = float(cfg.sigma) if cfg.sigma_mode == SIGMA_FIXED else _median_upper(K)
     # in place: each [N, N] temporary costs as much as the exp itself
     K /= -sigma
     np.exp(K, out=K)
-    return K, sigma
+    return K, sigma, Zc
 
 
 def signed_weights(
@@ -142,18 +167,17 @@ def discrepancies(K: np.ndarray, W: np.ndarray, scale: np.ndarray) -> np.ndarray
 
 
 def discrepancy_grad(
-    K: np.ndarray, W: np.ndarray, coef: np.ndarray, Z: np.ndarray, sigma: float
+    K: np.ndarray, W: np.ndarray, coef: np.ndarray, Zc: np.ndarray, sigma: float
 ) -> np.ndarray:
     """Exact gradient of sum_k coef_k w_k^T K w_k with respect to the rows of Z.
 
-    With M = K o (W diag(coef) W^T), each row gets
-    -(4 / sigma) sum_j M_ij (z_i - z_j), from
-    d/du exp(-||u - v||^2 / sigma) = -(2 / sigma) k(u, v) (u - v). Rows that
-    no weighted column uses get exactly zero.
+    ``Zc`` holds the centered rows pooled_gram returned with K. With
+    M = K o (W diag(coef) W^T), each row gets -(4 / sigma) sum_j M_ij (z_i - z_j),
+    from d/du exp(-||u - v||^2 / sigma) = -(2 / sigma) k(u, v) (u - v). Rows
+    that no weighted column uses get exactly zero.
     """
     M = (W * coef) @ W.T
     M *= K
-    Zc = Z - Z.mean(axis=0)
     return (4.0 / sigma) * (M @ Zc - M.sum(axis=1)[:, None] * Zc)
 
 
@@ -164,7 +188,8 @@ def kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig) -> np.ndarray
     if X.shape[1] != Y.shape[1]:
         raise ValidationError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     sigma = _require_sigma(cfg)
-    D = pooled_sq_dists(np.vstack([X, Y]))
+    Z = np.vstack([X, Y])
+    D = pooled_sq_dists(Z - Z.mean(axis=0))
     return np.exp(D[:X.shape[0], X.shape[0]:] / -sigma)
 
 
@@ -173,7 +198,7 @@ def median_bandwidth(Z: np.ndarray) -> float:
     Z = _as_matrix(Z, "Z")
     if Z.shape[0] < 2:
         raise ValidationError("median bandwidth needs at least 2 rows")
-    return _median_upper(pooled_sq_dists(Z))
+    return _median_upper(pooled_sq_dists(Z - Z.mean(axis=0)))
 
 
 def _require_sigma(cfg: KernelConfig) -> float:
@@ -192,7 +217,7 @@ def mmd(Xs: np.ndarray, Xt: np.ndarray, cfg: KernelConfig) -> float:
         raise ValidationError("mmd needs at least one sample on each side")
     if Xs.shape[1] != Xt.shape[1]:
         raise ValidationError(f"dimension mismatch: {Xs.shape[1]} vs {Xt.shape[1]}")
-    K, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
+    K, _, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
     W, scale = signed_weights(np.zeros(Xs.shape[0]), np.zeros(Xt.shape[0]), 1)
     return max(float(discrepancies(K, W, scale)[0]), 0.0)
 
@@ -210,7 +235,7 @@ def cmmd(src: LabeledBatch, tgt: LabeledBatch, cfg: KernelConfig, n_classes: int
             raise ValidationError(f"{name} label exceeds n_classes={n_classes}")
     if src.features.shape[1] != tgt.features.shape[1]:
         raise ValidationError("feature dimension mismatch between batches")
-    K, _ = pooled_gram(np.vstack([src.features, tgt.features]), cfg)
+    K, _, _ = pooled_gram(np.vstack([src.features, tgt.features]), cfg)
     W, scale = signed_weights(src.labels, tgt.labels, n_classes)
     if W.shape[1] == 0:
         return 0.0

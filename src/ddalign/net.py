@@ -7,7 +7,9 @@ contributes a cross-entropy term; the marginal and class-conditional kernel
 statistics act on the embeddings of both batches. Pseudo-label choices, the
 confidence mask, and the kernel bandwidth are constants of a step: no
 gradient flows through them. Both kernel statistics share one pooled Gram
-matrix per step, which the backward pass reuses. Everything is float64
+matrix per step, which the backward pass reuses with the centered embeddings
+it was built from. The pseudo-labels reuse the target pass's layer-1 product,
+which dropout does not touch. Everything is float64
 numpy; dropout is the inverted kind so evaluation applies no scaling.
 """
 
@@ -102,6 +104,26 @@ class FeatureTrace:
     m2: np.ndarray | None
 
 
+def _layer1(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 batch and its pre-activations x W1 + b1."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValidationError(
+            f"input batch has shape {x.shape}, expected [B, {params.input_dim}]"
+        )
+    z1 = x @ params.W1 + params.b1
+    if not np.isfinite(z1).all():
+        raise NumericsError("non-finite activations in extractor layer 1")
+    return x, z1
+
+
+def _layer2(d1: np.ndarray, params: ModelParams) -> np.ndarray:
+    z2 = d1 @ params.W2 + params.b2
+    if not np.isfinite(z2).all():
+        raise NumericsError("non-finite activations in extractor layer 2")
+    return z2
+
+
 def forward_features(
     x: np.ndarray,
     params: ModelParams,
@@ -109,26 +131,17 @@ def forward_features(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
     """Embed a batch; train mode applies inverted dropout after each layer."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValidationError(
-            f"input batch has shape {x.shape}, expected [B, {params.input_dim}]"
-        )
+    x, z1 = _layer1(x, params)
     if train and rng is None:
         raise ValidationError("train-mode forward needs an rng for dropout")
 
     def mask(shape):
         return (rng.random(shape) >= DROPOUT_P) / (1.0 - DROPOUT_P)
 
-    z1 = x @ params.W1 + params.b1
-    if not np.isfinite(z1).all():
-        raise NumericsError("non-finite activations in extractor layer 1")
     a1 = np.maximum(z1, 0.0)
     m1 = mask(a1.shape) if train else None
     d1 = a1 * m1 if train else a1
-    z2 = d1 @ params.W2 + params.b2
-    if not np.isfinite(z2).all():
-        raise NumericsError("non-finite activations in extractor layer 2")
+    z2 = _layer2(d1, params)
     a2 = np.maximum(z2, 0.0)
     m2 = mask(a2.shape) if train else None
     h = a2 * m2 if train else a2
@@ -182,6 +195,7 @@ class StepTrace:
     raw_l_cmmd: float
     sigma: float | None
     K: np.ndarray | None           # pooled Gram over [h_src; h_tgt]
+    Zc: np.ndarray | None          # [h_src; h_tgt] centered, the rows K was built from
     W: np.ndarray | None           # signed weights: marginal column, then one per shared class
     w_scale: np.ndarray | None
     kept_idx: np.ndarray           # rows of the target batch feeding the conditional term
@@ -207,7 +221,13 @@ def pseudo_label_scores(tgt_x: np.ndarray, params: ModelParams) -> tuple[np.ndar
     tgt_x = np.asarray(tgt_x, dtype=np.float64)
     if tgt_x.shape[0] == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    h, _ = forward_features(tgt_x, params, train=False)
+    return _scores_from_z1(_layer1(tgt_x, params)[1], params)
+
+
+def _scores_from_z1(z1: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """pseudo_label_scores from layer-1 pre-activations, which dropout does
+    not touch, so a train-mode pass's z1 serves as well as an eval-mode one."""
+    h = np.maximum(_layer2(np.maximum(z1, 0.0), params), 0.0)
     probs = forward_logits(h, params)
     return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)
 
@@ -251,16 +271,16 @@ def compute_losses(
     tgt_trace = None
     raw_l_mmd = 0.0
     raw_l_cmmd = 0.0
-    sigma = K = W = w_scale = None
+    sigma = K = Zc = W = w_scale = None
     kept_idx = np.empty(0, dtype=np.int64)
 
     if tgt_x.shape[0] > 0 and (use_mmd or use_cmmd):
         h_tgt, tgt_trace = forward_features(tgt_x, params, train=train, rng=rng)
-        K, sigma = kernels.pooled_gram(np.vstack([h_src, h_tgt]), kcfg)
+        K, sigma, Zc = kernels.pooled_gram(np.vstack([h_src, h_tgt]), kcfg)
         n, m = h_src.shape[0], h_tgt.shape[0]
         W, w_scale = kernels.signed_weights(np.zeros(n), np.zeros(m), 1)
         if use_cmmd:
-            labels, conf = pseudo_label_scores(tgt_x, params)
+            labels, conf = _scores_from_z1(tgt_trace.z1, params)
             keep = confidence_mask(conf, tau) if confidence_filter else np.ones(m, bool)
             kept_idx = np.flatnonzero(keep)
             W_c, scale_c = kernels.signed_weights(
@@ -284,6 +304,7 @@ def compute_losses(
         raw_l_cmmd=raw_l_cmmd,
         sigma=sigma,
         K=K,
+        Zc=Zc,
         W=W,
         w_scale=w_scale,
         kept_idx=kept_idx,
@@ -321,8 +342,8 @@ def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
         coef[1:] = beta / (coef.size - 1)
     if not coef.any():
         return None
-    Z = np.vstack([trace.src.h, trace.tgt.h])
-    d_z = kernels.discrepancy_grad(trace.K, trace.W, coef * trace.w_scale, Z, trace.sigma)
+    d_z = kernels.discrepancy_grad(trace.K, trace.W, coef * trace.w_scale, trace.Zc,
+                                   trace.sigma)
     n = trace.src.h.shape[0]
     return d_z[:n], d_z[n:]
 

@@ -1,7 +1,9 @@
 """File formats, manifests, the synthetic shift generator, and config parsing."""
 
+import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -150,6 +152,26 @@ class TestMalformedFiles:
         write(path)
         path.write_bytes(damage(path.read_bytes(), fmt, dims))
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: header declares")):
+            load(path)
+
+    @pytest.mark.parametrize("kind", list(BIN_FILES))
+    def test_short_body_read_named(self, tmp_path, monkeypatch, kind):
+        # the file loses 8 bytes after its size was checked
+        write, load, fmt, _ = BIN_FILES[kind]
+        path = tmp_path / "file.bin"
+        write(path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        real_stat = Path.stat
+
+        def stat_before_shrinking(self, *args, **kwargs):
+            st = real_stat(self, *args, **kwargs)
+            return os.stat_result((*st[:6], size, *st[7:])) if self == path else st
+
+        monkeypatch.setattr(Path, "stat", stat_before_shrinking)
+        body = size - struct.calcsize(fmt)
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: read {body - 8} of {body} body bytes")):
             load(path)
 
     def test_raw_csv_huge_declared_width_checked_per_row(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.errors import ValidationError
+from ddalign.errors import NumericsError, ValidationError
 from ddalign.kernels import (
     KernelConfig,
     LabeledBatch,
@@ -126,7 +126,7 @@ class TestMedianBandwidth:
 
     def test_median_sigma_of_pooled_gram(self):
         cfg = KernelConfig(sigma_mode="median_heuristic")
-        K, sigma = pooled_gram(np.array([[0.0], [2.0]]), cfg)
+        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), cfg)
         assert sigma == 4.0
         assert K[0, 1] == pytest.approx(math.exp(-1), rel=1e-12)
 
@@ -240,11 +240,61 @@ class TestPooledKernel:
         rng = np.random.default_rng(16)
         base = 1e3 + rng.normal(size=(40, 8))
         Z = np.vstack([base, base[:10], base[:10] + 1e-9])  # duplicates, near-duplicates
-        D = pooled_sq_dists(Z)
+        D = pooled_sq_dists(Z - Z.mean(axis=0))
         npt.assert_array_equal(D, D.T)
         assert (D >= 0.0).all()
         npt.assert_array_equal(np.diag(D), 0.0)
         npt.assert_array_equal(D[40:50, :10][np.diag_indices(10)], 0.0)
+
+
+class TestExactFastPaths:
+    """The blocked distance assembly and the one-selection median give the
+    same bits as the plain formulas they replace."""
+
+    MEDIAN = KernelConfig(sigma_mode="median_heuristic")
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 88, 257])
+    def test_distances_equal_unblocked_formula(self, n):
+        Z = 1e2 + np.random.default_rng(n).normal(size=(n, 5))
+        Zc = Z - Z.mean(axis=0)
+        G = Zc @ Zc.T
+        sq = G.diagonal().copy()
+        expected = np.maximum(sq[:, None] + sq[None, :] - 2.0 * G, 0.0)
+        np.fill_diagonal(expected, 0.0)
+        npt.assert_array_equal(pooled_sq_dists(Zc), expected)
+
+    @staticmethod
+    def numpy_median(Z):
+        D = pooled_sq_dists(Z - Z.mean(axis=0))
+        med = float(np.median(D[np.triu_indices(len(Z), 1)]))
+        return med if med > 0.0 else 1.0
+
+    @pytest.mark.parametrize("n", [*range(2, 41), 88, 256, 300])
+    def test_median_sigma_equals_numpy_median(self, n):
+        rng = np.random.default_rng(100 + n)
+        # continuous rows, then small-integer rows whose distances tie often
+        for Z in (rng.normal(size=(n, 4)), rng.integers(0, 3, size=(n, 2)).astype(float)):
+            _, sigma, _ = pooled_gram(Z, self.MEDIAN)
+            assert sigma == self.numpy_median(Z)
+
+    def test_zero_median_falls_back_to_one(self):
+        # all rows equal; then 9 of 10 equal, so 36 of 45 pair distances are 0
+        mostly = np.zeros((10, 3))
+        mostly[0] = 1.0
+        for Z in (np.full((7, 3), 5.0), mostly):
+            _, sigma, _ = pooled_gram(Z, self.MEDIAN)
+            assert sigma == self.numpy_median(Z) == 1.0
+        # one row has no pair at all
+        assert pooled_gram(np.ones((1, 3)), self.MEDIAN)[1] == 1.0
+
+    @pytest.mark.parametrize("cfg", [MEDIAN, FIXED], ids=["median", "fixed"])
+    def test_overflowing_distances_raise_naming_kernel(self, cfg):
+        # |row|^2 ~ 1e320 overflows the Gram product; the NaN distances must not
+        # pass as collapsed embeddings with their 1.0 fallback sigma
+        Z = 1e160 * np.random.default_rng(17).normal(size=(6, 3))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericsError, match="non-finite pooled distances in the kernel layer"):
+            pooled_gram(Z, cfg)
 
 
 class TestGradients:
@@ -261,10 +311,9 @@ class TestGradients:
     @staticmethod
     def pooled_grad(Xs, ys, Xt, yt, sigma, n_classes):
         """d/dZ of the class-averaged statistic on the pooled rows [Xs; Xt]."""
-        Z = np.vstack([Xs, Xt])
-        K, _ = pooled_gram(Z, KernelConfig(sigma=sigma, sigma_mode="fixed"))
+        K, _, Zc = pooled_gram(np.vstack([Xs, Xt]), KernelConfig(sigma=sigma, sigma_mode="fixed"))
         W, scale = signed_weights(ys, yt, n_classes)
-        d_z = discrepancy_grad(K, W, scale / W.shape[1], Z, sigma)
+        d_z = discrepancy_grad(K, W, scale / W.shape[1], Zc, sigma)
         return d_z[:len(Xs)], d_z[len(Xs):]
 
     def test_mmd_grad_vs_finite_differences(self):

@@ -8,11 +8,12 @@ import pytest
 
 from ddalign.data import load_checkpoint, save_checkpoint
 from ddalign.errors import DataFormatError, NumericsError, ValidationError
-from ddalign.kernels import KernelConfig
+from ddalign.kernels import KernelConfig, signed_weights
 from ddalign.net import (
     ModelParams,
     backward,
     compute_losses,
+    confidence_mask,
     cross_entropy,
     forward_features,
     forward_logits,
@@ -174,6 +175,21 @@ class TestPseudoLabels:
         probs = forward_logits(h, params)
         npt.assert_array_equal(labels, probs.argmax(axis=1))
         npt.assert_allclose(conf, probs.max(axis=1))
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_step_pseudo_labels_equal_eval_mode_scores(self, train):
+        # compute_losses reuses its target pass's layer 1; dropout must not leak in
+        params, src_x, src_y, tgt_x = tiny_setup(14, B=40)
+        tau = 0.4
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau, FIXED, train=train,
+                               rng=np.random.default_rng(6))
+        labels, conf = pseudo_label_scores(tgt_x, params)
+        keep = confidence_mask(conf, tau)
+        assert 0 < keep.sum() < keep.size
+        npt.assert_array_equal(trace.kept_idx, np.flatnonzero(keep))
+        W_c, scale_c = signed_weights(src_y, np.where(keep, labels, -1), params.n_classes)
+        npt.assert_array_equal(trace.W[:, 1:], W_c)
+        npt.assert_array_equal(trace.w_scale[1:], scale_c)
 
     def test_empty_batch(self):
         params, *_ = tiny_setup(13)

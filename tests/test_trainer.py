@@ -200,6 +200,13 @@ class TestTrain:
                 NumericsError, match=r"^step 0 \(epoch 0\): .*extractor layer 1"):
             train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP6"]))
 
+    def test_non_finite_kernel_distances_name_step_and_layer(self):
+        src_x, src_y, tgt_x = toy_task(8)
+        # finite activations whose squared norms overflow the kernel's Gram product
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericsError, match=r"^step 0 \(epoch 0\): .*kernel layer"):
+            train(src_x * 1e160, src_y, tgt_x * 1e160, small_cfg(flags=VARIANTS["EXP6"]))
+
     def test_diverging_update_names_step(self):
         src_x, src_y, tgt_x = toy_task(9)
         sched = ScheduleConfig(stage_epochs=(1, 2, 3), total_epochs=3,
