@@ -15,7 +15,6 @@ from .data import (
     load_checkpoint,
     load_dataset,
     load_features,
-    parse_config,
     save_checkpoint,
     save_features,
 )
@@ -38,14 +37,7 @@ from .features import (
     build_feature_vector,
     differential_entropy,
 )
-from .kernels import (
-    KernelConfig,
-    LabeledBatch,
-    cmmd,
-    kernel_matrix,
-    median_bandwidth,
-    mmd,
-)
+from .kernels import KernelConfig
 from .net import (
     ModelParams,
     backward,
@@ -53,7 +45,6 @@ from .net import (
     forward_features,
     forward_logits,
     init_params,
-    parameter_count,
 )
 from .schedules import (
     ScheduleConfig,

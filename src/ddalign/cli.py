@@ -224,7 +224,7 @@ def cmd_ablate(args) -> int:
         synth_cfg = replace(ACCEPT_SYNTH, seed=cfg.seed if args.seed is not None else ACCEPT_SYNTH.seed)
         summary = run_synth_protocol(
             synth_cfg, cfg, variant=run_config.variant, n_seeds=args.seeds,
-            out_dir=out_dir,
+            jobs=args.jobs, out_dir=out_dir,
         )
     else:
         dataset = load_dataset(args.data)

@@ -535,8 +535,3 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
     cfg = RunConfig(values=merged)
     cfg.train_config()  # validate eagerly so errors name the offending key
     return cfg
-
-
-def parse_config(path) -> RunConfig:
-    """Load a config file and resolve every default."""
-    return build_run_config(read_config_file(path))

@@ -1,24 +1,25 @@
 """Evaluation protocols: leave-one-subject-out splits, metrics, the ablation
 runner over EXP1..EXP6, and embedding dumps for external projection tools.
 
-Folds are independent; ``run_protocol`` optionally fans them out over worker
-processes and gathers results in subject order either way. Per-fold seeds are
-the run seed plus the subject index, so a summary is reproducible fold by
-fold.
+Both protocols, leave-one-subject-out and the generated shift tasks, run one
+fold loop. Folds are independent; it optionally fans them out over worker
+processes and gathers results in fold order either way. Per-fold seeds are
+the run seed plus the fold index, so a summary is reproducible fold by fold.
 """
 
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureDataset, SubjectDataset, SynthShiftConfig, generate_synth_shift
+from .data import FeatureDataset, SubjectDataset, SynthShiftConfig, SynthTask, generate_synth_shift
 from .errors import ValidationError
 from .net import ModelParams, forward_features, forward_logits
-from .trainer import VARIANTS, TrainConfig, TrainResult, save_history, train
+from .trainer import VARIANTS, TrainConfig, save_history, train
 
 PROTOCOL_SINGLE = "single_session"
 PROTOCOL_CROSS = "cross_session"
@@ -146,22 +147,39 @@ def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
     )
 
 
-def train_and_evaluate(
-    src: FeatureDataset, tgt_features: np.ndarray, tgt_eval: FeatureDataset,
-    cfg: TrainConfig,
-) -> tuple[TrainResult, Metrics]:
-    result = train(src.features, src.labels, tgt_features, cfg)
-    return result, evaluate(result.params, tgt_eval)
-
-
-def _run_fold(args) -> tuple[str, Metrics, int]:
-    subject, dataset, protocol, session, cfg, fold_seed, out_dir = args
+def _loso_task(
+    dataset: SubjectDataset, subject: str, protocol: str, session: int | None
+) -> SynthTask:
     src, tgt = loso_split(dataset, subject, protocol, session)
-    fold_cfg = replace(cfg, seed=fold_seed)
-    result, metrics = train_and_evaluate(src, tgt.features, tgt, fold_cfg)
+    return SynthTask(src, tgt.features, tgt)
+
+
+def _run_fold(args) -> FoldResult:
+    name, make_task, cfg, out_dir = args
+    task = make_task()
+    result = train(task.source.features, task.source.labels, task.target_features, cfg)
+    metrics = evaluate(result.params, task.target_eval)
     if out_dir is not None:
-        save_history(result.history, Path(out_dir) / f"history_{subject}.csv")
-    return subject, metrics, len(result.history)
+        save_history(result.history, Path(out_dir) / f"history_{name}.csv")
+    return FoldResult(subject=name, metrics=metrics, history_steps=len(result.history))
+
+
+def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> list[FoldResult]:
+    """Train and score one model per (name, task maker) fold, fold k with seed
+    cfg.seed + k; tasks are made one at a time, in the worker when jobs > 1."""
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}")
+    if not folds:
+        raise ValidationError("protocol needs at least one fold")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    cfg = replace(cfg, flags=VARIANTS[variant])
+    tasks = [(name, make_task, replace(cfg, seed=cfg.seed + k), out_dir)
+             for k, (name, make_task) in enumerate(folds)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_fold, tasks))
+    return [_run_fold(t) for t in tasks]
 
 
 def run_protocol(
@@ -174,23 +192,12 @@ def run_protocol(
     out_dir=None,
 ) -> ProtocolSummary:
     """Train one model per held-out subject and aggregate mean and spread."""
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}")
-    cfg = replace(cfg, flags=VARIANTS[variant])
-    subjects = dataset.subjects
-    if len(subjects) < 2:
+    if len(dataset.subjects) < 2:
         raise ValidationError("protocol needs at least 2 subjects")
-    tasks = [
-        (subject, dataset, protocol, session, cfg, cfg.seed + idx, out_dir)
-        for idx, subject in enumerate(subjects)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_fold, tasks))
-    else:
-        raw = [_run_fold(t) for t in tasks]
-    folds = [FoldResult(subject=s, metrics=m, history_steps=n) for s, m, n in raw]
-    return ProtocolSummary(variant=variant, protocol=protocol, folds=folds)
+    folds = [(subject, partial(_loso_task, dataset, subject, protocol, session))
+             for subject in dataset.subjects]
+    return ProtocolSummary(variant=variant, protocol=protocol,
+                           folds=_run_folds(folds, cfg, variant, jobs, out_dir))
 
 
 def run_synth_protocol(
@@ -198,24 +205,17 @@ def run_synth_protocol(
     cfg: TrainConfig,
     variant: str = "EXP6",
     n_seeds: int = 5,
+    jobs: int = 1,
     out_dir=None,
 ) -> ProtocolSummary:
     """Ablation runs on generated shift tasks, one fold per generator seed."""
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}")
-    cfg = replace(cfg, flags=VARIANTS[variant], n_classes=synth_cfg.n_classes)
-    folds = []
-    for idx in range(n_seeds):
-        task = generate_synth_shift(replace(synth_cfg, seed=synth_cfg.seed + idx))
-        fold_cfg = replace(cfg, seed=cfg.seed + idx)
-        result, metrics = train_and_evaluate(
-            task.source, task.target_features, task.target_eval, fold_cfg
-        )
-        if out_dir is not None:
-            save_history(result.history, Path(out_dir) / f"history_seed{idx}.csv")
-        folds.append(FoldResult(subject=f"seed{idx}", metrics=metrics,
-                                history_steps=len(result.history)))
-    return ProtocolSummary(variant=variant, protocol="synthetic", folds=folds)
+    folds = [
+        (f"seed{k}", partial(generate_synth_shift, replace(synth_cfg, seed=synth_cfg.seed + k)))
+        for k in range(n_seeds)
+    ]
+    cfg = replace(cfg, n_classes=synth_cfg.n_classes)
+    return ProtocolSummary(variant=variant, protocol="synthetic",
+                           folds=_run_folds(folds, cfg, variant, jobs, out_dir))
 
 
 def dump_embeddings(

@@ -10,12 +10,13 @@ of the respective blocks. The conditional variant applies the same estimator
 per class and averages over classes present in both sides.
 
 Every statistic is computed on one pooled Gram matrix K over the stacked rows
-Z = [X; Y]. A statistic is then the quadratic form w^T K w of a signed weight
-column w (positive on X's rows, negative on Y's), so the marginal term and
-all class terms cost one product K @ W, and their exact gradients with respect
-to Z reuse the same K and the centered rows it was built from. The bandwidth
-is a constant of the evaluation even when it was chosen by the median
-heuristic.
+Z = [X; Y] (pooled_gram). A statistic is then the quadratic form w^T K w of a
+signed weight column w (positive on X's rows, negative on Y's). One
+signed_weights call gives the marginal column and every class column, so all
+terms cost one product K @ W (discrepancies), and their exact gradients with
+respect to Z reuse the same K and the centered rows it was built from
+(discrepancy_grad). The bandwidth is a constant of the evaluation even when
+it was chosen by the median heuristic.
 """
 
 from dataclasses import dataclass
@@ -47,33 +48,6 @@ class KernelConfig:
         if self.sigma_mode == SIGMA_FIXED:
             if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
                 raise ValidationError("fixed sigma_mode needs sigma > 0")
-
-
-@dataclass
-class LabeledBatch:
-    """Feature rows with integer class ids in [0, n_classes)."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValidationError("features must be a non-empty [n, d] matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValidationError("labels length must match feature rows")
-        if self.labels.min() < 0:
-            raise ValidationError("negative class id")
-
-
-def _as_matrix(X, name: str) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-D matrix, got ndim={X.ndim}")
-    if not np.isfinite(X).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    return X
 
 
 def pooled_sq_dists(Zc: np.ndarray) -> np.ndarray:
@@ -142,22 +116,24 @@ def pooled_gram(Z: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, float, np
 def signed_weights(
     src_labels: np.ndarray, tgt_labels: np.ndarray, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weight columns ``W`` over the pooled rows [src; tgt], one per class
-    present on both sides, and their ``scale``.
+    """Weight columns ``W`` over the pooled rows [src; tgt] and their ``scale``:
+    the marginal column first, then one per class present on both sides.
 
-    Column c holds m_c on source rows of class c and -n_c on target rows of
-    class c (n_c, m_c the class counts), so scale_c * w_c^T K w_c with
-    scale_c = 1 / (n_c m_c)^2 is the class-c mmd. Integer weights make a
-    constant kernel sum to exactly zero. Labels outside [0, n_classes), such
-    as -1, mark rows that no column uses.
+    A column holds m_c on its source rows and -n_c on its target rows (n_c,
+    m_c its row counts), so scale_c * w_c^T K w_c with scale_c = 1 / (n_c m_c)^2
+    is that column's mmd. The marginal column takes every row; a class column
+    takes the rows of its class. Integer weights make a constant kernel sum to
+    exactly zero. Labels outside [0, n_classes), such as -1, mark rows that no
+    class column uses.
     """
     classes = np.arange(n_classes)
     S = np.asarray(src_labels)[:, None] == classes
     T = np.asarray(tgt_labels)[:, None] == classes
+    shared = S.any(axis=0) & T.any(axis=0)
+    S = np.column_stack([np.ones(len(S), bool), S[:, shared]])
+    T = np.column_stack([np.ones(len(T), bool), T[:, shared]])
     n_c, m_c = S.sum(axis=0), T.sum(axis=0)
-    shared = (n_c > 0) & (m_c > 0)
-    n_c, m_c = n_c[shared], m_c[shared]
-    W = np.vstack([S[:, shared] * m_c, T[:, shared] * -n_c]).astype(np.float64)
+    W = np.vstack([S * m_c, T * -n_c]).astype(np.float64)
     return W, 1.0 / (n_c * m_c).astype(np.float64) ** 2
 
 
@@ -179,64 +155,3 @@ def discrepancy_grad(
     M = (W * coef) @ W.T
     M *= K
     return (4.0 / sigma) * (M @ Zc - M.sum(axis=1)[:, None] * Zc)
-
-
-def kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Kernel Gram block with entry (i, j) = k(X_i, Y_j)."""
-    X = _as_matrix(X, "X")
-    Y = _as_matrix(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise ValidationError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    sigma = _require_sigma(cfg)
-    Z = np.vstack([X, Y])
-    D = pooled_sq_dists(Z - Z.mean(axis=0))
-    return np.exp(D[:X.shape[0], X.shape[0]:] / -sigma)
-
-
-def median_bandwidth(Z: np.ndarray) -> float:
-    """Median of pairwise squared distances over distinct rows; 1.0 if degenerate."""
-    Z = _as_matrix(Z, "Z")
-    if Z.shape[0] < 2:
-        raise ValidationError("median bandwidth needs at least 2 rows")
-    return _median_upper(pooled_sq_dists(Z - Z.mean(axis=0)))
-
-
-def _require_sigma(cfg: KernelConfig) -> float:
-    if cfg.sigma is None:
-        raise ValidationError("sigma unresolved; kernel_matrix needs an explicit sigma")
-    if cfg.sigma <= 0:
-        raise ValidationError("sigma must be positive")
-    return float(cfg.sigma)
-
-
-def mmd(Xs: np.ndarray, Xt: np.ndarray, cfg: KernelConfig) -> float:
-    """Marginal discrepancy between two feature clouds, clamped to >= 0."""
-    Xs = _as_matrix(Xs, "Xs")
-    Xt = _as_matrix(Xt, "Xt")
-    if Xs.shape[0] == 0 or Xt.shape[0] == 0:
-        raise ValidationError("mmd needs at least one sample on each side")
-    if Xs.shape[1] != Xt.shape[1]:
-        raise ValidationError(f"dimension mismatch: {Xs.shape[1]} vs {Xt.shape[1]}")
-    K, _, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
-    W, scale = signed_weights(np.zeros(Xs.shape[0]), np.zeros(Xt.shape[0]), 1)
-    return max(float(discrepancies(K, W, scale)[0]), 0.0)
-
-
-def cmmd(src: LabeledBatch, tgt: LabeledBatch, cfg: KernelConfig, n_classes: int) -> float:
-    """Class-conditional discrepancy averaged over classes present on both sides.
-
-    Classes missing from either batch contribute nothing; the normalizer is
-    the number of shared classes. Returns 0.0 when no class is shared.
-    """
-    if n_classes < 1:
-        raise ValidationError("n_classes must be >= 1")
-    for name, batch in (("src", src), ("tgt", tgt)):
-        if batch.labels.max() >= n_classes:
-            raise ValidationError(f"{name} label exceeds n_classes={n_classes}")
-    if src.features.shape[1] != tgt.features.shape[1]:
-        raise ValidationError("feature dimension mismatch between batches")
-    K, _, _ = pooled_gram(np.vstack([src.features, tgt.features]), cfg)
-    W, scale = signed_weights(src.labels, tgt.labels, n_classes)
-    if W.shape[1] == 0:
-        return 0.0
-    return max(float(discrepancies(K, W, scale).mean()), 0.0)

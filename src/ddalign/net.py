@@ -86,11 +86,6 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
     return ModelParams(*(np.zeros_like(a) for a in params.arrays()))
 
 
-def parameter_count(params: ModelParams) -> int:
-    """Exact number of scalar parameters."""
-    return sum(a.size for a in params.arrays())
-
-
 @dataclass
 class FeatureTrace:
     """Intermediates of one extractor pass, kept for the backward sweep."""
@@ -277,16 +272,15 @@ def compute_losses(
     if tgt_x.shape[0] > 0 and (use_mmd or use_cmmd):
         h_tgt, tgt_trace = forward_features(tgt_x, params, train=train, rng=rng)
         K, sigma, Zc = kernels.pooled_gram(np.vstack([h_src, h_tgt]), kcfg)
-        n, m = h_src.shape[0], h_tgt.shape[0]
-        W, w_scale = kernels.signed_weights(np.zeros(n), np.zeros(m), 1)
+        m = h_tgt.shape[0]
+        tgt_labels = np.full(m, -1)  # no class column unless the conditional head is on
         if use_cmmd:
             labels, conf = _scores_from_z1(tgt_trace.z1, params)
             keep = confidence_mask(conf, tau) if confidence_filter else np.ones(m, bool)
             kept_idx = np.flatnonzero(keep)
-            W_c, scale_c = kernels.signed_weights(
-                y_onehot.argmax(axis=1), np.where(keep, labels, -1), params.n_classes
-            )
-            W, w_scale = np.hstack([W, W_c]), np.concatenate([w_scale, scale_c])
+            tgt_labels = np.where(keep, labels, -1)
+        W, w_scale = kernels.signed_weights(y_onehot.argmax(axis=1), tgt_labels,
+                                            params.n_classes)
         values = kernels.discrepancies(K, W, w_scale)
         if use_mmd:
             raw_l_mmd = float(values[0])

@@ -16,13 +16,12 @@ import pytest
 from ddalign.data import ACCEPT_SYNTH, load_dataset
 from ddalign.evaluation import run_protocol, run_synth_protocol
 from ddalign.features import BandSpec, DEFAULT_BANDS, RawWindow, band_variance, build_feature_vector
-from ddalign.kernels import KernelConfig, LabeledBatch, cmmd, mmd
+from ddalign.kernels import KernelConfig, discrepancies, pooled_gram, signed_weights
 from ddalign.net import (
     backward,
     compute_losses,
     forward_features,
     init_params,
-    parameter_count,
 )
 from ddalign.schedules import ScheduleConfig, alpha_at, beta_of, confidence_threshold
 from ddalign.trainer import TrainConfig
@@ -68,11 +67,16 @@ def test_criterion_1_kernel_oracle_equivalence():
         sigma = float(rng.uniform(0.5, 4.0))
         cfg = KernelConfig(sigma=sigma, sigma_mode="fixed")
 
-        got = mmd(Xs, Xt, cfg)
+        # the composition a training step runs: one Gram matrix, one weight call
+        K, _, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
+        W, scale = signed_weights(ys, yt, C)
+        v = discrepancies(K, W, scale)
+
+        got = max(v[0], 0.0)
         want = brute_mmd(list(Xs), list(Xt), sigma)
         worst = max(worst, abs(got - max(want, 0.0)) / max(abs(want), 1e-300))
 
-        got_c = cmmd(LabeledBatch(Xs, ys), LabeledBatch(Xt, yt), cfg, C)
+        got_c = max(v[1:].mean(), 0.0) if v.size > 1 else 0.0
         want_c = brute_cmmd(list(Xs), list(ys), list(Xt), list(yt), sigma, C)
         worst = max(worst, abs(got_c - max(want_c, 0.0)) / max(abs(want_c), 1e-300))
     elapsed = time.perf_counter() - t0
@@ -230,7 +234,7 @@ def test_criterion_7_efficiency():
         t0 = time.perf_counter()
         forward_features(batch, params)
         best = min(best, time.perf_counter() - t0)
-    count = parameter_count(params)
+    count = sum(a.size for a in params.arrays())
     expected = 310 * 64 + 64 + 64 * 64 + 64 + 64 * 3 + 3
     report(7, best < 0.020 and count == expected,
            f"eval forward of 128-batch {1000 * best:.3f}ms (< 20ms), "

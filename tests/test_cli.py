@@ -171,6 +171,20 @@ class TestAblate:
         assert (out / "history_seed1.csv").exists()
         assert (out / "config.resolved").exists()
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_folds_exit_3(self, tmp_path, capsys, seeds):
+        out = tmp_path / "run"
+        code = run_cli("ablate", "--data", "synth", "--seeds", seeds, "--out", str(out))
+        assert code == 3
+        assert "at least one fold" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_3(self, capsys, jobs):
+        code = run_cli("ablate", "--data", "synth", "--seeds", "1", "--jobs", jobs)
+        assert code == 3
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
 
 class TestProtocol:
     def test_manifest_protocol(self, tmp_path, capsys):

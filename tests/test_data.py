@@ -20,7 +20,6 @@ from ddalign.data import (
     load_features,
     load_manifest,
     load_raw_recording,
-    parse_config,
     read_config_file,
     save_checkpoint,
     save_features,
@@ -28,7 +27,7 @@ from ddalign.data import (
 )
 from ddalign.errors import DataFormatError, ValidationError
 from ddalign.features import RawWindow
-from ddalign.kernels import KernelConfig, mmd
+from ddalign.kernels import KernelConfig, discrepancies, pooled_gram, signed_weights
 from ddalign.net import init_params
 
 
@@ -249,8 +248,10 @@ class TestSynthShift:
         for n in (50, 200, 800):
             cfg = SynthShiftConfig(n_per_class=n, domain_shift=0.0, rotation_deg=0.0, seed=7)
             task = generate_synth_shift(cfg)
-            vals.append(mmd(task.source.features, task.target_features,
-                            KernelConfig(sigma_mode="median_heuristic")))
+            src, tgt = task.source.features, task.target_features
+            K, _, _ = pooled_gram(np.vstack([src, tgt]), KernelConfig())
+            W, scale = signed_weights(np.zeros(len(src)), np.zeros(len(tgt)), 1)
+            vals.append(discrepancies(K, W, scale)[0])
         assert vals[0] > vals[1] > vals[2]
 
     def test_fixed_seed_bit_identical(self):
@@ -293,7 +294,7 @@ class TestRunConfig:
     def test_empty_config_gives_defaults(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# all defaults\n")
-        rc = parse_config(path)
+        rc = build_run_config(read_config_file(path))
         cfg = rc.train_config()
         assert cfg.batch_size == 128
         assert cfg.epochs == 100
@@ -308,19 +309,19 @@ class TestRunConfig:
         path = tmp_path / "c.cfg"
         path.write_text("momentum = 1.5\n")
         with pytest.raises(ValidationError, match="momentum"):
-            parse_config(path)
+            build_run_config(read_config_file(path))
 
     def test_short_preset(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("preset = short\n")
-        cfg = parse_config(path).train_config()
+        cfg = build_run_config(read_config_file(path)).train_config()
         assert cfg.batch_size == 32
         assert cfg.epochs == 10
 
     def test_explicit_key_beats_preset(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("preset = short\nepochs = 25\n")
-        cfg = parse_config(path).train_config()
+        cfg = build_run_config(read_config_file(path)).train_config()
         assert cfg.epochs == 25
         assert cfg.batch_size == 32
 
@@ -341,7 +342,7 @@ class TestRunConfig:
         rc = build_run_config(None, {"epochs": 12, "variant": "EXP2"})
         snap = tmp_path / "config.resolved"
         snap.write_text(rc.to_lines())
-        again = parse_config(snap)
+        again = build_run_config(read_config_file(snap))
         assert again.values == rc.values
 
     def test_fixed_sigma_config(self):

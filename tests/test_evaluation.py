@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.data import FeatureDataset, SubjectDataset
+from ddalign.data import FeatureDataset, SubjectDataset, SynthShiftConfig
 from ddalign.errors import ValidationError
 from ddalign.evaluation import (
     Metrics,
@@ -16,6 +16,7 @@ from ddalign.evaluation import (
     evaluate,
     loso_split,
     run_protocol,
+    run_synth_protocol,
     save_summary,
 )
 from ddalign.net import ModelParams, init_params
@@ -165,6 +166,13 @@ class TestRunProtocol:
         ds = make_dataset(n_subjects=3, sessions=(1,))
         serial = run_protocol(ds, "single_session", fast_cfg(), variant="EXP2")
         parallel = run_protocol(ds, "single_session", fast_cfg(), variant="EXP2", jobs=2)
+        npt.assert_array_equal(serial.accuracies, parallel.accuracies)
+
+    def test_synthetic_parallel_jobs_match_serial(self):
+        synth = SynthShiftConfig(n_per_class=10, domain_shift=2.0, seed=4)
+        serial = run_synth_protocol(synth, fast_cfg(), variant="EXP6", n_seeds=3)
+        parallel = run_synth_protocol(synth, fast_cfg(), variant="EXP6", n_seeds=3, jobs=2)
+        assert [f.subject for f in parallel.folds] == ["seed0", "seed1", "seed2"]
         npt.assert_array_equal(serial.accuracies, parallel.accuracies)
 
     def test_save_summary_files(self, tmp_path):

@@ -6,15 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.errors import NumericsError, ValidationError
+from ddalign.errors import NumericsError
 from ddalign.kernels import (
     KernelConfig,
-    LabeledBatch,
-    cmmd,
+    discrepancies,
     discrepancy_grad,
-    kernel_matrix,
-    median_bandwidth,
-    mmd,
     pooled_gram,
     pooled_sq_dists,
     signed_weights,
@@ -48,11 +44,25 @@ def cmmd_oracle(Xs, ys, Xt, yt, sigma, n_classes):
 
 
 FIXED = KernelConfig(sigma=1.0, sigma_mode="fixed")
+MEDIAN = KernelConfig(sigma_mode="median_heuristic")
+
+
+def step_statistics(Xs, Xt, cfg, ys=None, yt=None, n_classes=1):
+    """(mmd, cmmd) as a training step composes them, each clamped at 0.
+
+    Unlabeled sides count as all class 0.
+    """
+    ys = np.zeros(len(Xs), int) if ys is None else ys
+    yt = np.zeros(len(Xt), int) if yt is None else yt
+    K, _, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
+    W, scale = signed_weights(ys, yt, n_classes)
+    v = discrepancies(K, W, scale)
+    return max(float(v[0]), 0.0), max(float(v[1:].mean()), 0.0) if v.size > 1 else 0.0
 
 
 def kernel_of_pair(u, v, cfg):
-    """k(u, v) of two single vectors, read off a one-by-one kernel_matrix."""
-    return float(kernel_matrix(np.atleast_2d(u), np.atleast_2d(v), cfg)[0, 0])
+    """k(u, v) of two single vectors, read off their pooled Gram matrix."""
+    return float(pooled_gram(np.array([u, v], dtype=float), cfg)[0][0, 1])
 
 
 class TestGaussianKernel:
@@ -75,91 +85,94 @@ class TestGaussianKernel:
                 kernel_oracle(u, v, sigma), rel=1e-12
             )
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            kernel_of_pair([1.0, 2.0], [1.0], FIXED)
-
     def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            kernel_of_pair([np.nan], [1.0], FIXED)
+        # a NaN embedding row must not pass as a collapsed one
+        Z = np.array([[np.nan, 0.0], [1.0, 2.0], [0.5, 0.5]])
+        with pytest.raises(NumericsError, match="non-finite pooled distances"):
+            pooled_gram(Z, MEDIAN)
 
 
 class TestKernelMatrix:
     def test_single_point(self):
-        X = np.array([[1.0, 2.0]])
-        npt.assert_array_equal(kernel_matrix(X, X, FIXED), [[1.0]])
+        npt.assert_array_equal(pooled_gram(np.array([[1.0, 2.0]]), FIXED)[0], [[1.0]])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
-        X, Y = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
-        K = kernel_matrix(X, Y, FIXED)
-        for i in range(3):
-            for j in range(4):
-                assert K[i, j] == pytest.approx(kernel_oracle(X[i], Y[j], 1.0), rel=1e-12)
+        Z = rng.normal(size=(7, 2))
+        K, _, _ = pooled_gram(Z, FIXED)
+        for i in range(7):
+            for j in range(7):
+                assert K[i, j] == pytest.approx(kernel_oracle(Z[i], Z[j], 1.0), rel=1e-12)
 
     def test_distant_points_decay(self):
-        X = np.array([[0.0], [1e4]])
-        K = kernel_matrix(X, X, FIXED)
+        K, _, _ = pooled_gram(np.array([[0.0], [1e4]]), FIXED)
         assert K[0, 1] <= 1e-12 and K[1, 0] <= 1e-12
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(2)
-        K = kernel_matrix(rng.normal(size=(6, 3)), rng.normal(size=(5, 3)), FIXED)
-        assert (K > 0).all() or (K >= 0).all()
+        K, _, _ = pooled_gram(rng.normal(size=(11, 3)), FIXED)
+        assert (K >= 0).all()
         assert (K <= 1.0).all()
 
 
 class TestMedianBandwidth:
     def test_single_pair(self):
-        assert median_bandwidth(np.array([[0.0], [2.0]])) == 4.0
+        assert pooled_gram(np.array([[0.0], [2.0]]), MEDIAN)[1] == 4.0
 
     def test_three_points(self):
         # pairwise squared distances {1, 9, 4} -> median 4
-        assert median_bandwidth(np.array([[0.0], [1.0], [3.0]])) == 4.0
+        assert pooled_gram(np.array([[0.0], [1.0], [3.0]]), MEDIAN)[1] == 4.0
 
     def test_degenerate_fallback(self):
-        assert median_bandwidth(np.ones((5, 2))) == 1.0
-
-    def test_needs_two_rows(self):
-        with pytest.raises(ValidationError):
-            median_bandwidth(np.ones((1, 2)))
+        assert pooled_gram(np.ones((5, 2)), MEDIAN)[1] == 1.0
 
     def test_median_sigma_of_pooled_gram(self):
-        cfg = KernelConfig(sigma_mode="median_heuristic")
-        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), cfg)
+        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), MEDIAN)
         assert sigma == 4.0
         assert K[0, 1] == pytest.approx(math.exp(-1), rel=1e-12)
+
+
+class TestSignedWeights:
+    def test_marginal_column_first(self):
+        W, scale = signed_weights(np.array([0, 1, 1]), np.array([1, -1]), 2)
+        npt.assert_array_equal(W[:, 0], [2, 2, 2, -3, -3])
+        npt.assert_array_equal(W[:, 1], [0, 1, 1, -2, 0])
+        npt.assert_array_equal(scale, [1 / 36, 1 / 4])
+
+    def test_no_shared_class_leaves_marginal_only(self):
+        W, scale = signed_weights(np.zeros(3, int), np.full(2, -1), 3)
+        assert W.shape == (5, 1) and scale.shape == (1,)
 
 
 class TestMmd:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 4))
-        assert mmd(X, X.copy(), FIXED) <= 1e-12
+        assert step_statistics(X, X.copy(), FIXED)[0] <= 1e-12
 
     def test_singletons_closed_form(self):
         # 1 + 1 - 2 e^{-1}
-        val = mmd(np.array([[0.0]]), np.array([[1.0]]), FIXED)
+        val = step_statistics(np.array([[0.0]]), np.array([[1.0]]), FIXED)[0]
         assert val == pytest.approx(2 - 2 * math.exp(-1), rel=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(4)
         Xs, Xt = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
         cfg = KernelConfig(sigma=2.0, sigma_mode="fixed")
-        npt.assert_allclose(mmd(Xs, Xt, cfg), mmd_oracle(Xs, Xt, 2.0), rtol=1e-10)
+        npt.assert_allclose(step_statistics(Xs, Xt, cfg)[0], mmd_oracle(Xs, Xt, 2.0), rtol=1e-10)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             Xs, Xt = rng.normal(size=(4, 2)), rng.normal(size=(7, 2))
-            cfg = KernelConfig(sigma_mode="median_heuristic")
-            npt.assert_allclose(mmd(Xs, Xt, cfg), mmd(Xt, Xs, cfg), rtol=1e-12)
+            npt.assert_allclose(step_statistics(Xs, Xt, MEDIAN)[0],
+                                step_statistics(Xt, Xs, MEDIAN)[0], rtol=1e-12)
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(6)
         Xs, Xt = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
-        base = mmd(Xs, Xt, FIXED)
-        doubled = mmd(np.vstack([Xs, Xs]), np.vstack([Xt, Xt]), FIXED)
+        base = step_statistics(Xs, Xt, FIXED)[0]
+        doubled = step_statistics(np.vstack([Xs, Xs]), np.vstack([Xt, Xt]), FIXED)[0]
         npt.assert_allclose(doubled, base, rtol=1e-12)
 
     def test_bounded_by_two(self):
@@ -167,29 +180,22 @@ class TestMmd:
         for _ in range(10):
             Xs = rng.normal(size=(5, 2)) * 100
             Xt = rng.normal(size=(6, 2)) * 100 + 1e6
-            assert 0.0 <= mmd(Xs, Xt, FIXED) <= 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            mmd(np.empty((0, 2)), np.ones((2, 2)), FIXED)
+            assert 0.0 <= step_statistics(Xs, Xt, FIXED)[0] <= 2.0
 
 
 class TestCmmd:
     def test_single_class_reduces_to_mmd(self):
         rng = np.random.default_rng(8)
         Xs, Xt = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-        src = LabeledBatch(Xs, np.zeros(5, dtype=int))
-        tgt = LabeledBatch(Xt, np.zeros(4, dtype=int))
         cfg = KernelConfig(sigma=1.5, sigma_mode="fixed")
-        npt.assert_allclose(cmmd(src, tgt, cfg, 1), mmd(Xs, Xt, cfg), rtol=1e-12)
+        npt.assert_allclose(step_statistics(Xs, Xt, cfg, np.zeros(5, int), np.zeros(4, int), 1)[1],
+                            step_statistics(Xs, Xt, cfg)[0], rtol=1e-12)
 
     def test_per_class_identical_is_zero(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(6, 2))
         y = np.array([0, 0, 1, 1, 2, 2])
-        src = LabeledBatch(X, y)
-        tgt = LabeledBatch(X.copy(), y.copy())
-        assert cmmd(src, tgt, FIXED, 3) <= 1e-12
+        assert step_statistics(X, X.copy(), FIXED, y, y.copy(), 3)[1] <= 1e-12
 
     def test_matches_per_class_oracle(self):
         rng = np.random.default_rng(10)
@@ -200,20 +206,12 @@ class TestCmmd:
             ys[:2], yt[:2] = [0, 1], [0, 1]
         cfg = KernelConfig(sigma=1.2, sigma_mode="fixed")
         expected = cmmd_oracle(list(Xs), list(ys), list(Xt), list(yt), 1.2, 2)
-        npt.assert_allclose(cmmd(LabeledBatch(Xs, ys), LabeledBatch(Xt, yt), cfg, 2),
-                            expected, rtol=1e-10)
+        npt.assert_allclose(step_statistics(Xs, Xt, cfg, ys, yt, 2)[1], expected, rtol=1e-10)
 
     def test_disjoint_classes_zero(self):
         rng = np.random.default_rng(11)
-        src = LabeledBatch(rng.normal(size=(3, 2)), np.zeros(3, dtype=int))
-        tgt = LabeledBatch(rng.normal(size=(3, 2)), np.ones(3, dtype=int))
-        assert cmmd(src, tgt, FIXED, 2) == 0.0
-
-    def test_label_out_of_range(self):
-        src = LabeledBatch(np.ones((2, 2)), np.array([0, 3]))
-        tgt = LabeledBatch(np.ones((2, 2)), np.array([0, 0]))
-        with pytest.raises(ValidationError):
-            cmmd(src, tgt, FIXED, 2)
+        Xs, Xt = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        assert step_statistics(Xs, Xt, FIXED, np.zeros(3, int), np.ones(3, int), 2)[1] == 0.0
 
 
 class TestPooledKernel:
@@ -229,10 +227,10 @@ class TestPooledKernel:
         d2 = [sum((a - b) ** 2 for a, b in zip(pooled[i], pooled[j]))
               for i in range(len(pooled)) for j in range(i + 1, len(pooled))]
         sigma = float(np.median(d2))
-        cfg = KernelConfig(sigma_mode="median_heuristic")
-        npt.assert_allclose(median_bandwidth(np.vstack([Xs, Xt])), sigma, rtol=1e-10)
-        npt.assert_allclose(mmd(Xs, Xt, cfg), mmd_oracle(Xs, Xt, sigma), rtol=1e-10)
-        npt.assert_allclose(cmmd(LabeledBatch(Xs, ys), LabeledBatch(Xt, yt), cfg, 3),
+        npt.assert_allclose(pooled_gram(np.vstack([Xs, Xt]), MEDIAN)[1], sigma, rtol=1e-10)
+        npt.assert_allclose(step_statistics(Xs, Xt, MEDIAN)[0], mmd_oracle(Xs, Xt, sigma),
+                            rtol=1e-10)
+        npt.assert_allclose(step_statistics(Xs, Xt, MEDIAN, ys, yt, 3)[1],
                             cmmd_oracle(list(Xs), list(ys), list(Xt), list(yt), sigma, 3),
                             rtol=1e-10)
 
@@ -250,8 +248,6 @@ class TestPooledKernel:
 class TestExactFastPaths:
     """The blocked distance assembly and the one-selection median give the
     same bits as the plain formulas they replace."""
-
-    MEDIAN = KernelConfig(sigma_mode="median_heuristic")
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 88, 257])
     def test_distances_equal_unblocked_formula(self, n):
@@ -274,7 +270,7 @@ class TestExactFastPaths:
         rng = np.random.default_rng(100 + n)
         # continuous rows, then small-integer rows whose distances tie often
         for Z in (rng.normal(size=(n, 4)), rng.integers(0, 3, size=(n, 2)).astype(float)):
-            _, sigma, _ = pooled_gram(Z, self.MEDIAN)
+            _, sigma, _ = pooled_gram(Z, MEDIAN)
             assert sigma == self.numpy_median(Z)
 
     def test_zero_median_falls_back_to_one(self):
@@ -282,10 +278,10 @@ class TestExactFastPaths:
         mostly = np.zeros((10, 3))
         mostly[0] = 1.0
         for Z in (np.full((7, 3), 5.0), mostly):
-            _, sigma, _ = pooled_gram(Z, self.MEDIAN)
+            _, sigma, _ = pooled_gram(Z, MEDIAN)
             assert sigma == self.numpy_median(Z) == 1.0
         # one row has no pair at all
-        assert pooled_gram(np.ones((1, 3)), self.MEDIAN)[1] == 1.0
+        assert pooled_gram(np.ones((1, 3)), MEDIAN)[1] == 1.0
 
     @pytest.mark.parametrize("cfg", [MEDIAN, FIXED], ids=["median", "fixed"])
     def test_overflowing_distances_raise_naming_kernel(self, cfg):
@@ -311,9 +307,12 @@ class TestGradients:
     @staticmethod
     def pooled_grad(Xs, ys, Xt, yt, sigma, n_classes):
         """d/dZ of the class-averaged statistic on the pooled rows [Xs; Xt]."""
-        K, _, Zc = pooled_gram(np.vstack([Xs, Xt]), KernelConfig(sigma=sigma, sigma_mode="fixed"))
+        cfg = KernelConfig(sigma=sigma, sigma_mode="fixed")
+        K, _, Zc = pooled_gram(np.vstack([Xs, Xt]), cfg)
         W, scale = signed_weights(ys, yt, n_classes)
-        d_z = discrepancy_grad(K, W, scale / W.shape[1], Zc, sigma)
+        coef = scale / (W.shape[1] - 1)
+        coef[0] = 0.0  # the marginal column
+        d_z = discrepancy_grad(K, W, coef, Zc, sigma)
         return d_z[:len(Xs)], d_z[len(Xs):]
 
     def test_mmd_grad_vs_finite_differences(self):

@@ -18,7 +18,6 @@ from ddalign.net import (
     forward_features,
     forward_logits,
     init_params,
-    parameter_count,
     pseudo_label_scores,
 )
 
@@ -119,15 +118,15 @@ class TestParameterCount:
     def test_full_architecture(self):
         params = init_params(310, 64, 64, 3, np.random.default_rng(0))
         expected = 310 * 64 + 64 + 64 * 64 + 64 + 64 * 3 + 3
-        assert parameter_count(params) == expected == 24259
+        assert sum(a.size for a in params.arrays()) == expected == 24259
 
     def test_four_classes(self):
         params = init_params(310, 64, 64, 4, np.random.default_rng(0))
-        assert parameter_count(params) == 310 * 64 + 64 + 64 * 64 + 64 + 64 * 4 + 4
+        assert sum(a.size for a in params.arrays()) == 310 * 64 + 64 + 64 * 64 + 64 + 64 * 4 + 4
 
     def test_degenerate(self):
         params = init_params(1, 1, 1, 1, np.random.default_rng(0))
-        assert parameter_count(params) == 6
+        assert sum(a.size for a in params.arrays()) == 6
 
 
 class TestTotalLoss:
@@ -187,9 +186,9 @@ class TestPseudoLabels:
         keep = confidence_mask(conf, tau)
         assert 0 < keep.sum() < keep.size
         npt.assert_array_equal(trace.kept_idx, np.flatnonzero(keep))
-        W_c, scale_c = signed_weights(src_y, np.where(keep, labels, -1), params.n_classes)
-        npt.assert_array_equal(trace.W[:, 1:], W_c)
-        npt.assert_array_equal(trace.w_scale[1:], scale_c)
+        W, scale = signed_weights(src_y, np.where(keep, labels, -1), params.n_classes)
+        npt.assert_array_equal(trace.W, W)
+        npt.assert_array_equal(trace.w_scale, scale)
 
     def test_empty_batch(self):
         params, *_ = tiny_setup(13)
