@@ -70,6 +70,7 @@ def _resolve_run_config(args):
 
 
 def _prepare_out(args, run_config) -> Path | None:
+    """The output directory with config.resolved; called once the run succeeded."""
     out = getattr(args, "out", None)
     if out is None:
         return None
@@ -166,12 +167,12 @@ def cmd_train(args) -> int:
     run_config = _resolve_run_config(args)
     source, target_features = _load_training_pair(run_config, args)
     cfg = run_config.train_config()
-    out_dir = _prepare_out(args, run_config)
     result = train(source.features, source.labels, target_features, cfg)
     print(f"seed: {cfg.seed}")
     last = result.history[-1]
     print(f"steps: {len(result.history)}")
     print(f"final: l_ds={last.l_ds:.6f} l_mmd={last.l_mmd:.6f} l_cmmd={last.l_cmmd:.6f}")
+    out_dir = _prepare_out(args, run_config)
     if out_dir is not None:
         save_checkpoint(result.params, out_dir / "model.ckpt")
         save_history(result.history, out_dir / "history.csv")
@@ -201,16 +202,16 @@ def cmd_protocol(args) -> int:
     dataset = load_dataset(args.data)
     cfg = run_config.train_config()
     cfg = replace(cfg, n_classes=dataset.n_classes)
-    out_dir = _prepare_out(args, run_config)
     summary = run_protocol(
         dataset, _protocol_name(args.protocol), cfg,
         variant=run_config.variant, session=args.session, jobs=args.jobs,
-        out_dir=out_dir,
+        out_dir=args.out,
     )
     print(f"seed: {cfg.seed}")
     print(f"{summary.variant} {args.protocol}: "
           f"{100 * summary.mean_accuracy:.2f} +- {100 * summary.std_accuracy:.2f} "
           f"over {len(summary.folds)} folds")
+    out_dir = _prepare_out(args, run_config)
     if out_dir is not None:
         save_summary(summary, out_dir, _config_hash(run_config))
     return 0
@@ -219,24 +220,26 @@ def cmd_protocol(args) -> int:
 def cmd_ablate(args) -> int:
     run_config = _resolve_run_config(args)
     cfg = run_config.train_config()
-    out_dir = _prepare_out(args, run_config)
     if args.data == "synth":
+        if args.protocol is not None or args.session is not None:
+            raise ValidationError("--protocol and --session apply to a manifest, not --data synth")
         synth_cfg = replace(ACCEPT_SYNTH, seed=cfg.seed if args.seed is not None else ACCEPT_SYNTH.seed)
         summary = run_synth_protocol(
             synth_cfg, cfg, variant=run_config.variant, n_seeds=args.seeds,
-            jobs=args.jobs, out_dir=out_dir,
+            jobs=args.jobs, out_dir=args.out,
         )
     else:
         dataset = load_dataset(args.data)
         cfg = replace(cfg, n_classes=dataset.n_classes)
         summary = run_protocol(
-            dataset, _protocol_name(args.protocol), cfg,
+            dataset, _protocol_name(args.protocol or "single-session"), cfg,
             variant=run_config.variant, session=args.session, jobs=args.jobs,
-            out_dir=out_dir,
+            out_dir=args.out,
         )
     print(f"seed: {cfg.seed}")
     print(f"{summary.variant}: {100 * summary.mean_accuracy:.2f} "
           f"+- {100 * summary.std_accuracy:.2f} over {len(summary.folds)} folds")
+    out_dir = _prepare_out(args, run_config)
     if out_dir is not None:
         save_summary(summary, out_dir, _config_hash(run_config))
     return 0
@@ -310,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run one EXP1..EXP6 variant")
     p.add_argument("--data", required=True, help="'synth' or a manifest CSV")
     p.add_argument("--protocol", choices=["single-session", "cross-session"],
-                   default="single-session")
-    p.add_argument("--session", type=int)
+                   help="manifest only (default single-session)")
+    p.add_argument("--session", type=int, help="manifest only")
     p.add_argument("--seeds", type=int, default=5, help="folds for --data synth")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")

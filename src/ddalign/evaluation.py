@@ -173,6 +173,8 @@ def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> lis
         raise ValidationError("protocol needs at least one fold")
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     cfg = replace(cfg, flags=VARIANTS[variant])
     tasks = [(name, make_task, replace(cfg, seed=cfg.seed + k), out_dir)
              for k, (name, make_task) in enumerate(folds)]

@@ -19,6 +19,7 @@ respect to Z reuse the same K and the centered rows it was built from
 it was chosen by the median heuristic.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,14 @@ def pooled_sq_dists(Zc: np.ndarray) -> np.ndarray:
     return D
 
 
+@functools.lru_cache(maxsize=4)  # a run sees its batch's N and the last batch's
+def _upper_index(n: int) -> np.ndarray:
+    """Flat positions of the strict upper triangle of an [n, n] matrix, row-major."""
+    idx = np.flatnonzero(~np.tri(n, dtype=bool))
+    idx.flags.writeable = False
+    return idx
+
+
 def _median_upper(D: np.ndarray) -> float:
     """Median of the distinct-pair distances; 1.0 when that median is 0 or
     there is no pair.
@@ -86,7 +95,7 @@ def _median_upper(D: np.ndarray) -> float:
     np.median returns, but np.median partitions at two positions, which takes
     a generic path several times slower.
     """
-    upper = D[~np.tri(D.shape[0], dtype=bool)]
+    upper = D.ravel().take(_upper_index(D.shape[0]))
     if upper.size == 0:
         return 1.0
     k = upper.size // 2

@@ -13,7 +13,7 @@ which dropout does not touch. Everything is float64
 numpy; dropout is the inverted kind so evaluation applies no scaling.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,16 +22,21 @@ from .errors import NumericsError, ValidationError
 
 DROPOUT_P = 0.25
 LOG_CLAMP = 1e-12
+_FIELDS = ("W1", "b1", "W2", "b2", "Wc", "bc")  # the order of ModelParams.flat
 
 
 @dataclass(frozen=True)
 class ModelParams:
+    """The six parameter arrays, stored as views of one float64 vector ``flat``
+    in checkpoint order, so a training step works on whole vectors."""
+
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
     Wc: np.ndarray
     bc: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d, h1 = self.W1.shape
@@ -47,9 +52,36 @@ class ModelParams:
         for name, (got, want) in shapes.items():
             if got != want:
                 raise ValidationError(f"{name} has shape {got}, expected {want}")
-        for name in ("W1", "b1", "W2", "b2", "Wc", "bc"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValidationError(f"{name} contains non-finite values")
+        self._bind(np.concatenate([np.ravel(a) for a in self.arrays()], dtype=np.float64), self)
+        bad = self.nonfinite_field()
+        if bad:
+            raise ValidationError(f"{bad} contains non-finite values")
+
+    def _bind(self, flat: np.ndarray, template: "ModelParams") -> "ModelParams":
+        """Point the fields at consecutive runs of flat shaped like template's."""
+        object.__setattr__(self, "flat", flat)
+        start = 0
+        for name, a in zip(_FIELDS, template.arrays()):
+            object.__setattr__(self, name, flat[start:start + a.size].reshape(a.shape))
+            start += a.size
+        return self
+
+    def __reduce__(self):  # a copy gets its own flat vector behind its fields
+        return ModelParams, self.arrays()
+
+    def like(self, flat: np.ndarray) -> "ModelParams":
+        """A model shaped like this one, stored in flat: no copy, no check."""
+        return object.__new__(ModelParams)._bind(flat, self)
+
+    def nonfinite_field(self) -> str | None:
+        """The first field holding a non-finite value; one scan when none does."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(n for n, a in zip(_FIELDS, self.arrays()) if not np.isfinite(a).all())
+
+    @property
+    def extractor_size(self) -> int:  # W1, b1, W2, b2 lead flat
+        return self.flat.size - self.Wc.size - self.bc.size
 
     @property
     def input_dim(self) -> int:
@@ -83,7 +115,7 @@ def init_params(
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(*(np.zeros_like(a) for a in params.arrays()))
+    return params.like(np.zeros(params.flat.size))
 
 
 @dataclass
@@ -305,20 +337,19 @@ def compute_losses(
     )
 
 
-def _extractor_backward(trace: FeatureTrace, d_h: np.ndarray, params: ModelParams):
-    """Gradients of the extractor weights plus nothing else, given dL/dh."""
+def _extractor_backward(trace: FeatureTrace, d_h: np.ndarray, params: ModelParams, out):
+    """Gradients of the extractor weights given dL/dh, written into out's W1..b2."""
     if trace.m2 is not None:
         d_h = d_h * trace.m2
     d_z2 = d_h * (trace.z2 > 0)
-    g_w2 = trace.d1.T @ d_z2
-    g_b2 = d_z2.sum(axis=0)
+    np.matmul(trace.d1.T, d_z2, out=out.W2)
+    d_z2.sum(axis=0, out=out.b2)
     d_d1 = d_z2 @ params.W2.T
     if trace.m1 is not None:
         d_d1 = d_d1 * trace.m1
     d_z1 = d_d1 * (trace.z1 > 0)
-    g_w1 = trace.x.T @ d_z1
-    g_b1 = d_z1.sum(axis=0)
-    return g_w1, g_b1, g_w2, g_b2
+    np.matmul(trace.x.T, d_z1, out=out.W1)
+    d_z1.sum(axis=0, out=out.b1)
 
 
 def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
@@ -351,15 +382,16 @@ def backward(trace: StepTrace, params: ModelParams, alpha: float, beta: float) -
     align = _alignment_grads(trace, alpha, beta)
     if align is not None:
         d_h_src = d_h_src + align[0]
-    g_w1, g_b1, g_w2, g_b2 = _extractor_backward(trace.src, d_h_src, params)
+    grads = params.like(np.empty_like(params.flat))
+    _extractor_backward(trace.src, d_h_src, params, grads)
     if align is not None and np.any(align[1]):
-        t_w1, t_b1, t_w2, t_b2 = _extractor_backward(trace.tgt, align[1], params)
-        g_w1 += t_w1
-        g_b1 += t_b1
-        g_w2 += t_w2
-        g_b2 += t_b2
-    try:
-        return ModelParams(W1=g_w1, b1=g_b1, W2=g_w2, b2=g_b2,
-                           Wc=trace.src.h.T @ d_logits, bc=d_logits.sum(axis=0))
-    except ValidationError as err:
-        raise NumericsError(f"gradient overflowed: {err}") from err
+        tgt = params.like(np.empty_like(params.flat))
+        _extractor_backward(trace.tgt, align[1], params, tgt)
+        n = grads.extractor_size
+        grads.flat[:n] += tgt.flat[:n]
+    np.matmul(trace.src.h.T, d_logits, out=grads.Wc)
+    d_logits.sum(axis=0, out=grads.bc)
+    bad = grads.nonfinite_field()
+    if bad:
+        raise NumericsError(f"gradient overflowed: {bad} contains non-finite values")
+    return grads

@@ -32,11 +32,6 @@ from .schedules import (
     learning_rate,
 )
 
-EXTRACTOR_FIELDS = ("W1", "b1", "W2", "b2")
-CLASSIFIER_FIELDS = ("Wc", "bc")
-BIAS_FIELDS = ("b1", "b2", "bc")
-
-
 @dataclass(frozen=True)
 class AblationFlags:
     use_mmd: bool = True
@@ -116,28 +111,26 @@ def sgd_step(
 ) -> tuple[ModelParams, ModelParams]:
     """v <- momentum v + (grad + wd * param); param <- param - lr v.
 
-    Decay applies to weight matrices only, never biases; the extractor and
-    classifier groups carry their own learning rates. Returns the new
-    parameters and the new velocity; an update that overflows raises a
-    NumericsError naming the parameter.
+    Decay applies to weight matrices only, never biases, and is added into
+    grads in place; the extractor and classifier groups carry their own
+    learning rates. Returns the new parameters and the new velocity; an update
+    that overflows raises a NumericsError naming the parameter.
     """
-    new_params = {}
-    new_velocity = {}
-    for name in ("W1", "b1", "W2", "b2", "Wc", "bc"):
-        p = getattr(params, name)
-        g = getattr(grads, name)
-        v = getattr(velocity, name)
-        if weight_decay > 0 and name not in BIAS_FIELDS:
-            g = g + weight_decay * p
-        v = momentum * v + g
-        lr = lr_extractor if name in EXTRACTOR_FIELDS else lr_classifier
-        new_params[name] = p - lr * v
-        new_velocity[name] = v
-    try:
-        # a non-finite velocity always leaves a non-finite parameter
-        return ModelParams(**new_params), ModelParams(**new_velocity)
-    except ValidationError as err:
-        raise NumericsError(f"update diverged: {err}") from err
+    if weight_decay > 0:
+        for g, p in ((grads.W1, params.W1), (grads.W2, params.W2), (grads.Wc, params.Wc)):
+            g += weight_decay * p
+    v = momentum * velocity.flat
+    v += grads.flat
+    step = np.empty_like(v)
+    n = params.extractor_size
+    np.multiply(lr_extractor, v[:n], out=step[:n])
+    np.multiply(lr_classifier, v[n:], out=step[n:])
+    new_params = params.like(np.subtract(params.flat, step, out=step))
+    # a non-finite velocity always leaves a non-finite parameter (0 * inf is nan)
+    bad = new_params.nonfinite_field()
+    if bad:
+        raise NumericsError(f"update diverged: {bad} contains non-finite values")
+    return new_params, params.like(v)
 
 
 class _TargetCycle:
@@ -185,6 +178,7 @@ def train(
     velocity = zeros_like_params(params)
     targets = _TargetCycle(tgt_x.shape[0], target_rng)
     flags = cfg.flags
+    aligns = flags.use_mmd or flags.use_cmmd  # only the alignment heads read a target batch
     sched = cfg.schedule
     if (flags.confidence_filter and sched.stage_taus[0] == 0
             and sched.stage_epochs[0] >= cfg.epochs):
@@ -204,7 +198,7 @@ def train(
         order = shuffle_rng.permutation(src_x.shape[0])
         for start in range(0, order.shape[0], cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            tgt_batch = tgt_x[targets.take(batch.shape[0])]
+            tgt_batch = tgt_x[targets.take(batch.shape[0])] if aligns else tgt_x[:0]
             try:
                 trace = compute_losses(
                     src_x[batch], src_y[batch], tgt_batch, params, tau, cfg.kernel,

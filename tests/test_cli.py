@@ -185,6 +185,20 @@ class TestAblate:
         assert code == 3
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--protocol", "cross-session"], ["--session", "7"]],
+                             ids=["protocol", "session"])
+    def test_synth_rejects_manifest_flags(self, capsys, flag):
+        code = run_cli("ablate", "--data", "synth", "--seeds", "1", "--epochs", "1", *flag)
+        assert code == 3
+        assert "apply to a manifest, not --data synth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["--seeds", "0"], ["--seeds", "1", "--jobs", "0"]],
+                             ids=["no-folds", "no-jobs"])
+    def test_rejected_run_leaves_no_output_dir(self, tmp_path, bad):
+        out = tmp_path / "bad"
+        assert run_cli("ablate", "--data", "synth", *bad, "--out", str(out)) == 3
+        assert not out.exists()
+
 
 class TestProtocol:
     def test_manifest_protocol(self, tmp_path, capsys):

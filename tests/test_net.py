@@ -1,6 +1,8 @@
 """Model forward/backward against closed forms and central finite differences."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import numpy.testing as npt
@@ -112,6 +114,35 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
             cross_entropy(np.full((1, 3), 1 / 3), np.array([3]))
+
+
+class TestModelParams:
+    FIELDS = ("W1", "b1", "W2", "b2", "Wc", "bc")
+
+    def test_fields_are_views_of_one_copied_vector(self):
+        source = [a.copy() for a in init_params(5, 4, 3, 2, np.random.default_rng(0)).arrays()]
+        params = ModelParams(*source)
+        npt.assert_array_equal(params.flat, np.concatenate([a.ravel() for a in source]))
+        assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+        assert params.extractor_size == 5 * 4 + 4 + 4 * 3 + 3
+        source[0][:] = 7.0  # the constructor copied its arrays
+        assert not (params.W1 == 7.0).any()
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_non_finite_field_named(self, name):
+        arrays = dict(zip(self.FIELDS, init_params(5, 4, 3, 2, np.random.default_rng(0)).arrays()))
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[-1] = np.nan
+        arrays["bc"] = np.full_like(arrays["bc"], np.inf)  # a later field is not named
+        with pytest.raises(ValidationError, match=rf"^{name} contains non-finite values$"):
+            ModelParams(**arrays)
+
+    def test_copy_gets_its_own_vector(self):
+        params = init_params(5, 4, 3, 2, np.random.default_rng(0))
+        for dup in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert all(np.shares_memory(a, dup.flat) for a in dup.arrays())
+            assert not np.shares_memory(dup.flat, params.flat)
+            npt.assert_array_equal(dup.flat, params.flat)
 
 
 class TestParameterCount:
