@@ -30,11 +30,9 @@ from .evaluation import (
 from .features import (
     DEFAULT_BANDS,
     BandSpec,
-    FeatureVector,
     RawWindow,
     band_variance,
     build_feature_matrix,
-    build_feature_vector,
     differential_entropy,
 )
 from .kernels import KernelConfig

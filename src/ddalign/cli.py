@@ -193,52 +193,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _protocol_name(flag_value: str) -> str:
-    return flag_value.replace("-", "_")
-
-
-def cmd_protocol(args) -> int:
-    run_config = _resolve_run_config(args)
-    dataset = load_dataset(args.data)
-    cfg = run_config.train_config()
-    cfg = replace(cfg, n_classes=dataset.n_classes)
-    summary = run_protocol(
-        dataset, _protocol_name(args.protocol), cfg,
-        variant=run_config.variant, session=args.session, jobs=args.jobs,
-        out_dir=args.out,
-    )
-    print(f"seed: {cfg.seed}")
-    print(f"{summary.variant} {args.protocol}: "
-          f"{100 * summary.mean_accuracy:.2f} +- {100 * summary.std_accuracy:.2f} "
-          f"over {len(summary.folds)} folds")
-    out_dir = _prepare_out(args, run_config)
-    if out_dir is not None:
-        save_summary(summary, out_dir, _config_hash(run_config))
-    return 0
-
-
-def cmd_ablate(args) -> int:
+def _run_folds_command(args) -> int:
+    """``protocol`` and ``ablate``: one fold per held-out subject of a manifest,
+    or per generated ACCEPT_SYNTH task with ``--data synth``."""
     run_config = _resolve_run_config(args)
     cfg = run_config.train_config()
     if args.data == "synth":
         if args.protocol is not None or args.session is not None:
             raise ValidationError("--protocol and --session apply to a manifest, not --data synth")
-        synth_cfg = replace(ACCEPT_SYNTH, seed=cfg.seed if args.seed is not None else ACCEPT_SYNTH.seed)
-        summary = run_synth_protocol(
-            synth_cfg, cfg, variant=run_config.variant, n_seeds=args.seeds,
-            jobs=args.jobs, out_dir=args.out,
-        )
+        # the tasks are always generator seeds 0..n-1; --seed moves only training
+        n_seeds = 5 if args.seeds is None else args.seeds
+        summary = run_synth_protocol(ACCEPT_SYNTH, cfg, variant=run_config.variant,
+                                     n_seeds=n_seeds, jobs=args.jobs, out_dir=args.out)
     else:
+        if args.seeds is not None:
+            raise ValidationError("--seeds applies to --data synth, not a manifest")
         dataset = load_dataset(args.data)
-        cfg = replace(cfg, n_classes=dataset.n_classes)
         summary = run_protocol(
-            dataset, _protocol_name(args.protocol or "single-session"), cfg,
-            variant=run_config.variant, session=args.session, jobs=args.jobs,
-            out_dir=args.out,
+            dataset, (args.protocol or "single-session").replace("-", "_"),
+            replace(cfg, n_classes=dataset.n_classes), variant=run_config.variant,
+            session=args.session, jobs=args.jobs, out_dir=args.out,
         )
     print(f"seed: {cfg.seed}")
-    print(f"{summary.variant}: {100 * summary.mean_accuracy:.2f} "
-          f"+- {100 * summary.std_accuracy:.2f} over {len(summary.folds)} folds")
+    print(f"{summary.variant} {summary.protocol.replace('_', '-')}: "
+          f"{100 * summary.mean_accuracy:.2f} +- {100 * summary.std_accuracy:.2f} "
+          f"over {len(summary.folds)} folds")
     out_dir = _prepare_out(args, run_config)
     if out_dir is not None:
         save_summary(summary, out_dir, _config_hash(run_config))
@@ -301,25 +280,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("protocol", help="leave-one-subject-out cross-validation")
-    p.add_argument("--data", required=True, help="manifest CSV")
+    p.add_argument("--data", required=True, help="manifest CSV ('synth': generated tasks)")
     p.add_argument("--protocol", choices=["single-session", "cross-session"],
-                   default="single-session")
+                   help="default single-session")
     p.add_argument("--session", type=int, help="session id for single-session runs")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_protocol)
+    p.set_defaults(func=_run_folds_command, seeds=None)
 
     p = sub.add_parser("ablate", help="run one EXP1..EXP6 variant")
     p.add_argument("--data", required=True, help="'synth' or a manifest CSV")
     p.add_argument("--protocol", choices=["single-session", "cross-session"],
                    help="manifest only (default single-session)")
     p.add_argument("--session", type=int, help="manifest only")
-    p.add_argument("--seeds", type=int, default=5, help="folds for --data synth")
+    p.add_argument("--seeds", type=int, help="folds for --data synth (default 5)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=_run_folds_command)
 
     p = sub.add_parser("dump-embeddings", help="write extractor embeddings as CSV")
     p.add_argument("--model", required=True)

@@ -448,10 +448,7 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         v = self.values
-        if v["sigma"] == "median":
-            kernel = KernelConfig(sigma_mode="median_heuristic")
-        else:
-            kernel = KernelConfig(sigma=float(v["sigma"]), sigma_mode="fixed")
+        kernel = KernelConfig(None if v["sigma"] == "median" else float(v["sigma"]))
         schedule = ScheduleConfig(
             tau_h=v["tau_h"], tau_l=v["tau_l"], rho0=v["rho0"], rho1=v["rho1"],
             stage_epochs=(v["stage_e1"], v["stage_e2"], v["stage_e3"]),

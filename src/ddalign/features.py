@@ -15,7 +15,7 @@ All functions are pure; nothing here touches files.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,23 +77,6 @@ class RawWindow:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-
-@dataclass
-class FeatureVector:
-    """Channel-major flat vector: all bands of channel 0, then channel 1, ...
-
-    ``floored`` lists (channel, band name) pairs whose measured variance fell
-    below VARIANCE_FLOOR and was clamped before the log.
-    """
-
-    values: np.ndarray
-    n_channels: int
-    band_names: tuple[str, ...]
-    floored: list[tuple[int, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 DEFAULT_BANDS = (
@@ -210,20 +193,3 @@ def build_feature_matrix(
     values = 0.5 * np.log(2.0 * math.pi * math.e * var)
     return values.reshape(n_win, -1), floored
 
-
-def build_feature_vector(
-    window: RawWindow, bands: tuple[BandSpec, ...] | list[BandSpec] = DEFAULT_BANDS
-) -> FeatureVector:
-    """Differential entropy of every (channel, band) pair, channel-major.
-
-    Variances below VARIANCE_FLOOR are clamped and the pair is recorded in the
-    result's ``floored`` metadata; negative or non-finite power estimates
-    propagate as errors naming the offending channel and band.
-    """
-    values, floored = build_feature_matrix(window, window.n_samples, bands)
-    return FeatureVector(
-        values=values[0],
-        n_channels=window.n_channels,
-        band_names=tuple(b.name for b in bands),
-        floored=[(ch, name) for _, ch, name in floored],
-    )

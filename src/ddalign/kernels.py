@@ -26,29 +26,23 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 
-SIGMA_FIXED = "fixed"
-SIGMA_MEDIAN = "median_heuristic"
 _BLOCK_ROWS = 64  # rows of the distance matrix assembled per pass
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Bandwidth selection for the Gaussian kernel.
+    """Bandwidth of the Gaussian kernel.
 
-    ``sigma`` is the denominator of the squared-distance exponent. With
-    ``sigma_mode="median_heuristic"`` it is recomputed from the pooled inputs
-    of each statistic and ``sigma`` may stay None.
+    ``sigma`` is the denominator of the squared-distance exponent. None selects
+    the median heuristic: sigma is recomputed from the pooled inputs of each
+    step.
     """
 
     sigma: float | None = None
-    sigma_mode: str = SIGMA_MEDIAN
 
     def __post_init__(self):
-        if self.sigma_mode not in (SIGMA_FIXED, SIGMA_MEDIAN):
-            raise ValidationError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if self.sigma_mode == SIGMA_FIXED:
-            if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
-                raise ValidationError("fixed sigma_mode needs sigma > 0")
+        if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 def pooled_sq_dists(Zc: np.ndarray) -> np.ndarray:
@@ -115,7 +109,7 @@ def pooled_gram(Z: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, float, np
     """
     Zc = Z - Z.mean(axis=0)
     K = pooled_sq_dists(Zc)
-    sigma = float(cfg.sigma) if cfg.sigma_mode == SIGMA_FIXED else _median_upper(K)
+    sigma = _median_upper(K) if cfg.sigma is None else float(cfg.sigma)
     # in place: each [N, N] temporary costs as much as the exp itself
     K /= -sigma
     np.exp(K, out=K)

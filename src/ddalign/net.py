@@ -191,7 +191,7 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     if labels.ndim == 2:
         if labels.shape[1] != n_classes:
             raise ValidationError("one-hot width does not match class count")
-        return labels.astype(np.float64)
+        return np.asarray(labels, dtype=np.float64)
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValidationError(f"label id outside [0, {n_classes})")
     out = np.zeros((labels.shape[0], n_classes))
@@ -240,20 +240,11 @@ class StepTrace:
         return self.l_ds + alpha * self.l_mmd + beta * self.l_cmmd
 
 
-def pseudo_label_scores(tgt_x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic eval-mode predictions: (argmax labels, max probabilities).
-
-    Ties resolve to the lowest class id.
-    """
-    tgt_x = np.asarray(tgt_x, dtype=np.float64)
-    if tgt_x.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    return _scores_from_z1(_layer1(tgt_x, params)[1], params)
-
-
 def _scores_from_z1(z1: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """pseudo_label_scores from layer-1 pre-activations, which dropout does
-    not touch, so a train-mode pass's z1 serves as well as an eval-mode one."""
+    """Eval-mode pseudo-labels (argmax, ties to the lowest class id) and their
+    confidences (max probability) from layer-1 pre-activations, which dropout
+    does not touch, so a train-mode pass's z1 serves as well as an eval-mode
+    one."""
     h = np.maximum(_layer2(np.maximum(z1, 0.0), params), 0.0)
     probs = forward_logits(h, params)
     return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)

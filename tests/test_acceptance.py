@@ -15,7 +15,13 @@ import pytest
 
 from ddalign.data import ACCEPT_SYNTH, load_dataset
 from ddalign.evaluation import run_protocol, run_synth_protocol
-from ddalign.features import BandSpec, DEFAULT_BANDS, RawWindow, band_variance, build_feature_vector
+from ddalign.features import (
+    DEFAULT_BANDS,
+    VARIANCE_FLOOR,
+    BandSpec,
+    RawWindow,
+    build_feature_matrix,
+)
 from ddalign.kernels import KernelConfig, discrepancies, pooled_gram, signed_weights
 from ddalign.net import (
     backward,
@@ -65,7 +71,7 @@ def test_criterion_1_kernel_oracle_equivalence():
         Xs, Xt = rng.normal(size=(n, d)), rng.normal(size=(m, d))
         ys, yt = rng.integers(0, C, n), rng.integers(0, C, m)
         sigma = float(rng.uniform(0.5, 4.0))
-        cfg = KernelConfig(sigma=sigma, sigma_mode="fixed")
+        cfg = KernelConfig(sigma=sigma)
 
         # the composition a training step runs: one Gram matrix, one weight call
         K, _, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
@@ -95,7 +101,7 @@ def test_criterion_2_gradient_correctness():
     src_x = rng.normal(size=(5, 6))
     src_y = rng.integers(0, 3, size=5)
     tgt_x = rng.normal(size=(5, 6)) + 0.3
-    kcfg = KernelConfig(sigma=2.0, sigma_mode="fixed")
+    kcfg = KernelConfig(sigma=2.0)
     eps = 1e-5
 
     def loss_at(p, alpha, beta):
@@ -151,26 +157,49 @@ def test_criterion_3_schedule_tables():
 
 # --- criterion 4: differential entropy features ------------------------------
 
+def de_loop_oracle(samples, fs, bands):
+    """DE of every (channel, band) of one window, channel-major, with one FFT
+    per channel and one boolean mask per band: a copy of the per-channel loop
+    in tests/test_features.py, independent of the batched features core."""
+    nper = int(round(fs))
+    n_seg = samples.shape[1] // nper
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nper) / nper)
+    freqs = np.fft.rfftfreq(nper, d=1.0 / fs)
+    out = []
+    for x in samples:
+        segs = x[: n_seg * nper].reshape(n_seg, nper)
+        segs = segs - segs.mean(axis=1, keepdims=True)
+        spec = np.fft.rfft(segs * w, axis=1)
+        psd = (spec.real**2 + spec.imag**2) / (fs * np.sum(w**2))
+        psd[:, 1:] *= 2.0
+        if nper % 2 == 0:
+            psd[:, -1] /= 2.0  # Nyquist bin is not mirrored
+        psd = psd.mean(axis=0)
+        for band in bands:
+            mask = (freqs >= band.lo_hz) & (freqs < band.hi_hz)
+            var = max(float(psd[mask].sum() * fs / nper), VARIANCE_FLOOR)
+            out.append(0.5 * math.log(2 * math.pi * math.e * var))
+    return np.array(out)
+
+
 def test_criterion_4_feature_extraction():
     rng = np.random.default_rng(7)
     fs = 200.0
     win = RawWindow(rng.normal(size=(1, int(fs * 10))), fs=fs)
 
-    # closed form applied to the measured band variance, every default band
-    consistency = 0.0
-    for band in DEFAULT_BANDS:
-        var = band_variance(win, band, 0)
-        de = build_feature_vector(win, [band]).values[0]
-        consistency = max(consistency, abs(de - 0.5 * math.log(2 * math.pi * math.e * var)))
+    # closed form of the measured band variance, every default band, against
+    # the independent per-channel loop
+    de = build_feature_matrix(win, win.n_samples, DEFAULT_BANDS)[0][0]
+    consistency = float(np.abs(de - de_loop_oracle(win.samples, fs, DEFAULT_BANDS)).max())
 
-    full = build_feature_vector(win, [BandSpec("full", 1.0, 100.0)]).values[0]
+    full = build_feature_matrix(win, win.n_samples, [BandSpec("full", 1.0, 100.0)])[0][0, 0]
     full_ok = abs(full - 1.419) < 0.05
 
     win62 = RawWindow(rng.normal(size=(62, 400)), fs=fs)
-    dim = len(build_feature_vector(win62, DEFAULT_BANDS))
+    dim = build_feature_matrix(win62, win62.n_samples, DEFAULT_BANDS)[0].shape[1]
 
     report(4, consistency <= 1e-12 and full_ok and dim == 310,
-           f"closed-form consistency {consistency:.1e} (<= 1e-12), "
+           f"loop-oracle consistency {consistency:.1e} (<= 1e-12), "
            f"full-band de {full:.4f} (~1.419), 62 channels -> {dim} features")
 
 

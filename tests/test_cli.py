@@ -11,7 +11,7 @@ import pytest
 
 from ddalign.cli import main
 from ddalign.data import FeatureDataset, save_checkpoint, save_features, save_raw_recording
-from ddalign.features import RawWindow, build_feature_vector
+from ddalign.features import RawWindow, build_feature_matrix
 from ddalign.net import init_params
 
 
@@ -171,6 +171,19 @@ class TestAblate:
         assert (out / "history_seed1.csv").exists()
         assert (out / "config.resolved").exists()
 
+    def test_resolved_config_reproduces_the_run(self, tmp_path, capsys):
+        # the tasks do not move with --seed, so a seed read from a file gives the same run
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run_cli("ablate", "--data", "synth", "--seeds", "2", "--epochs", "1",
+                       "--batch-size", "64", "--seed", "9", "--out", str(first)) == 0
+        assert run_cli("ablate", "--data", "synth", "--seeds", "2",
+                       "--config", str(first / "config.resolved"), "--out", str(second)) == 0
+        assert "seed = 9\n" in (first / "config.resolved").read_text()
+        assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[2] == "seed: 9"
+        assert out[1] == out[3] and out[1].startswith("EXP6 synthetic: ")
+
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_no_folds_exit_3(self, tmp_path, capsys, seeds):
         out = tmp_path / "run"
@@ -200,26 +213,54 @@ class TestAblate:
         assert not out.exists()
 
 
+@pytest.fixture
+def manifest(tmp_path):
+    """Three labeled one-session subjects, 12 rows of 6 features each."""
+    rng = np.random.default_rng(0)
+    lines = []
+    for s in range(3):
+        ds = FeatureDataset(rng.normal(size=(12, 6)) + s * 0.1,
+                            np.tile(np.arange(3), 4), 3)
+        save_features(tmp_path / f"s{s}.csv", ds)
+        lines.append(f"sub{s},1,s{s}.csv")
+    path = tmp_path / "manifest.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+SHORT_MANIFEST_RUN = ("--variant", "EXP1", "--epochs", "2", "--batch-size", "8")
+
+
 class TestProtocol:
-    def test_manifest_protocol(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        lines = []
-        for s in range(3):
-            ds = FeatureDataset(rng.normal(size=(12, 6)) + s * 0.1,
-                                np.tile(np.arange(3), 4), 3)
-            save_features(tmp_path / f"s{s}.csv", ds)
-            lines.append(f"sub{s},1,s{s}.csv")
-        manifest = tmp_path / "manifest.csv"
-        manifest.write_text("\n".join(lines) + "\n")
+    def test_manifest_protocol(self, tmp_path, manifest, capsys):
         out = tmp_path / "proto"
         code = run_cli("protocol", "--data", str(manifest),
-                       "--protocol", "single-session",
-                       "--variant", "EXP1", "--epochs", "2", "--batch-size", "8",
+                       "--protocol", "single-session", *SHORT_MANIFEST_RUN,
                        "--out", str(out))
         assert code == 0
-        assert "+-" in capsys.readouterr().out
+        assert "EXP1 single-session: " in capsys.readouterr().out
         payload = json.loads((out / "summary.json").read_text())
         assert [f["subject"] for f in payload["folds"]] == ["sub0", "sub1", "sub2"]
+
+    def test_ablate_on_a_manifest_runs_the_same_folds(self, tmp_path, manifest, capsys):
+        outputs = {}
+        for command in ("protocol", "ablate"):
+            out = tmp_path / command
+            assert run_cli(command, "--data", str(manifest), *SHORT_MANIFEST_RUN,
+                           "--out", str(out)) == 0
+            outputs[command] = capsys.readouterr().out
+        for name in ("summary.json", "history_sub0.csv", "history_sub2.csv"):
+            assert (tmp_path / "protocol" / name).read_bytes() == \
+                (tmp_path / "ablate" / name).read_bytes()
+        assert outputs["protocol"] == outputs["ablate"]
+
+    def test_seeds_with_a_manifest_exit_3(self, tmp_path, manifest, capsys):
+        out = tmp_path / "run"
+        code = run_cli("ablate", "--data", str(manifest), *SHORT_MANIFEST_RUN,
+                       "--seeds", "1", "--out", str(out))
+        assert code == 3
+        assert "--seeds applies to --data synth, not a manifest" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExtractFeatures:
@@ -258,7 +299,7 @@ class TestExtractFeatures:
         from ddalign.data import load_features
 
         want = np.vstack([
-            build_feature_vector(RawWindow(samples[:, w * 125:(w + 1) * 125], fs=125.0)).values
+            build_feature_matrix(RawWindow(samples[:, w * 125:(w + 1) * 125], fs=125.0), 125)[0]
             for w in range(7)
         ])
         np.testing.assert_allclose(load_features(out).features, want, rtol=0, atol=1e-12)

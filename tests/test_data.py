@@ -348,4 +348,4 @@ class TestRunConfig:
     def test_fixed_sigma_config(self):
         rc = build_run_config(None, {"sigma": "2.5"})
         assert rc.train_config().kernel.sigma == 2.5
-        assert rc.train_config().kernel.sigma_mode == "fixed"
+        assert build_run_config().train_config().kernel.sigma is None

@@ -15,7 +15,6 @@ from ddalign.features import (
     RawWindow,
     band_variance,
     build_feature_matrix,
-    build_feature_vector,
     differential_entropy,
     validate_bands,
 )
@@ -101,49 +100,54 @@ class TestDifferentialEntropy:
                 differential_entropy(bad)
 
 
-class TestBuildFeatureVector:
+def whole_window(win, bands=DEFAULT_BANDS):
+    """DE row and floored (channel, band) pairs of a recording taken as one window."""
+    values, floored = build_feature_matrix(win, win.n_samples, bands)
+    return values[0], [(ch, name) for _, ch, name in floored]
+
+
+class TestWholeRecordingWindow:
     def test_62_channels_5_bands_gives_310(self):
         rng = np.random.default_rng(2)
         win = RawWindow(rng.normal(size=(62, 400)), fs=200.0)
-        assert len(build_feature_vector(win, DEFAULT_BANDS)) == 310
+        assert whole_window(win)[0].shape == (310,)
 
     def test_32_channels_5_bands_gives_160(self):
         rng = np.random.default_rng(3)
         win = RawWindow(rng.normal(size=(32, 256)), fs=128.0)
-        assert len(build_feature_vector(win, DEFAULT_BANDS)) == 160
+        assert whole_window(win)[0].shape == (160,)
 
     def test_single_channel_matches_direct_formula(self):
         rng = np.random.default_rng(4)
         win = RawWindow(rng.normal(size=(1, 2000)), fs=200.0)
         band = BandSpec("alpha", 8.0, 14.0)
-        fv = build_feature_vector(win, [band])
+        values, _ = whole_window(win, [band])
         expected = 0.5 * math.log(2 * math.pi * math.e * band_variance(win, band, 0))
-        assert fv.values[0] == pytest.approx(expected, abs=1e-12)
+        assert values[0] == pytest.approx(expected, abs=1e-12)
 
     def test_channel_major_layout_and_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(4, 600))
-        win = RawWindow(data, fs=200.0)
-        fv = build_feature_vector(win, DEFAULT_BANDS)
+        values, _ = whole_window(RawWindow(data, fs=200.0))
         perm = [2, 0, 3, 1]
-        fv_perm = build_feature_vector(RawWindow(data[perm], fs=200.0), DEFAULT_BANDS)
-        blocks = fv.values.reshape(4, 5)
-        npt.assert_allclose(fv_perm.values.reshape(4, 5), blocks[perm], rtol=1e-12)
+        values_perm, _ = whole_window(RawWindow(data[perm], fs=200.0))
+        blocks = values.reshape(4, 5)
+        npt.assert_allclose(values_perm.reshape(4, 5), blocks[perm], rtol=1e-12)
 
     def test_amplitude_scaling_shifts_every_entry_by_ln_c(self):
         rng = np.random.default_rng(6)
         data = rng.normal(size=(3, 800))
-        base = build_feature_vector(RawWindow(data, fs=200.0), DEFAULT_BANDS)
-        scaled = build_feature_vector(RawWindow(2.5 * data, fs=200.0), DEFAULT_BANDS)
-        npt.assert_allclose(scaled.values - base.values, math.log(2.5), rtol=1e-9)
+        base, _ = whole_window(RawWindow(data, fs=200.0))
+        scaled, _ = whole_window(RawWindow(2.5 * data, fs=200.0))
+        npt.assert_allclose(scaled - base, math.log(2.5), rtol=1e-9)
 
     def test_silent_channel_is_floored_and_flagged(self):
         data = np.zeros((2, 400))
         data[1] = np.random.default_rng(7).normal(size=400)
-        fv = build_feature_vector(RawWindow(data, fs=200.0), DEFAULT_BANDS)
-        assert all(ch == 0 for ch, _ in fv.floored)
-        assert len(fv.floored) == 5
-        assert np.isfinite(fv.values).all()
+        values, floored = whole_window(RawWindow(data, fs=200.0))
+        assert all(ch == 0 for ch, _ in floored)
+        assert len(floored) == 5
+        assert np.isfinite(values).all()
 
     def test_disjoint_window_estimates_agree(self):
         # stationary noise: DE over disjoint long windows fluctuates mildly
@@ -152,7 +156,7 @@ class TestBuildFeatureVector:
         estimates = []
         for _ in range(4):
             win = RawWindow(rng.normal(size=(1, int(fs * 20))), fs=fs)
-            estimates.append(build_feature_vector(win, [ALPHA]).values[0])
+            estimates.append(whole_window(win, [ALPHA])[0][0])
         assert np.ptp(estimates) < 0.15
 
     def test_estimate_spread_shrinks_with_window_length(self):
@@ -161,9 +165,8 @@ class TestBuildFeatureVector:
 
         def spread(seconds, repeats=8):
             vals = [
-                build_feature_vector(
-                    RawWindow(rng.normal(size=(1, int(fs * seconds))), fs=fs), [ALPHA]
-                ).values[0]
+                whole_window(RawWindow(rng.normal(size=(1, int(fs * seconds))), fs=fs),
+                             [ALPHA])[0][0]
                 for _ in range(repeats)
             ]
             return np.std(vals)

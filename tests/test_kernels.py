@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.errors import NumericsError
+from ddalign.errors import NumericsError, ValidationError
 from ddalign.kernels import (
     KernelConfig,
     discrepancies,
@@ -43,8 +43,8 @@ def cmmd_oracle(Xs, ys, Xt, yt, sigma, n_classes):
     return sum(terms) / len(terms) if terms else 0.0
 
 
-FIXED = KernelConfig(sigma=1.0, sigma_mode="fixed")
-MEDIAN = KernelConfig(sigma_mode="median_heuristic")
+FIXED = KernelConfig(sigma=1.0)
+MEDIAN = KernelConfig()
 
 
 def step_statistics(Xs, Xt, cfg, ys=None, yt=None, n_classes=1):
@@ -72,7 +72,7 @@ class TestGaussianKernel:
 
     def test_distance_equal_sigma(self):
         # ||u - v||^2 = sigma gives exactly e^{-1}
-        cfg = KernelConfig(sigma=4.0, sigma_mode="fixed")
+        cfg = KernelConfig(sigma=4.0)
         assert kernel_of_pair([0.0], [2.0], cfg) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_matches_oracle(self):
@@ -80,7 +80,7 @@ class TestGaussianKernel:
         for _ in range(20):
             u, v = rng.normal(size=5), rng.normal(size=5)
             sigma = float(rng.uniform(0.5, 3.0))
-            cfg = KernelConfig(sigma=sigma, sigma_mode="fixed")
+            cfg = KernelConfig(sigma=sigma)
             assert kernel_of_pair(u, v, cfg) == pytest.approx(
                 kernel_oracle(u, v, sigma), rel=1e-12
             )
@@ -131,6 +131,16 @@ class TestMedianBandwidth:
         assert sigma == 4.0
         assert K[0, 1] == pytest.approx(math.exp(-1), rel=1e-12)
 
+    def test_given_sigma_replaces_the_heuristic(self):
+        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), KernelConfig(sigma=2.0))
+        assert sigma == 2.0
+        assert K[0, 1] == pytest.approx(math.exp(-2), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_given_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValidationError, match="sigma must be finite and > 0"):
+            KernelConfig(sigma=sigma)
+
 
 class TestSignedWeights:
     def test_marginal_column_first(self):
@@ -158,7 +168,7 @@ class TestMmd:
     def test_matches_oracle(self):
         rng = np.random.default_rng(4)
         Xs, Xt = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
-        cfg = KernelConfig(sigma=2.0, sigma_mode="fixed")
+        cfg = KernelConfig(sigma=2.0)
         npt.assert_allclose(step_statistics(Xs, Xt, cfg)[0], mmd_oracle(Xs, Xt, 2.0), rtol=1e-10)
 
     def test_symmetry(self):
@@ -187,7 +197,7 @@ class TestCmmd:
     def test_single_class_reduces_to_mmd(self):
         rng = np.random.default_rng(8)
         Xs, Xt = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-        cfg = KernelConfig(sigma=1.5, sigma_mode="fixed")
+        cfg = KernelConfig(sigma=1.5)
         npt.assert_allclose(step_statistics(Xs, Xt, cfg, np.zeros(5, int), np.zeros(4, int), 1)[1],
                             step_statistics(Xs, Xt, cfg)[0], rtol=1e-12)
 
@@ -204,7 +214,7 @@ class TestCmmd:
         yt = rng.integers(0, 2, size=6)
         if len(np.unique(ys)) < 2 or len(np.unique(yt)) < 2:
             ys[:2], yt[:2] = [0, 1], [0, 1]
-        cfg = KernelConfig(sigma=1.2, sigma_mode="fixed")
+        cfg = KernelConfig(sigma=1.2)
         expected = cmmd_oracle(list(Xs), list(ys), list(Xt), list(yt), 1.2, 2)
         npt.assert_allclose(step_statistics(Xs, Xt, cfg, ys, yt, 2)[1], expected, rtol=1e-10)
 
@@ -311,7 +321,7 @@ class TestGradients:
     @staticmethod
     def pooled_grad(Xs, ys, Xt, yt, sigma, n_classes):
         """d/dZ of the class-averaged statistic on the pooled rows [Xs; Xt]."""
-        cfg = KernelConfig(sigma=sigma, sigma_mode="fixed")
+        cfg = KernelConfig(sigma=sigma)
         K, _, Zc = pooled_gram(np.vstack([Xs, Xt]), cfg)
         W, scale = signed_weights(ys, yt, n_classes)
         coef = scale / (W.shape[1] - 1)

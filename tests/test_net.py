@@ -13,6 +13,8 @@ from ddalign.errors import DataFormatError, NumericsError, ValidationError
 from ddalign.kernels import KernelConfig, signed_weights
 from ddalign.net import (
     ModelParams,
+    _layer1,
+    _scores_from_z1,
     backward,
     compute_losses,
     confidence_mask,
@@ -20,10 +22,16 @@ from ddalign.net import (
     forward_features,
     forward_logits,
     init_params,
-    pseudo_label_scores,
 )
 
-FIXED = KernelConfig(sigma=2.0, sigma_mode="fixed")
+FIXED = KernelConfig(sigma=2.0)
+
+
+def eval_scores(x, params):
+    """Eval-mode argmax labels and max probabilities through the public forward."""
+    h, _ = forward_features(x, params)
+    probs = forward_logits(h, params)
+    return probs.argmax(axis=1), probs.max(axis=1)
 
 
 def tiny_setup(seed=0, d=6, h1=4, h2=4, C=3, B=5):
@@ -170,7 +178,7 @@ class TestTotalLoss:
         params, src_x, _, _ = tiny_setup(8)
         # use the model's own predictions as source labels, so the identical
         # target batch carries identical pseudo-labels per class
-        src_y, _ = pseudo_label_scores(src_x, params)
+        src_y, _ = eval_scores(src_x, params)
         trace = compute_losses(src_x, src_y, src_x.copy(), params, 0.0, FIXED, train=False)
         assert trace.l_mmd <= 1e-10
         assert trace.l_cmmd <= 1e-10
@@ -199,12 +207,12 @@ class TestTotalLoss:
 
 class TestPseudoLabels:
     def test_argmax_and_confidence(self):
+        # the step's shortcut from layer 1 runs the eval-mode forward's operations
         params, _, _, tgt_x = tiny_setup(12)
-        labels, conf = pseudo_label_scores(tgt_x, params)
-        h, _ = forward_features(tgt_x, params)
-        probs = forward_logits(h, params)
-        npt.assert_array_equal(labels, probs.argmax(axis=1))
-        npt.assert_allclose(conf, probs.max(axis=1))
+        labels, conf = _scores_from_z1(_layer1(tgt_x, params)[1], params)
+        want_labels, want_conf = eval_scores(tgt_x, params)
+        npt.assert_array_equal(labels, want_labels)
+        npt.assert_array_equal(conf, want_conf)
 
     @pytest.mark.parametrize("train", [False, True])
     def test_step_pseudo_labels_equal_eval_mode_scores(self, train):
@@ -213,7 +221,7 @@ class TestPseudoLabels:
         tau = 0.4
         trace = compute_losses(src_x, src_y, tgt_x, params, tau, FIXED, train=train,
                                rng=np.random.default_rng(6))
-        labels, conf = pseudo_label_scores(tgt_x, params)
+        labels, conf = eval_scores(tgt_x, params)
         keep = confidence_mask(conf, tau)
         assert 0 < keep.sum() < keep.size
         npt.assert_array_equal(trace.kept_idx, np.flatnonzero(keep))
@@ -223,7 +231,7 @@ class TestPseudoLabels:
 
     def test_empty_batch(self):
         params, *_ = tiny_setup(13)
-        labels, conf = pseudo_label_scores(np.empty((0, 6)), params)
+        labels, conf = _scores_from_z1(np.empty((0, 4)), params)
         assert labels.size == 0 and conf.size == 0
 
 
@@ -352,7 +360,7 @@ class TestBackward:
 class TestDegenerateSteps:
     """Degenerate alignment cases through compute_losses and backward."""
 
-    MEDIAN = KernelConfig(sigma_mode="median_heuristic")
+    MEDIAN = KernelConfig()
 
     @staticmethod
     def assert_same(a: ModelParams, b: ModelParams):
@@ -364,7 +372,7 @@ class TestDegenerateSteps:
         # W2 = 0 maps every row to the same nonzero embedding relu(b2)
         params = ModelParams(params.W1, params.b1, np.zeros_like(params.W2),
                              np.full(4, 0.3), params.Wc, params.bc)
-        labels, _ = pseudo_label_scores(tgt_x, params)
+        labels, _ = eval_scores(tgt_x, params)
         src_y = np.full(src_x.shape[0], labels[0])  # one class, shared by both sides
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=self.MEDIAN,
                                train=False)

@@ -10,9 +10,10 @@ from ddalign.data import build_run_config
 from ddalign.errors import NumericsError, ValidationError
 from ddalign.net import (
     ModelParams,
+    _layer1,
+    _scores_from_z1,
     confidence_mask,
     init_params,
-    pseudo_label_scores,
     zeros_like_params,
 )
 from ddalign.schedules import ScheduleConfig
@@ -35,6 +36,11 @@ def toy_task(seed=0, n=60, d=8, C=3, shift=1.0):
     return src_x, src_y, tgt_x
 
 
+def pseudo_labels(x, params):
+    """A training step's pseudo-labels and confidences, from its layer-1 pass."""
+    return _scores_from_z1(_layer1(x, params)[1], params)
+
+
 def small_cfg(**kw):
     defaults = dict(
         batch_size=16, epochs=3, seed=3, n_classes=3, hidden1=8, hidden2=8,
@@ -48,7 +54,7 @@ class TestPseudoLabels:
     def test_batch_cardinality_before_filtering(self):
         params = init_params(8, 8, 8, 3, np.random.default_rng(0))
         tgt_x = np.random.default_rng(1).normal(size=(11, 8))
-        labels, conf = pseudo_label_scores(tgt_x, params)
+        labels, conf = pseudo_labels(tgt_x, params)
         assert labels.shape == conf.shape == (11,)
 
     def test_saturated_row_label_and_confidence(self):
@@ -57,7 +63,7 @@ class TestPseudoLabels:
         Wc[:, 2] = 1000.0
         params = ModelParams(np.abs(params.W1), params.b1, np.abs(params.W2),
                              params.b2, Wc, np.zeros(3))
-        labels, conf = pseudo_label_scores(np.array([[1.0, 1.0]]), params)
+        labels, conf = pseudo_labels(np.array([[1.0, 1.0]]), params)
         assert labels[0] == 2
         assert conf[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -65,7 +71,7 @@ class TestPseudoLabels:
         params = init_params(2, 2, 2, 3, np.random.default_rng(3))
         params = ModelParams(params.W1, params.b1, params.W2, params.b2,
                              np.zeros((2, 3)), np.zeros(3))
-        labels, conf = pseudo_label_scores(np.array([[0.5, -0.5]]), params)
+        labels, conf = pseudo_labels(np.array([[0.5, -0.5]]), params)
         assert labels[0] == 0
         assert conf[0] == pytest.approx(1 / 3, rel=1e-12)
 
