@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .data import (
     ACCEPT_SYNTH,
+    RUN_KEYS,
     FeatureDataset,
     build_run_config,
     generate_synth_shift,
@@ -41,11 +42,6 @@ from .evaluation import (
 from .features import DEFAULT_BANDS, VARIANCE_FLOOR, BandSpec, build_feature_matrix
 from .trainer import save_history, train
 
-RUN_OVERRIDE_KEYS = (
-    "seed", "batch_size", "epochs", "variant", "preset", "sigma",
-    "tau_h", "tau_l", "rho0", "rho1", "conf1", "conf2",
-)
-
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run config file (key = value lines)")
@@ -65,7 +61,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_run_config(args):
     file_values = read_config_file(args.config) if args.config else None
-    overrides = {k: getattr(args, k, None) for k in RUN_OVERRIDE_KEYS}
+    overrides = {k: v for k, v in vars(args).items() if k in RUN_KEYS}
     return build_run_config(file_values, overrides)
 
 
@@ -151,9 +147,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_training_pair(run_config, args):
-    source_path = getattr(args, "source", None) or run_config.values["source"]
-    target_path = getattr(args, "target", None) or run_config.values["target"]
+def _load_training_pair(run_config):
+    source_path, target_path = run_config.values["source"], run_config.values["target"]
     if not source_path or not target_path:
         raise ValidationError("train needs --source and --target (flags or config keys)")
     source = load_features(source_path)
@@ -165,7 +160,7 @@ def _load_training_pair(run_config, args):
 
 def cmd_train(args) -> int:
     run_config = _resolve_run_config(args)
-    source, target_features = _load_training_pair(run_config, args)
+    source, target_features = _load_training_pair(run_config)
     cfg = run_config.train_config()
     result = train(source.features, source.labels, target_features, cfg)
     print(f"seed: {cfg.seed}")
@@ -203,7 +198,7 @@ def _run_folds_command(args) -> int:
             raise ValidationError("--protocol and --session apply to a manifest, not --data synth")
         # the tasks are always generator seeds 0..n-1; --seed moves only training
         n_seeds = 5 if args.seeds is None else args.seeds
-        summary = run_synth_protocol(ACCEPT_SYNTH, cfg, variant=run_config.variant,
+        summary = run_synth_protocol(ACCEPT_SYNTH, cfg, variant=run_config.values["variant"],
                                      n_seeds=n_seeds, jobs=args.jobs, out_dir=args.out)
     else:
         if args.seeds is not None:
@@ -211,7 +206,7 @@ def _run_folds_command(args) -> int:
         dataset = load_dataset(args.data)
         summary = run_protocol(
             dataset, (args.protocol or "single-session").replace("-", "_"),
-            replace(cfg, n_classes=dataset.n_classes), variant=run_config.variant,
+            replace(cfg, n_classes=dataset.n_classes), variant=run_config.values["variant"],
             session=args.session, jobs=args.jobs, out_dir=args.out,
         )
     print(f"seed: {cfg.seed}")

@@ -406,6 +406,8 @@ PRESETS = {
     "short": {"batch_size": 32, "epochs": 10},
 }
 
+# every run setting, in config.resolved order; a value read from a flag or a
+# file is cast to the type of its default
 _CONFIG_DEFAULTS = {
     "preset": "long",
     "batch_size": 128,
@@ -433,11 +435,7 @@ _CONFIG_DEFAULTS = {
     "source": "",
     "target": "",
 }
-
-_INT_KEYS = {"batch_size", "epochs", "seed", "n_classes", "hidden1", "hidden2",
-             "stage_e1", "stage_e2", "stage_e3"}
-_FLOAT_KEYS = {"momentum", "weight_decay", "tau_h", "tau_l", "rho0", "rho1",
-               "conf1", "conf2", "lr_extractor", "lr_classifier"}
+RUN_KEYS = tuple(_CONFIG_DEFAULTS)
 
 
 @dataclass
@@ -453,7 +451,6 @@ class RunConfig:
             tau_h=v["tau_h"], tau_l=v["tau_l"], rho0=v["rho0"], rho1=v["rho1"],
             stage_epochs=(v["stage_e1"], v["stage_e2"], v["stage_e3"]),
             stage_taus=(0.0, v["conf1"], v["conf2"], 1.0),
-            total_epochs=v["epochs"],
             lr_extractor=v["lr_extractor"], lr_classifier=v["lr_classifier"],
             alpha_decay=v["alpha_decay"],
         )
@@ -466,27 +463,20 @@ class RunConfig:
             kernel=kernel, schedule=schedule, flags=VARIANTS[v["variant"]],
         )
 
-    @property
-    def variant(self) -> str:
-        return self.values["variant"]
-
-    @property
-    def seed(self) -> int:
-        return self.values["seed"]
-
     def to_lines(self) -> str:
         return "".join(f"{k} = {self.values[k]}\n" for k in _CONFIG_DEFAULTS)
 
 
 def _coerce(key: str, raw) -> object:
+    """``raw`` as the type of the key's default; ``sigma`` stays the string
+    it was given but must read as 'median' or a number."""
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        value = type(_CONFIG_DEFAULTS[key])(raw)
+        if key == "sigma" and value != "median":
+            float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"config key {key!r}: cannot parse {raw!r}")
-    return raw
+    return value
 
 
 def read_config_file(path) -> dict:

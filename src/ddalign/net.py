@@ -21,6 +21,7 @@ from . import kernels
 from .errors import NumericsError, ValidationError
 
 DROPOUT_P = 0.25
+_DROPOUT_SCALE = 1.0 / (1.0 - DROPOUT_P)
 LOG_CLAMP = 1e-12
 _FIELDS = ("W1", "b1", "W2", "b2", "Wc", "bc")  # the order of ModelParams.flat
 
@@ -163,7 +164,7 @@ def forward_features(
         raise ValidationError("train-mode forward needs an rng for dropout")
 
     def mask(shape):
-        return (rng.random(shape) >= DROPOUT_P) / (1.0 - DROPOUT_P)
+        return (rng.random(shape) >= DROPOUT_P) * _DROPOUT_SCALE
 
     a1 = np.maximum(z1, 0.0)
     m1 = mask(a1.shape) if train else None

@@ -23,7 +23,6 @@ class ScheduleConfig:
     rho1: float = 0.15
     stage_epochs: tuple[int, int, int] = (10, 40, 85)
     stage_taus: tuple[float, float, float, float] = (0.0, 0.5, 0.75, 1.0)
-    total_epochs: int = 100
     lr_extractor: float = 0.001
     lr_classifier: float = 0.01
     alpha_decay: str = "linear"  # or "exponential"
@@ -39,21 +38,20 @@ class ScheduleConfig:
         c0, c1, c2, c3 = self.stage_taus
         if not (0 <= c0 <= c1 <= c2 <= c3 <= 1):
             raise ValidationError("stage_taus must be non-decreasing within [0, 1]")
-        if self.total_epochs < 1:
-            raise ValidationError("total_epochs must be >= 1")
         if self.lr_extractor <= 0 or self.lr_classifier <= 0:
             raise ValidationError("learning rates must be positive")
         if self.alpha_decay not in ("linear", "exponential"):
             raise ValidationError(f"unknown alpha_decay {self.alpha_decay!r}")
 
 
-def alpha_at(epoch: int, cfg: ScheduleConfig) -> float:
-    """Marginal-alignment weight: tau_h at epoch 0 down to tau_l at the last epoch."""
-    if not 0 <= epoch < cfg.total_epochs:
-        raise ValidationError(f"epoch {epoch} outside [0, {cfg.total_epochs})")
-    if cfg.total_epochs == 1:
+def alpha_at(epoch: int, epochs: int, cfg: ScheduleConfig) -> float:
+    """Marginal-alignment weight: tau_h at epoch 0 down to tau_l at the last of
+    ``epochs`` epochs."""
+    if not 0 <= epoch < epochs:
+        raise ValidationError(f"epoch {epoch} outside [0, {epochs})")
+    if epochs == 1:
         return cfg.tau_h
-    p = epoch / (cfg.total_epochs - 1)
+    p = epoch / (epochs - 1)
     if cfg.alpha_decay == "linear":
         return cfg.tau_h + (cfg.tau_l - cfg.tau_h) * p
     return cfg.tau_h * (cfg.tau_l / cfg.tau_h) ** p
@@ -90,10 +88,12 @@ def confidence_threshold(epoch: int, cfg: ScheduleConfig) -> float:
     return c3
 
 
-def learning_rate(epoch: int, cfg: ScheduleConfig, base_lr: float) -> float:
-    """base_lr / (1 + 10 p)^0.75 with progress p = epoch / total_epochs."""
+def learning_rate(epoch: int, epochs: int, base_lr: float) -> float:
+    """base_lr / (1 + 10 p)^0.75 with progress p = epoch / epochs."""
     if epoch < 0:
         raise ValidationError("epoch must be >= 0")
-    p = epoch / cfg.total_epochs
+    if epochs < 1:
+        raise ValidationError("epochs must be >= 1")
+    p = epoch / epochs
     return base_lr / (1.0 + LR_ANNEAL_GAIN * p) ** LR_ANNEAL_POWER
 

@@ -11,7 +11,7 @@ bit-identical parameter trajectories.
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,8 +76,6 @@ class TrainConfig:
             raise ValidationError("weight_decay must be >= 0")
         if self.n_classes < 1:
             raise ValidationError("n_classes must be >= 1")
-        if self.schedule.total_epochs != self.epochs:
-            self.schedule = replace(self.schedule, total_epochs=self.epochs)
 
 
 @dataclass
@@ -191,10 +189,10 @@ def train(
     history: list[StepRecord] = []
     step = 0
     for epoch in range(cfg.epochs):
-        alpha = alpha_at(epoch, sched) if flags.dynamic_weights else 1.0
+        alpha = alpha_at(epoch, cfg.epochs, sched) if flags.dynamic_weights else 1.0
         tau = confidence_threshold(epoch, sched) if flags.confidence_filter else 0.0
-        lr_ext = learning_rate(epoch, sched, sched.lr_extractor)
-        lr_cls = learning_rate(epoch, sched, sched.lr_classifier)
+        lr_ext = learning_rate(epoch, cfg.epochs, sched.lr_extractor)
+        lr_cls = learning_rate(epoch, cfg.epochs, sched.lr_classifier)
         order = shuffle_rng.permutation(src_x.shape[0])
         for start in range(0, order.shape[0], cfg.batch_size):
             batch = order[start:start + cfg.batch_size]

@@ -72,6 +72,17 @@ class TestTrain:
             hashes.append(hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest())
         assert hashes[0] == hashes[1]
 
+    def test_resolved_config_reproduces_the_run(self, tmp_path, synth_dir, monkeypatch):
+        # --source and --target are recorded as given, relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train", "--source", "task/source.csv", "--target", "task/target.csv",
+                       "--preset", "short", "--out", "a") == 0
+        resolved = (tmp_path / "a" / "config.resolved").read_text()
+        assert "source = task/source.csv\ntarget = task/target.csv\n" in resolved
+        assert run_cli("train", "--config", "a/config.resolved", "--out", "b") == 0
+        for name in ("model.ckpt", "history.csv", "config.resolved"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_missing_source_is_validation_error(self, tmp_path, capsys):
         code = run_cli("train", "--out", str(tmp_path / "x"))
         assert code == 3
@@ -204,6 +215,21 @@ class TestAblate:
         code = run_cli("ablate", "--data", "synth", "--seeds", "1", "--epochs", "1", *flag)
         assert code == 3
         assert "apply to a manifest, not --data synth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["abc", "0"])
+    def test_bad_sigma_flag_exit_3(self, capsys, sigma):
+        code = run_cli("ablate", "--data", "synth", "--seeds", "1", "--epochs", "1",
+                       "--sigma", sigma)
+        assert code == 3
+        assert "sigma" in capsys.readouterr().err
+
+    def test_bad_sigma_in_config_file_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sigma = abc\n")
+        code = run_cli("ablate", "--data", "synth", "--seeds", "1", "--epochs", "1",
+                       "--config", str(cfg))
+        assert code == 3
+        assert "config key 'sigma': cannot parse 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [["--seeds", "0"], ["--seeds", "1", "--jobs", "0"]],
                              ids=["no-folds", "no-jobs"])

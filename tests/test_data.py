@@ -29,6 +29,7 @@ from ddalign.errors import DataFormatError, ValidationError
 from ddalign.features import RawWindow
 from ddalign.kernels import KernelConfig, discrepancies, pooled_gram, signed_weights
 from ddalign.net import init_params
+from ddalign.trainer import TrainConfig
 
 
 def labeled_dataset(seed=0, n=10, d=4, C=3):
@@ -292,18 +293,10 @@ class TestSynthShift:
 
 class TestRunConfig:
     def test_empty_config_gives_defaults(self, tmp_path):
+        # every default held both in the config table and in the dataclasses
         path = tmp_path / "c.cfg"
         path.write_text("# all defaults\n")
-        rc = build_run_config(read_config_file(path))
-        cfg = rc.train_config()
-        assert cfg.batch_size == 128
-        assert cfg.epochs == 100
-        assert cfg.momentum == 0.9
-        assert cfg.weight_decay == 5e-4
-        assert cfg.schedule.tau_h == 1.0
-        assert cfg.schedule.tau_l == 0.01
-        assert cfg.schedule.rho0 == 0.1
-        assert cfg.schedule.rho1 == 0.15
+        assert build_run_config(read_config_file(path)).train_config() == TrainConfig()
 
     def test_momentum_out_of_range_names_key(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -132,7 +132,7 @@ class TestEvaluate:
 
 def fast_cfg(**kw):
     defaults = dict(batch_size=8, epochs=2, seed=3, n_classes=3, hidden1=6, hidden2=6,
-                    schedule=ScheduleConfig(stage_epochs=(1, 2, 3), total_epochs=2))
+                    schedule=ScheduleConfig(stage_epochs=(1, 2, 3)))
     defaults.update(kw)
     return TrainConfig(**defaults)
 

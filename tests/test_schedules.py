@@ -16,29 +16,28 @@ CFG = ScheduleConfig()
 
 class TestAlpha:
     def test_endpoints(self):
-        assert alpha_at(0, CFG) == 1.0
-        assert alpha_at(99, CFG) == pytest.approx(0.01, abs=1e-15)
+        assert alpha_at(0, 100, CFG) == 1.0
+        assert alpha_at(99, 100, CFG) == pytest.approx(0.01, abs=1e-15)
 
     def test_midpoint_interpolation(self):
         # epoch 49 of 0..99: 1 - 0.99 * 49/99
-        assert alpha_at(49, CFG) == pytest.approx(0.51, rel=1e-12)
+        assert alpha_at(49, 100, CFG) == pytest.approx(0.51, rel=1e-12)
 
     def test_monotone_non_increasing(self):
-        vals = [alpha_at(e, CFG) for e in range(100)]
+        vals = [alpha_at(e, 100, CFG) for e in range(100)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_exponential_decay_endpoints(self):
         cfg = ScheduleConfig(alpha_decay="exponential")
-        assert alpha_at(0, cfg) == 1.0
-        assert alpha_at(99, cfg) == pytest.approx(0.01, rel=1e-12)
+        assert alpha_at(0, 100, cfg) == 1.0
+        assert alpha_at(99, 100, cfg) == pytest.approx(0.01, rel=1e-12)
 
     def test_out_of_range_epoch(self):
         with pytest.raises(ValidationError):
-            alpha_at(100, CFG)
+            alpha_at(100, 100, CFG)
 
     def test_single_epoch_run(self):
-        cfg = ScheduleConfig(total_epochs=1)
-        assert alpha_at(0, cfg) == 1.0
+        assert alpha_at(0, 1, CFG) == 1.0
 
 
 class TestBeta:
@@ -89,28 +88,34 @@ class TestConfidenceThreshold:
 
 class TestLearningRate:
     def test_progress_zero_is_base(self):
-        assert learning_rate(0, CFG, 0.01) == 0.01
+        assert learning_rate(0, 100, 0.01) == 0.01
 
     def test_full_progress(self):
         # 0.01 / 11^0.75
-        assert learning_rate(100, CFG, 0.01) == pytest.approx(0.0016556, rel=1e-4)
+        assert learning_rate(100, 100, 0.01) == pytest.approx(0.0016556, rel=1e-4)
 
     def test_half_progress(self):
         # 0.001 / 6^0.75
-        assert learning_rate(50, CFG, 0.001) == pytest.approx(0.000261, rel=1e-3)
+        assert learning_rate(50, 100, 0.001) == pytest.approx(0.000261, rel=1e-3)
 
     def test_strictly_decreasing(self):
-        vals = [learning_rate(e, CFG, 0.001) for e in range(150)]
+        vals = [learning_rate(e, 100, 0.001) for e in range(150)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_run_without_epochs_rejected(self):
+        with pytest.raises(ValidationError, match="epochs must be >= 1"):
+            learning_rate(0, 0, 0.01)
+        with pytest.raises(ValidationError):
+            alpha_at(0, 0, CFG)
 
 
 class TestConfigAndState:
     def test_epoch_values_from_one_config(self):
         # epoch 20 of 100: alpha 1 - 0.99 * 20/99, second tau stage, progress 0.2
-        assert alpha_at(20, CFG) == pytest.approx(1 - 0.99 * 20 / 99, rel=1e-12)
+        assert alpha_at(20, 100, CFG) == pytest.approx(1 - 0.99 * 20 / 99, rel=1e-12)
         assert confidence_threshold(20, CFG) == 0.5
-        assert learning_rate(20, CFG, CFG.lr_extractor) == pytest.approx(0.001 / 3**0.75, rel=1e-12)
-        assert learning_rate(20, CFG, CFG.lr_classifier) == pytest.approx(0.01 / 3**0.75, rel=1e-12)
+        assert learning_rate(20, 100, CFG.lr_extractor) == pytest.approx(0.001 / 3**0.75, rel=1e-12)
+        assert learning_rate(20, 100, CFG.lr_classifier) == pytest.approx(0.01 / 3**0.75, rel=1e-12)
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ValidationError):

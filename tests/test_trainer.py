@@ -44,7 +44,7 @@ def pseudo_labels(x, params):
 def small_cfg(**kw):
     defaults = dict(
         batch_size=16, epochs=3, seed=3, n_classes=3, hidden1=8, hidden2=8,
-        schedule=ScheduleConfig(stage_epochs=(1, 2, 3), total_epochs=3),
+        schedule=ScheduleConfig(stage_epochs=(1, 2, 3)),
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -215,16 +215,11 @@ class TestTrain:
 
     def test_diverging_update_names_step(self):
         src_x, src_y, tgt_x = toy_task(9)
-        sched = ScheduleConfig(stage_epochs=(1, 2, 3), total_epochs=3,
-                               lr_extractor=1e300, lr_classifier=1e300)
+        sched = ScheduleConfig(stage_epochs=(1, 2, 3), lr_extractor=1e300, lr_classifier=1e300)
         cfg = small_cfg(flags=VARIANTS["EXP1"], schedule=sched)
         with np.errstate(over="ignore"), pytest.raises(
                 NumericsError, match=r"^step 0 \(epoch 0\): update diverged: W1 "):
             train(src_x * 1e100, src_y, tgt_x * 1e100, cfg)
-
-    def test_schedule_synced_to_epochs(self):
-        cfg = TrainConfig(epochs=7)
-        assert cfg.schedule.total_epochs == 7
 
 
 class TestInertFilterWarning:
