@@ -14,11 +14,12 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import (
     ACCEPT_SYNTH,
+    PRESETS,
     RUN_KEYS,
     FeatureDataset,
     build_run_config,
@@ -40,16 +41,16 @@ from .evaluation import (
     save_summary,
 )
 from .features import DEFAULT_BANDS, VARIANCE_FLOOR, BandSpec, build_feature_matrix
-from .trainer import save_history, train
+from .trainer import VARIANTS, TrainConfig, save_history, train
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run config file (key = value lines)")
-    parser.add_argument("--seed", type=int, help="random seed (default 3)")
+    parser.add_argument("--seed", type=int, help=f"random seed (default {TrainConfig.seed})")
     parser.add_argument("--batch-size", type=int, dest="batch_size")
     parser.add_argument("--epochs", type=int)
-    parser.add_argument("--variant", choices=[f"EXP{i}" for i in range(1, 7)])
-    parser.add_argument("--preset", choices=["long", "short"])
+    parser.add_argument("--variant", choices=list(VARIANTS))
+    parser.add_argument("--preset", choices=list(PRESETS))
     parser.add_argument("--sigma", help="kernel bandwidth: 'median' or a positive number")
     parser.add_argument("--tau-h", type=float, dest="tau_h")
     parser.add_argument("--tau-l", type=float, dest="tau_l")
@@ -137,11 +138,8 @@ def cmd_synth(args) -> int:
     save_features(out_dir / "source.csv", task.source)
     save_features(out_dir / "target.csv", FeatureDataset(task.target_features))
     save_features(out_dir / "target_eval.csv", task.target_eval)
-    lines = "".join(f"{k} = {getattr(cfg, k)}\n" for k in (
-        "n_classes", "dim", "n_per_class", "class_sep", "domain_shift",
-        "rotation_deg", "shift_mix", "noise", "seed",
-    ))
-    (out_dir / "config.resolved").write_text(lines)
+    (out_dir / "config.resolved").write_text(
+        "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg)))
     print(f"seed: {cfg.seed}")
     print(f"wrote source/target/target_eval under {out_dir}")
     return 0

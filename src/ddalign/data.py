@@ -12,7 +12,7 @@ session, path) rows with paths resolved relative to the manifest location.
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -338,7 +338,7 @@ class SynthShiftConfig:
             raise ValidationError("need n_per_class >= 1")
         if not 0 <= self.shift_mix <= 1:
             raise ValidationError("shift_mix must lie in [0, 1]")
-        for name in ("class_sep", "domain_shift", "noise"):
+        for name in ("class_sep", "domain_shift", "noise", "seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
@@ -406,31 +406,18 @@ PRESETS = {
     "short": {"batch_size": 32, "epochs": 10},
 }
 
-# every run setting, in config.resolved order; a value read from a flag or a
-# file is cast to the type of its default
+# TrainConfig's scalar settings; kernel, schedule and flags are nested configs
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING}
+_SCHEDULE_DEFAULTS = asdict(ScheduleConfig())
+
+# every run setting, in config.resolved order, with the dataclasses' defaults;
+# sigma "median" is KernelConfig(None) and variant "EXP6" is AblationFlags();
+# a value read from a flag or a file is cast to the type of its default
 _CONFIG_DEFAULTS = {
     "preset": "long",
-    "batch_size": 128,
-    "epochs": 100,
-    "momentum": 0.9,
-    "weight_decay": 5e-4,
-    "seed": 3,
-    "n_classes": 3,
-    "hidden1": 64,
-    "hidden2": 64,
+    **_TRAIN_DEFAULTS,
     "sigma": "median",
-    "tau_h": 1.0,
-    "tau_l": 0.01,
-    "rho0": 0.1,
-    "rho1": 0.15,
-    "stage_e1": 10,
-    "stage_e2": 40,
-    "stage_e3": 85,
-    "conf1": 0.5,
-    "conf2": 0.75,
-    "lr_extractor": 0.001,
-    "lr_classifier": 0.01,
-    "alpha_decay": "linear",
+    **_SCHEDULE_DEFAULTS,
     "variant": "EXP6",
     "source": "",
     "target": "",
@@ -446,21 +433,13 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         v = self.values
-        kernel = KernelConfig(None if v["sigma"] == "median" else float(v["sigma"]))
-        schedule = ScheduleConfig(
-            tau_h=v["tau_h"], tau_l=v["tau_l"], rho0=v["rho0"], rho1=v["rho1"],
-            stage_epochs=(v["stage_e1"], v["stage_e2"], v["stage_e3"]),
-            stage_taus=(0.0, v["conf1"], v["conf2"], 1.0),
-            lr_extractor=v["lr_extractor"], lr_classifier=v["lr_classifier"],
-            alpha_decay=v["alpha_decay"],
-        )
         if v["variant"] not in VARIANTS:
             raise ValidationError(f"unknown variant {v['variant']!r}")
         return TrainConfig(
-            batch_size=v["batch_size"], epochs=v["epochs"], momentum=v["momentum"],
-            weight_decay=v["weight_decay"], seed=v["seed"], n_classes=v["n_classes"],
-            hidden1=v["hidden1"], hidden2=v["hidden2"],
-            kernel=kernel, schedule=schedule, flags=VARIANTS[v["variant"]],
+            **{name: v[name] for name in _TRAIN_DEFAULTS},
+            kernel=KernelConfig(None if v["sigma"] == "median" else float(v["sigma"])),
+            schedule=ScheduleConfig(**{name: v[name] for name in _SCHEDULE_DEFAULTS}),
+            flags=VARIANTS[v["variant"]],
         )
 
     def to_lines(self) -> str:
@@ -469,13 +448,16 @@ class RunConfig:
 
 def _coerce(key: str, raw) -> object:
     """``raw`` as the type of the key's default; ``sigma`` stays the string
-    it was given but must read as 'median' or a number."""
+    it was given but must read as 'median' or a number, and a ``source`` or
+    ``target`` path is made absolute against the working directory."""
     try:
         value = type(_CONFIG_DEFAULTS[key])(raw)
         if key == "sigma" and value != "median":
             float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"config key {key!r}: cannot parse {raw!r}")
+    if key in ("source", "target") and value:
+        value = str(Path(value).resolve())
     return value
 
 

@@ -21,8 +21,11 @@ class ScheduleConfig:
     tau_l: float = 0.01       # alpha at the final epoch
     rho0: float = 0.1         # beta breakpoints on the source loss
     rho1: float = 0.15
-    stage_epochs: tuple[int, int, int] = (10, 40, 85)
-    stage_taus: tuple[float, float, float, float] = (0.0, 0.5, 0.75, 1.0)
+    stage_e1: int = 10        # confidence-threshold stage ends, in epochs
+    stage_e2: int = 40
+    stage_e3: int = 85
+    conf1: float = 0.5        # tau over [stage_e1, stage_e2)
+    conf2: float = 0.75       # tau over [stage_e2, stage_e3]
     lr_extractor: float = 0.001
     lr_classifier: float = 0.01
     alpha_decay: str = "linear"  # or "exponential"
@@ -32,12 +35,10 @@ class ScheduleConfig:
             raise ValidationError("need tau_h >= tau_l > 0")
         if not (0 < self.rho0 < self.rho1):
             raise ValidationError("need 0 < rho0 < rho1")
-        e1, e2, e3 = self.stage_epochs
-        if not (0 <= e1 < e2 < e3):
-            raise ValidationError("stage_epochs must be strictly increasing")
-        c0, c1, c2, c3 = self.stage_taus
-        if not (0 <= c0 <= c1 <= c2 <= c3 <= 1):
-            raise ValidationError("stage_taus must be non-decreasing within [0, 1]")
+        if not (0 <= self.stage_e1 < self.stage_e2 < self.stage_e3):
+            raise ValidationError("need 0 <= stage_e1 < stage_e2 < stage_e3")
+        if not (0 <= self.conf1 <= self.conf2 <= 1):
+            raise ValidationError("need 0 <= conf1 <= conf2 <= 1")
         if self.lr_extractor <= 0 or self.lr_classifier <= 0:
             raise ValidationError("learning rates must be positive")
         if self.alpha_decay not in ("linear", "exponential"):
@@ -74,18 +75,17 @@ def beta_of(l_ds: float, cfg: ScheduleConfig) -> float:
 
 
 def confidence_threshold(epoch: int, cfg: ScheduleConfig) -> float:
-    """Staged pseudo-label confidence floor; the last stage end is inclusive."""
+    """Staged pseudo-label confidence floor: 0 before stage_e1, then conf1, then
+    conf2 up to stage_e3 inclusive, then 1."""
     if epoch < 0:
         raise ValidationError("epoch must be >= 0")
-    e1, e2, e3 = cfg.stage_epochs
-    c0, c1, c2, c3 = cfg.stage_taus
-    if epoch < e1:
-        return c0
-    if epoch < e2:
-        return c1
-    if epoch <= e3:
-        return c2
-    return c3
+    if epoch < cfg.stage_e1:
+        return 0.0
+    if epoch < cfg.stage_e2:
+        return cfg.conf1
+    if epoch <= cfg.stage_e3:
+        return cfg.conf2
+    return 1.0
 
 
 def learning_rate(epoch: int, epochs: int, base_lr: float) -> float:

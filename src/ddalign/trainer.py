@@ -11,7 +11,7 @@ bit-identical parameter trajectories.
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,8 +74,13 @@ class TrainConfig:
             raise ValidationError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValidationError("weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.n_classes < 1:
             raise ValidationError("n_classes must be >= 1")
+        for name in ("hidden1", "hidden2"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -178,11 +183,10 @@ def train(
     flags = cfg.flags
     aligns = flags.use_mmd or flags.use_cmmd  # only the alignment heads read a target batch
     sched = cfg.schedule
-    if (flags.confidence_filter and sched.stage_taus[0] == 0
-            and sched.stage_epochs[0] >= cfg.epochs):
+    if flags.confidence_filter and sched.stage_e1 >= cfg.epochs:
         warnings.warn(
             f"confidence filter is inert: its first stage keeps tau at 0 until epoch "
-            f"{sched.stage_epochs[0]}, and the run has only {cfg.epochs} epochs",
+            f"{sched.stage_e1}, and the run has only {cfg.epochs} epochs",
             stacklevel=2,
         )
 
@@ -223,21 +227,15 @@ def train(
     return TrainResult(params=params, history=history)
 
 
-HISTORY_COLUMNS = (
-    "step", "epoch", "l_ds", "l_mmd", "l_cmmd",
-    "alpha", "beta", "tau", "lr", "n_pseudo_retained",
-)
+# one history column per StepRecord field: its name and its format spec
+_HISTORY_FORMATS = {f.name: ".12g" if f.type is float else "" for f in fields(StepRecord)}
 
 
 def save_history(history: list[StepRecord], path) -> None:
     """Per-step trace as CSV with one row per optimizer step."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(HISTORY_COLUMNS)
+        writer.writerow(_HISTORY_FORMATS)
         for rec in history:
-            writer.writerow([
-                rec.step, rec.epoch,
-                f"{rec.l_ds:.12g}", f"{rec.l_mmd:.12g}", f"{rec.l_cmmd:.12g}",
-                f"{rec.alpha:.12g}", f"{rec.beta:.12g}", f"{rec.tau:.12g}",
-                f"{rec.lr:.12g}", rec.n_pseudo_retained,
-            ])
+            writer.writerow([format(getattr(rec, name), spec)
+                             for name, spec in _HISTORY_FORMATS.items()])

@@ -32,6 +32,19 @@ class TestSynth:
             assert (synth_dir / name).exists()
         assert "seed = 5" in (synth_dir / "config.resolved").read_text()
 
+    def test_snapshot_lists_generator_keys_in_order(self, synth_dir):
+        assert (synth_dir / "config.resolved").read_text() == (
+            "n_classes = 3\ndim = 16\nn_per_class = 20\nclass_sep = 4.5\n"
+            "domain_shift = 5.0\nrotation_deg = 20.0\nshift_mix = 0.6\nnoise = 1.0\n"
+            "seed = 5\n"
+        )
+
+    def test_negative_seed_exit_3_without_output(self, tmp_path, capsys):
+        out = tmp_path / "task"
+        assert run_cli("synth", "--out", str(out), "--seed", "-1") == 3
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_target_file_is_unlabeled(self, synth_dir):
         from ddalign.data import load_features
 
@@ -73,15 +86,39 @@ class TestTrain:
         assert hashes[0] == hashes[1]
 
     def test_resolved_config_reproduces_the_run(self, tmp_path, synth_dir, monkeypatch):
-        # --source and --target are recorded as given, relative to the working directory
+        # --source and --target are recorded as absolute paths, so the snapshot
+        # reproduces the run from any working directory
         monkeypatch.chdir(tmp_path)
         assert run_cli("train", "--source", "task/source.csv", "--target", "task/target.csv",
                        "--preset", "short", "--out", "a") == 0
         resolved = (tmp_path / "a" / "config.resolved").read_text()
-        assert "source = task/source.csv\ntarget = task/target.csv\n" in resolved
+        assert (f"source = {(synth_dir / 'source.csv').resolve()}\n"
+                f"target = {(synth_dir / 'target.csv').resolve()}\n") in resolved
         assert run_cli("train", "--config", "a/config.resolved", "--out", "b") == 0
-        for name in ("model.ckpt", "history.csv", "config.resolved"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        assert run_cli("train", "--config", "../a/config.resolved", "--out", "c") == 0
+        for rerun in (tmp_path / "b", tmp_path / "sub" / "c"):
+            for name in ("model.ckpt", "history.csv", "config.resolved"):
+                assert (tmp_path / "a" / name).read_bytes() == (rerun / name).read_bytes()
+
+    @pytest.mark.parametrize("setting", ["seed = -1", "hidden1 = 0", "hidden2 = -3"])
+    def test_bad_setting_exit_3_without_output(self, tmp_path, synth_dir, capsys, setting):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        out = tmp_path / "x"
+        assert run_cli("train", "--config", str(cfg), "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 3
+        key = setting.split()[0]
+        assert f"error: {key} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_3_without_output(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "x"
+        assert run_cli("train", "--seed", "-1", "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 3
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_source_is_validation_error(self, tmp_path, capsys):
         code = run_cli("train", "--out", str(tmp_path / "x"))
@@ -231,8 +268,9 @@ class TestAblate:
         assert code == 3
         assert "config key 'sigma': cannot parse 'abc'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [["--seeds", "0"], ["--seeds", "1", "--jobs", "0"]],
-                             ids=["no-folds", "no-jobs"])
+    @pytest.mark.parametrize("bad", [["--seeds", "0"], ["--seeds", "1", "--jobs", "0"],
+                                     ["--seed", "-2"]],
+                             ids=["no-folds", "no-jobs", "negative-seed"])
     def test_rejected_run_leaves_no_output_dir(self, tmp_path, bad):
         out = tmp_path / "bad"
         assert run_cli("ablate", "--data", "synth", *bad, "--out", str(out)) == 3

@@ -342,3 +342,39 @@ class TestRunConfig:
         rc = build_run_config(None, {"sigma": "2.5"})
         assert rc.train_config().kernel.sigma == 2.5
         assert build_run_config().train_config().kernel.sigma is None
+
+    def test_default_snapshot_lines(self):
+        # the key order and the defaults are read off the dataclasses; pin both
+        assert build_run_config().to_lines() == (
+            "preset = long\n"
+            "batch_size = 128\n"
+            "epochs = 100\n"
+            "momentum = 0.9\n"
+            "weight_decay = 0.0005\n"
+            "seed = 3\n"
+            "n_classes = 3\n"
+            "hidden1 = 64\n"
+            "hidden2 = 64\n"
+            "sigma = median\n"
+            "tau_h = 1.0\n"
+            "tau_l = 0.01\n"
+            "rho0 = 0.1\n"
+            "rho1 = 0.15\n"
+            "stage_e1 = 10\n"
+            "stage_e2 = 40\n"
+            "stage_e3 = 85\n"
+            "conf1 = 0.5\n"
+            "conf2 = 0.75\n"
+            "lr_extractor = 0.001\n"
+            "lr_classifier = 0.01\n"
+            "alpha_decay = linear\n"
+            "variant = EXP6\n"
+            "source = \n"
+            "target = \n"
+        )
+
+    def test_relative_paths_resolved_against_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        values = build_run_config(None, {"source": "task/s.csv", "target": ""}).values
+        assert values["source"] == str((tmp_path / "task" / "s.csv").resolve())
+        assert values["target"] == ""

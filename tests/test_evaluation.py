@@ -132,7 +132,7 @@ class TestEvaluate:
 
 def fast_cfg(**kw):
     defaults = dict(batch_size=8, epochs=2, seed=3, n_classes=3, hidden1=6, hidden2=6,
-                    schedule=ScheduleConfig(stage_epochs=(1, 2, 3)))
+                    schedule=ScheduleConfig(stage_e1=1, stage_e2=2, stage_e3=3))
     defaults.update(kw)
     return TrainConfig(**defaults)
 

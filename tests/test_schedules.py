@@ -81,7 +81,7 @@ class TestConfidenceThreshold:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_custom_mid_stage_values(self):
-        cfg = ScheduleConfig(stage_taus=(0.0, 0.4, 0.95, 1.0))
+        cfg = ScheduleConfig(conf1=0.4, conf2=0.95)
         assert confidence_threshold(20, cfg) == 0.4
         assert confidence_threshold(60, cfg) == 0.95
 
@@ -123,6 +123,6 @@ class TestConfigAndState:
         with pytest.raises(ValidationError):
             ScheduleConfig(rho0=0.2, rho1=0.1)
         with pytest.raises(ValidationError):
-            ScheduleConfig(stage_epochs=(40, 10, 85))
+            ScheduleConfig(stage_e1=40, stage_e2=10, stage_e3=85)
         with pytest.raises(ValidationError):
-            ScheduleConfig(stage_taus=(0.0, 0.8, 0.5, 1.0))
+            ScheduleConfig(conf1=0.8, conf2=0.5)

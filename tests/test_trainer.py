@@ -44,7 +44,7 @@ def pseudo_labels(x, params):
 def small_cfg(**kw):
     defaults = dict(
         batch_size=16, epochs=3, seed=3, n_classes=3, hidden1=8, hidden2=8,
-        schedule=ScheduleConfig(stage_epochs=(1, 2, 3)),
+        schedule=ScheduleConfig(stage_e1=1, stage_e2=2, stage_e3=3),
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -215,7 +215,8 @@ class TestTrain:
 
     def test_diverging_update_names_step(self):
         src_x, src_y, tgt_x = toy_task(9)
-        sched = ScheduleConfig(stage_epochs=(1, 2, 3), lr_extractor=1e300, lr_classifier=1e300)
+        sched = ScheduleConfig(stage_e1=1, stage_e2=2, stage_e3=3,
+                               lr_extractor=1e300, lr_classifier=1e300)
         cfg = small_cfg(flags=VARIANTS["EXP1"], schedule=sched)
         with np.errstate(over="ignore"), pytest.raises(
                 NumericsError, match=r"^step 0 \(epoch 0\): update diverged: W1 "):
