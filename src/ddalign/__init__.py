@@ -35,7 +35,6 @@ from .features import (
     build_feature_matrix,
     differential_entropy,
 )
-from .kernels import KernelConfig
 from .net import (
     ModelParams,
     backward,

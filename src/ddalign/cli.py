@@ -188,26 +188,33 @@ def cmd_evaluate(args) -> int:
 
 def _run_folds_command(args) -> int:
     """``protocol`` and ``ablate``: one fold per held-out subject of a manifest,
-    or per generated ACCEPT_SYNTH task with ``--data synth``."""
+    or per generated ACCEPT_SYNTH task with ``--data synth``. The folds train
+    with the data's class count, and config.resolved records it."""
     run_config = _resolve_run_config(args)
-    cfg = run_config.train_config()
+    values = run_config.values
+    if values["source"] or values["target"]:
+        raise ValidationError("source and target apply to train; protocol and ablate "
+                              "read --data")
     if args.data == "synth":
         if args.protocol is not None or args.session is not None:
             raise ValidationError("--protocol and --session apply to a manifest, not --data synth")
+        values["n_classes"] = ACCEPT_SYNTH.n_classes
         # the tasks are always generator seeds 0..n-1; --seed moves only training
         n_seeds = 5 if args.seeds is None else args.seeds
-        summary = run_synth_protocol(ACCEPT_SYNTH, cfg, variant=run_config.values["variant"],
-                                     n_seeds=n_seeds, jobs=args.jobs, out_dir=args.out)
+        summary = run_synth_protocol(ACCEPT_SYNTH, run_config.train_config(),
+                                     variant=values["variant"], n_seeds=n_seeds,
+                                     jobs=args.jobs, out_dir=args.out)
     else:
         if args.seeds is not None:
             raise ValidationError("--seeds applies to --data synth, not a manifest")
         dataset = load_dataset(args.data)
+        values["n_classes"] = dataset.n_classes
         summary = run_protocol(
             dataset, (args.protocol or "single-session").replace("-", "_"),
-            replace(cfg, n_classes=dataset.n_classes), variant=run_config.values["variant"],
+            run_config.train_config(), variant=values["variant"],
             session=args.session, jobs=args.jobs, out_dir=args.out,
         )
-    print(f"seed: {cfg.seed}")
+    print(f"seed: {values['seed']}")
     print(f"{summary.variant} {summary.protocol.replace('_', '-')}: "
           f"{100 * summary.mean_accuracy:.2f} +- {100 * summary.std_accuracy:.2f} "
           f"over {len(summary.folds)} folds")

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DataFormatError, ValidationError
 from .features import RawWindow
-from .kernels import KernelConfig
 from .net import ModelParams
 from .schedules import ScheduleConfig
 from .trainer import VARIANTS, TrainConfig
@@ -239,7 +238,6 @@ class ManifestEntry:
     subject: str
     session: int
     path: Path
-    role: str = ""
 
 
 def load_manifest(path) -> list[ManifestEntry]:
@@ -250,10 +248,8 @@ def load_manifest(path) -> list[ManifestEntry]:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if len(row) not in (3, 4):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected subject,session,path[,role]"
-                )
+            if len(row) != 3:
+                raise DataFormatError(f"{path}:{lineno}: expected subject,session,path")
             subject = row[0].strip()
             try:
                 session = int(row[1])
@@ -266,7 +262,6 @@ def load_manifest(path) -> list[ManifestEntry]:
                 subject=subject,
                 session=session,
                 path=(path.parent / row[2].strip()).resolve(),
-                role=row[3].strip() if len(row) == 4 else "",
             ))
     if not entries:
         raise DataFormatError(f"{path}: manifest lists no datasets")
@@ -406,12 +401,12 @@ PRESETS = {
     "short": {"batch_size": 32, "epochs": 10},
 }
 
-# TrainConfig's scalar settings; kernel, schedule and flags are nested configs
+# TrainConfig's scalar settings; schedule and flags are nested configs
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING}
 _SCHEDULE_DEFAULTS = asdict(ScheduleConfig())
 
 # every run setting, in config.resolved order, with the dataclasses' defaults;
-# sigma "median" is KernelConfig(None) and variant "EXP6" is AblationFlags();
+# sigma "median" is TrainConfig.sigma None and variant "EXP6" is AblationFlags();
 # a value read from a flag or a file is cast to the type of its default
 _CONFIG_DEFAULTS = {
     "preset": "long",
@@ -435,9 +430,10 @@ class RunConfig:
         v = self.values
         if v["variant"] not in VARIANTS:
             raise ValidationError(f"unknown variant {v['variant']!r}")
+        scalars = {name: v[name] for name in _TRAIN_DEFAULTS}
+        scalars["sigma"] = None if v["sigma"] == "median" else float(v["sigma"])
         return TrainConfig(
-            **{name: v[name] for name in _TRAIN_DEFAULTS},
-            kernel=KernelConfig(None if v["sigma"] == "median" else float(v["sigma"])),
+            **scalars,
             schedule=ScheduleConfig(**{name: v[name] for name in _SCHEDULE_DEFAULTS}),
             flags=VARIANTS[v["variant"]],
         )

@@ -20,29 +20,12 @@ it was chosen by the median heuristic.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError
 
 _BLOCK_ROWS = 64  # rows of the distance matrix assembled per pass
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Bandwidth of the Gaussian kernel.
-
-    ``sigma`` is the denominator of the squared-distance exponent. None selects
-    the median heuristic: sigma is recomputed from the pooled inputs of each
-    step.
-    """
-
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 def pooled_sq_dists(Zc: np.ndarray) -> np.ndarray:
@@ -101,15 +84,16 @@ def _median_upper(D: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def pooled_gram(Z: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, float, np.ndarray]:
+def pooled_gram(Z: np.ndarray, sigma: float | None) -> tuple[np.ndarray, float, np.ndarray]:
     """Gaussian kernel over every pair of rows of Z, the sigma it used, and the
     centered rows it was computed from, which discrepancy_grad takes.
 
-    With the median heuristic sigma comes from the same distances as K.
+    ``sigma`` is the denominator of the squared-distance exponent. None selects
+    the median heuristic: sigma comes from the same distances as K.
     """
     Zc = Z - Z.mean(axis=0)
     K = pooled_sq_dists(Zc)
-    sigma = _median_upper(K) if cfg.sigma is None else float(cfg.sigma)
+    sigma = _median_upper(K) if sigma is None else float(sigma)
     # in place: each [N, N] temporary costs as much as the exp itself
     K /= -sigma
     np.exp(K, out=K)

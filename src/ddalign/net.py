@@ -128,7 +128,7 @@ class FeatureTrace:
     d1: np.ndarray       # ReLU(z1) with dropout mask applied
     z2: np.ndarray
     h: np.ndarray        # ReLU(z2) with dropout mask applied
-    m1: np.ndarray | None  # scaled masks, None in eval mode
+    m1: np.ndarray | None  # scaled masks, None without dropout
     m2: np.ndarray | None
 
 
@@ -153,26 +153,21 @@ def _layer2(d1: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def forward_features(
-    x: np.ndarray,
-    params: ModelParams,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
+    x: np.ndarray, params: ModelParams, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, FeatureTrace]:
-    """Embed a batch; train mode applies inverted dropout after each layer."""
+    """Embed a batch; given an rng, apply inverted dropout after each layer."""
     x, z1 = _layer1(x, params)
-    if train and rng is None:
-        raise ValidationError("train-mode forward needs an rng for dropout")
 
     def mask(shape):
-        return (rng.random(shape) >= DROPOUT_P) * _DROPOUT_SCALE
+        return None if rng is None else (rng.random(shape) >= DROPOUT_P) * _DROPOUT_SCALE
 
     a1 = np.maximum(z1, 0.0)
-    m1 = mask(a1.shape) if train else None
-    d1 = a1 * m1 if train else a1
+    m1 = mask(a1.shape)
+    d1 = a1 if m1 is None else a1 * m1
     z2 = _layer2(d1, params)
     a2 = np.maximum(z2, 0.0)
-    m2 = mask(a2.shape) if train else None
-    h = a2 * m2 if train else a2
+    m2 = mask(a2.shape)
+    h = a2 if m2 is None else a2 * m2
     return h, FeatureTrace(x=x, z1=z1, d1=d1, z2=z2, h=h, m1=m1, m2=m2)
 
 
@@ -242,17 +237,17 @@ class StepTrace:
 
 
 def _scores_from_z1(z1: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode pseudo-labels (argmax, ties to the lowest class id) and their
-    confidences (max probability) from layer-1 pre-activations, which dropout
-    does not touch, so a train-mode pass's z1 serves as well as an eval-mode
-    one."""
+    """Dropout-free pseudo-labels (argmax, ties to the lowest class id) and
+    their confidences (max probability) from layer-1 pre-activations, which
+    dropout does not touch, so a dropout pass's z1 serves as well as any."""
     h = np.maximum(_layer2(np.maximum(z1, 0.0), params), 0.0)
     probs = forward_logits(h, params)
     return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)
 
 
 def confidence_mask(confidences: np.ndarray, tau: float) -> np.ndarray:
-    """Boolean keep-mask; tau = 1 retains only saturated predictions."""
+    """Boolean keep-mask; tau = 0 keeps every finite confidence, tau = 1 only
+    saturated predictions."""
     if not 0.0 <= tau <= 1.0:
         raise ValidationError("tau must lie in [0, 1]")
     if tau >= 1.0:
@@ -266,15 +261,16 @@ def compute_losses(
     tgt_x: np.ndarray,
     params: ModelParams,
     tau: float,
-    kcfg: kernels.KernelConfig,
+    sigma: float | None,
     rng: np.random.Generator | None = None,
     *,
-    train: bool = True,
     use_mmd: bool = True,
     use_cmmd: bool = True,
-    confidence_filter: bool = True,
 ) -> StepTrace:
-    """Run both batches through the extractor and evaluate every loss head."""
+    """Run both batches through the extractor and evaluate every loss head.
+
+    ``sigma`` None selects the median heuristic; ``rng`` None turns dropout off.
+    """
     src_x = np.asarray(src_x, dtype=np.float64)
     tgt_x = np.asarray(tgt_x, dtype=np.float64)
     if src_x.shape[0] == 0:
@@ -283,24 +279,24 @@ def compute_losses(
     if y_onehot.shape[0] != src_x.shape[0]:
         raise ValidationError("source labels and features disagree on batch size")
 
-    h_src, src_trace = forward_features(src_x, params, train=train, rng=rng)
+    h_src, src_trace = forward_features(src_x, params, rng)
     probs_src = forward_logits(h_src, params)
     l_ds = cross_entropy(probs_src, y_onehot)
 
     tgt_trace = None
     raw_l_mmd = 0.0
     raw_l_cmmd = 0.0
-    sigma = K = Zc = W = w_scale = None
+    used_sigma = K = Zc = W = w_scale = None
     kept_idx = np.empty(0, dtype=np.int64)
 
     if tgt_x.shape[0] > 0 and (use_mmd or use_cmmd):
-        h_tgt, tgt_trace = forward_features(tgt_x, params, train=train, rng=rng)
-        K, sigma, Zc = kernels.pooled_gram(np.vstack([h_src, h_tgt]), kcfg)
-        m = h_tgt.shape[0]
-        tgt_labels = np.full(m, -1)  # no class column unless the conditional head is on
+        h_tgt, tgt_trace = forward_features(tgt_x, params, rng)
+        K, used_sigma, Zc = kernels.pooled_gram(np.vstack([h_src, h_tgt]), sigma)
+        # no class column unless the conditional head is on
+        tgt_labels = np.full(h_tgt.shape[0], -1)
         if use_cmmd:
             labels, conf = _scores_from_z1(tgt_trace.z1, params)
-            keep = confidence_mask(conf, tau) if confidence_filter else np.ones(m, bool)
+            keep = confidence_mask(conf, tau)
             kept_idx = np.flatnonzero(keep)
             tgt_labels = np.where(keep, labels, -1)
         W, w_scale = kernels.signed_weights(y_onehot.argmax(axis=1), tgt_labels,
@@ -320,7 +316,7 @@ def compute_losses(
         l_ds=l_ds,
         raw_l_mmd=raw_l_mmd,
         raw_l_cmmd=raw_l_cmmd,
-        sigma=sigma,
+        sigma=used_sigma,
         K=K,
         Zc=Zc,
         W=W,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .kernels import KernelConfig
 from .net import (
     ModelParams,
     backward,
@@ -61,7 +60,7 @@ class TrainConfig:
     n_classes: int = 3
     hidden1: int = 64
     hidden2: int = 64
-    kernel: KernelConfig = field(default_factory=KernelConfig)
+    sigma: float | None = None  # kernel bandwidth; None: median heuristic per step
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     flags: AblationFlags = field(default_factory=AblationFlags)
 
@@ -81,6 +80,8 @@ class TrainConfig:
         for name in ("hidden1", "hidden2"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
+        if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass
@@ -203,10 +204,8 @@ def train(
             tgt_batch = tgt_x[targets.take(batch.shape[0])] if aligns else tgt_x[:0]
             try:
                 trace = compute_losses(
-                    src_x[batch], src_y[batch], tgt_batch, params, tau, cfg.kernel,
-                    dropout_rng, train=True,
-                    use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
-                    confidence_filter=flags.confidence_filter,
+                    src_x[batch], src_y[batch], tgt_batch, params, tau, cfg.sigma,
+                    dropout_rng, use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
                 )
                 beta = beta_of(trace.l_ds, sched) if flags.dynamic_weights else 1.0
                 if not np.isfinite(trace.total(alpha, beta)):

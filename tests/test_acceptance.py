@@ -22,7 +22,7 @@ from ddalign.features import (
     RawWindow,
     build_feature_matrix,
 )
-from ddalign.kernels import KernelConfig, discrepancies, pooled_gram, signed_weights
+from ddalign.kernels import discrepancies, pooled_gram, signed_weights
 from ddalign.net import (
     backward,
     compute_losses,
@@ -71,10 +71,9 @@ def test_criterion_1_kernel_oracle_equivalence():
         Xs, Xt = rng.normal(size=(n, d)), rng.normal(size=(m, d))
         ys, yt = rng.integers(0, C, n), rng.integers(0, C, m)
         sigma = float(rng.uniform(0.5, 4.0))
-        cfg = KernelConfig(sigma=sigma)
 
         # the composition a training step runs: one Gram matrix, one weight call
-        K, _, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
+        K, _, _ = pooled_gram(np.vstack([Xs, Xt]), sigma)
         W, scale = signed_weights(ys, yt, C)
         v = discrepancies(K, W, scale)
 
@@ -101,11 +100,11 @@ def test_criterion_2_gradient_correctness():
     src_x = rng.normal(size=(5, 6))
     src_y = rng.integers(0, 3, size=5)
     tgt_x = rng.normal(size=(5, 6)) + 0.3
-    kcfg = KernelConfig(sigma=2.0)
+    sigma = 2.0
     eps = 1e-5
 
     def loss_at(p, alpha, beta):
-        trace = compute_losses(src_x, src_y, tgt_x, p, tau=0.0, kcfg=kcfg, train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, p, tau=0.0, sigma=sigma)
         return trace.total(alpha, beta)
 
     def fd(alpha, beta):
@@ -125,7 +124,7 @@ def test_criterion_2_gradient_correctness():
         return grads
 
     t0 = time.perf_counter()
-    trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=kcfg, train=False)
+    trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=sigma)
     worst = 0.0
     for alpha, beta, label in ((1.0, 1.0, "total"), (1.0, 0.0, "marginal"),
                                (0.0, 1.0, "conditional")):

@@ -276,6 +276,31 @@ class TestAblate:
         assert run_cli("ablate", "--data", "synth", *bad, "--out", str(out)) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["protocol", "ablate"])
+    @pytest.mark.parametrize("key", ["source", "target"])
+    def test_training_pair_in_config_exit_3(self, tmp_path, capsys, command, key):
+        # the folds read --data; a train snapshot's source/target would be recorded unread
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = task/{key}.csv\n")
+        out = tmp_path / "bad"
+        assert run_cli(command, "--data", "synth", "--epochs", "1",
+                       "--config", str(cfg), "--out", str(out)) == 3
+        assert "source and target apply to train" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_records_the_class_count_trained(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_classes = 5\n")
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run_cli("ablate", "--data", "synth", "--seeds", "1", "--epochs", "1",
+                       "--config", str(cfg), "--out", str(first)) == 0
+        assert "n_classes = 3\n" in (first / "config.resolved").read_text()
+        payload = json.loads((first / "summary.json").read_text())
+        assert np.shape(payload["folds"][0]["confusion"]) == (3, 3)
+        assert run_cli("ablate", "--data", "synth", "--seeds", "1",
+                       "--config", str(first / "config.resolved"), "--out", str(second)) == 0
+        assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
+
 
 @pytest.fixture
 def manifest(tmp_path):
@@ -317,6 +342,26 @@ class TestProtocol:
             assert (tmp_path / "protocol" / name).read_bytes() == \
                 (tmp_path / "ablate" / name).read_bytes()
         assert outputs["protocol"] == outputs["ablate"]
+
+    def test_snapshot_records_the_manifest_class_count(self, tmp_path):
+        rng = np.random.default_rng(1)
+        for s in range(2):
+            save_features(tmp_path / f"s{s}.csv",
+                          FeatureDataset(rng.normal(size=(8, 4)), np.tile([0, 1], 4), 2))
+        manifest = tmp_path / "two_classes.csv"
+        manifest.write_text("sub0,1,s0.csv\nsub1,1,s1.csv\n")
+        out = tmp_path / "proto"
+        assert run_cli("protocol", "--data", str(manifest), *SHORT_MANIFEST_RUN,
+                       "--out", str(out)) == 0
+        assert "n_classes = 2\n" in (out / "config.resolved").read_text()
+
+    def test_role_column_exit_3(self, tmp_path, manifest, capsys):
+        manifest.write_text(manifest.read_text().replace("sub1,1,s1.csv", "sub1,1,s1.csv,target"))
+        out = tmp_path / "proto"
+        assert run_cli("protocol", "--data", str(manifest), *SHORT_MANIFEST_RUN,
+                       "--out", str(out)) == 3
+        assert "manifest.csv:2: expected subject,session,path\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seeds_with_a_manifest_exit_3(self, tmp_path, manifest, capsys):
         out = tmp_path / "run"

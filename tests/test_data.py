@@ -27,7 +27,7 @@ from ddalign.data import (
 )
 from ddalign.errors import DataFormatError, ValidationError
 from ddalign.features import RawWindow
-from ddalign.kernels import KernelConfig, discrepancies, pooled_gram, signed_weights
+from ddalign.kernels import discrepancies, pooled_gram, signed_weights
 from ddalign.net import init_params
 from ddalign.trainer import TrainConfig
 
@@ -242,6 +242,14 @@ class TestManifest:
         with pytest.raises(DataFormatError, match="duplicate"):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("row", ["sub1,1,s1.csv,target", "sub1,1"], ids=["four", "two"])
+    def test_row_without_three_columns_rejected_naming_line(self, tmp_path, row):
+        manifest = self.write_dataset_files(tmp_path, [4, 4])
+        manifest.write_text(f"sub0,1,s0.csv\n{row}\n")
+        with pytest.raises(DataFormatError,
+                           match=r"manifest\.csv:2: expected subject,session,path$"):
+            load_manifest(manifest)
+
 
 class TestSynthShift:
     def test_no_shift_mmd_shrinks_with_sample_size(self):
@@ -250,7 +258,7 @@ class TestSynthShift:
             cfg = SynthShiftConfig(n_per_class=n, domain_shift=0.0, rotation_deg=0.0, seed=7)
             task = generate_synth_shift(cfg)
             src, tgt = task.source.features, task.target_features
-            K, _, _ = pooled_gram(np.vstack([src, tgt]), KernelConfig())
+            K, _, _ = pooled_gram(np.vstack([src, tgt]), None)
             W, scale = signed_weights(np.zeros(len(src)), np.zeros(len(tgt)), 1)
             vals.append(discrepancies(K, W, scale)[0])
         assert vals[0] > vals[1] > vals[2]
@@ -340,8 +348,8 @@ class TestRunConfig:
 
     def test_fixed_sigma_config(self):
         rc = build_run_config(None, {"sigma": "2.5"})
-        assert rc.train_config().kernel.sigma == 2.5
-        assert build_run_config().train_config().kernel.sigma is None
+        assert rc.train_config().sigma == 2.5
+        assert build_run_config().train_config().sigma is None
 
     def test_default_snapshot_lines(self):
         # the key order and the defaults are read off the dataclasses; pin both

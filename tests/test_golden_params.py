@@ -1,12 +1,12 @@
 """Same-numbers check: trained parameters against a committed golden file.
 
 ``golden_params.json`` holds, for EXP1..EXP6 x seeds 0 and 1 x 12 epochs on
-ACCEPT_SYNTH plus one short EXP1 run at 310 dims, the sha256 of the trained
-parameter bytes and each array's sum at 17 significant digits. The sums are
-compared everywhere within SUM_RTOL; the sha256 only where numpy, the BLAS and
-a probe of the float kernels training uses (GEMM, exp, sums) give the same
-bytes as where the file was made, since another BLAS or SIMD path rounds
-differently.
+ACCEPT_SYNTH plus one short EXP1 run at 310 dims and one EXP6 run at the fixed
+bandwidth sigma = 2, the sha256 of the trained parameter bytes and each array's
+sum at 17 significant digits. The sums are compared everywhere within SUM_RTOL;
+the sha256 only where numpy, the BLAS and a probe of the float kernels training
+uses (GEMM, exp, sums) give the same bytes as where the file was made, since
+another BLAS or SIMD path rounds differently.
 
 Regenerate (only when outputs are meant to change):
 
@@ -43,6 +43,9 @@ def runs():
     task = generate_synth_shift(replace(ACCEPT_SYNTH, dim=310))
     yield ("EXP1-310d", task.source.features, task.source.labels, task.target_features,
            TrainConfig(seed=0, epochs=4, flags=VARIANTS["EXP1"]))
+    task = generate_synth_shift(replace(ACCEPT_SYNTH, seed=0))
+    yield ("EXP6-seed0-sigma2", task.source.features, task.source.labels,
+           task.target_features, TrainConfig(seed=0, epochs=12, sigma=2.0))
 
 
 def record(params) -> dict:

@@ -8,13 +8,13 @@ import pytest
 
 from ddalign.errors import NumericsError, ValidationError
 from ddalign.kernels import (
-    KernelConfig,
     discrepancies,
     discrepancy_grad,
     pooled_gram,
     pooled_sq_dists,
     signed_weights,
 )
+from ddalign.trainer import TrainConfig
 
 
 def kernel_oracle(u, v, sigma):
@@ -43,26 +43,26 @@ def cmmd_oracle(Xs, ys, Xt, yt, sigma, n_classes):
     return sum(terms) / len(terms) if terms else 0.0
 
 
-FIXED = KernelConfig(sigma=1.0)
-MEDIAN = KernelConfig()
+FIXED = 1.0
+MEDIAN = None  # the median heuristic
 
 
-def step_statistics(Xs, Xt, cfg, ys=None, yt=None, n_classes=1):
+def step_statistics(Xs, Xt, sigma, ys=None, yt=None, n_classes=1):
     """(mmd, cmmd) as a training step composes them, each clamped at 0.
 
     Unlabeled sides count as all class 0.
     """
     ys = np.zeros(len(Xs), int) if ys is None else ys
     yt = np.zeros(len(Xt), int) if yt is None else yt
-    K, _, _ = pooled_gram(np.vstack([Xs, Xt]), cfg)
+    K, _, _ = pooled_gram(np.vstack([Xs, Xt]), sigma)
     W, scale = signed_weights(ys, yt, n_classes)
     v = discrepancies(K, W, scale)
     return max(float(v[0]), 0.0), max(float(v[1:].mean()), 0.0) if v.size > 1 else 0.0
 
 
-def kernel_of_pair(u, v, cfg):
+def kernel_of_pair(u, v, sigma):
     """k(u, v) of two single vectors, read off their pooled Gram matrix."""
-    return float(pooled_gram(np.array([u, v], dtype=float), cfg)[0][0, 1])
+    return float(pooled_gram(np.array([u, v], dtype=float), sigma)[0][0, 1])
 
 
 class TestGaussianKernel:
@@ -72,16 +72,14 @@ class TestGaussianKernel:
 
     def test_distance_equal_sigma(self):
         # ||u - v||^2 = sigma gives exactly e^{-1}
-        cfg = KernelConfig(sigma=4.0)
-        assert kernel_of_pair([0.0], [2.0], cfg) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert kernel_of_pair([0.0], [2.0], 4.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             u, v = rng.normal(size=5), rng.normal(size=5)
             sigma = float(rng.uniform(0.5, 3.0))
-            cfg = KernelConfig(sigma=sigma)
-            assert kernel_of_pair(u, v, cfg) == pytest.approx(
+            assert kernel_of_pair(u, v, sigma) == pytest.approx(
                 kernel_oracle(u, v, sigma), rel=1e-12
             )
 
@@ -132,14 +130,14 @@ class TestMedianBandwidth:
         assert K[0, 1] == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_given_sigma_replaces_the_heuristic(self):
-        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), KernelConfig(sigma=2.0))
+        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), 2.0)
         assert sigma == 2.0
         assert K[0, 1] == pytest.approx(math.exp(-2), rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_given_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(ValidationError, match="sigma must be finite and > 0"):
-            KernelConfig(sigma=sigma)
+            TrainConfig(sigma=sigma)
 
 
 class TestSignedWeights:
@@ -168,8 +166,7 @@ class TestMmd:
     def test_matches_oracle(self):
         rng = np.random.default_rng(4)
         Xs, Xt = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
-        cfg = KernelConfig(sigma=2.0)
-        npt.assert_allclose(step_statistics(Xs, Xt, cfg)[0], mmd_oracle(Xs, Xt, 2.0), rtol=1e-10)
+        npt.assert_allclose(step_statistics(Xs, Xt, 2.0)[0], mmd_oracle(Xs, Xt, 2.0), rtol=1e-10)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
@@ -197,9 +194,8 @@ class TestCmmd:
     def test_single_class_reduces_to_mmd(self):
         rng = np.random.default_rng(8)
         Xs, Xt = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-        cfg = KernelConfig(sigma=1.5)
-        npt.assert_allclose(step_statistics(Xs, Xt, cfg, np.zeros(5, int), np.zeros(4, int), 1)[1],
-                            step_statistics(Xs, Xt, cfg)[0], rtol=1e-12)
+        npt.assert_allclose(step_statistics(Xs, Xt, 1.5, np.zeros(5, int), np.zeros(4, int), 1)[1],
+                            step_statistics(Xs, Xt, 1.5)[0], rtol=1e-12)
 
     def test_per_class_identical_is_zero(self):
         rng = np.random.default_rng(9)
@@ -214,9 +210,8 @@ class TestCmmd:
         yt = rng.integers(0, 2, size=6)
         if len(np.unique(ys)) < 2 or len(np.unique(yt)) < 2:
             ys[:2], yt[:2] = [0, 1], [0, 1]
-        cfg = KernelConfig(sigma=1.2)
         expected = cmmd_oracle(list(Xs), list(ys), list(Xt), list(yt), 1.2, 2)
-        npt.assert_allclose(step_statistics(Xs, Xt, cfg, ys, yt, 2)[1], expected, rtol=1e-10)
+        npt.assert_allclose(step_statistics(Xs, Xt, 1.2, ys, yt, 2)[1], expected, rtol=1e-10)
 
     def test_disjoint_classes_zero(self):
         rng = np.random.default_rng(11)
@@ -297,14 +292,14 @@ class TestExactFastPaths:
         # one row has no pair at all
         assert pooled_gram(np.ones((1, 3)), MEDIAN)[1] == 1.0
 
-    @pytest.mark.parametrize("cfg", [MEDIAN, FIXED], ids=["median", "fixed"])
-    def test_overflowing_distances_raise_naming_kernel(self, cfg):
+    @pytest.mark.parametrize("sigma", [MEDIAN, FIXED], ids=["median", "fixed"])
+    def test_overflowing_distances_raise_naming_kernel(self, sigma):
         # |row|^2 ~ 1e320 overflows the Gram product; the NaN distances must not
         # pass as collapsed embeddings with their 1.0 fallback sigma
         Z = 1e160 * np.random.default_rng(17).normal(size=(6, 3))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericsError, match="non-finite pooled distances in the kernel layer"):
-            pooled_gram(Z, cfg)
+            pooled_gram(Z, sigma)
 
 
 class TestGradients:
@@ -321,8 +316,7 @@ class TestGradients:
     @staticmethod
     def pooled_grad(Xs, ys, Xt, yt, sigma, n_classes):
         """d/dZ of the class-averaged statistic on the pooled rows [Xs; Xt]."""
-        cfg = KernelConfig(sigma=sigma)
-        K, _, Zc = pooled_gram(np.vstack([Xs, Xt]), cfg)
+        K, _, Zc = pooled_gram(np.vstack([Xs, Xt]), sigma)
         W, scale = signed_weights(ys, yt, n_classes)
         coef = scale / (W.shape[1] - 1)
         coef[0] = 0.0  # the marginal column

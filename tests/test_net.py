@@ -10,7 +10,7 @@ import pytest
 
 from ddalign.data import load_checkpoint, save_checkpoint
 from ddalign.errors import DataFormatError, NumericsError, ValidationError
-from ddalign.kernels import KernelConfig, signed_weights
+from ddalign.kernels import signed_weights
 from ddalign.net import (
     ModelParams,
     _layer1,
@@ -24,7 +24,7 @@ from ddalign.net import (
     init_params,
 )
 
-FIXED = KernelConfig(sigma=2.0)
+FIXED = 2.0  # kernel bandwidth
 
 
 def eval_scores(x, params):
@@ -58,16 +58,11 @@ class TestForwardFeatures:
     def test_dropout_mask_values_and_rate(self):
         params = init_params(10, 64, 64, 3, np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(200, 10))
-        _, trace = forward_features(x, params, train=True, rng=np.random.default_rng(4))
+        _, trace = forward_features(x, params, rng=np.random.default_rng(4))
         for m in (trace.m1, trace.m2):
             vals = np.unique(m)
             assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.75, 12)}
             assert abs((m == 0).mean() - 0.25) < 0.05
-
-    def test_train_mode_requires_rng(self):
-        params, src_x, *_ = tiny_setup()
-        with pytest.raises(ValidationError):
-            forward_features(src_x, params, train=True)
 
     def test_shape_mismatch(self):
         params, *_ = tiny_setup()
@@ -171,7 +166,7 @@ class TestParameterCount:
 class TestTotalLoss:
     def test_zero_weights_total_is_lds(self):
         params, src_x, src_y, tgt_x = tiny_setup(7)
-        trace = compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED, train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED)
         assert trace.total(0.0, 0.0) == trace.l_ds
 
     def test_identical_batches_align_to_zero(self):
@@ -179,21 +174,20 @@ class TestTotalLoss:
         # use the model's own predictions as source labels, so the identical
         # target batch carries identical pseudo-labels per class
         src_y, _ = eval_scores(src_x, params)
-        trace = compute_losses(src_x, src_y, src_x.copy(), params, 0.0, FIXED, train=False)
+        trace = compute_losses(src_x, src_y, src_x.copy(), params, 0.0, FIXED)
         assert trace.l_mmd <= 1e-10
         assert trace.l_cmmd <= 1e-10
 
     def test_total_recomposes_from_components(self):
         params, src_x, src_y, tgt_x = tiny_setup(9)
-        trace = compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED, train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED)
         recomposed = trace.l_ds + 0.7 * trace.l_mmd + 0.3 * trace.l_cmmd
         assert trace.total(0.7, 0.3) == pytest.approx(recomposed, abs=1e-9)
         assert trace.l_mmd > 0 and trace.l_cmmd >= 0
 
     def test_empty_target_flagged(self):
         params, src_x, src_y, _ = tiny_setup(10)
-        trace = compute_losses(src_x, src_y, np.empty((0, 6)), params, 0.0, FIXED,
-                               train=False)
+        trace = compute_losses(src_x, src_y, np.empty((0, 6)), params, 0.0, FIXED)
         assert trace.tgt is None and trace.K is None and trace.kept_idx.size == 0
         assert trace.l_mmd == 0.0 and trace.l_cmmd == 0.0
         assert trace.total(1.0, 1.0) == trace.l_ds
@@ -214,13 +208,13 @@ class TestPseudoLabels:
         npt.assert_array_equal(labels, want_labels)
         npt.assert_array_equal(conf, want_conf)
 
-    @pytest.mark.parametrize("train", [False, True])
-    def test_step_pseudo_labels_equal_eval_mode_scores(self, train):
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_step_pseudo_labels_equal_eval_mode_scores(self, dropout):
         # compute_losses reuses its target pass's layer 1; dropout must not leak in
         params, src_x, src_y, tgt_x = tiny_setup(14, B=40)
         tau = 0.4
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau, FIXED, train=train,
-                               rng=np.random.default_rng(6))
+        rng = np.random.default_rng(6) if dropout else None
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau, FIXED, rng)
         labels, conf = eval_scores(tgt_x, params)
         keep = confidence_mask(conf, tau)
         assert 0 < keep.sum() < keep.size
@@ -275,18 +269,16 @@ def linear_in_weights(g00, g10, g01, alpha, beta) -> ModelParams:
 class TestBackward:
     def test_components_match_finite_differences(self):
         params, src_x, src_y, tgt_x = tiny_setup(14)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
-                               train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         for (alpha, beta), g in zip(UNIT_WEIGHTS, unit_weight_grads(trace, params)):
             fd = fd_param_grads(
-                lambda p: compute_losses(src_x, src_y, tgt_x, p, tau=0.0, kcfg=FIXED,
-                                         train=False).total(alpha, beta), params)
+                lambda p: compute_losses(src_x, src_y, tgt_x, p, tau=0.0,
+                                         sigma=FIXED).total(alpha, beta), params)
             assert max_rel_err(g, fd) <= 1e-4, (alpha, beta)
 
     def test_combined_backward_matches_weighted_parts(self):
         params, src_x, src_y, tgt_x = tiny_setup(15)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
-                               train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         combined = backward(trace, params, alpha=0.6, beta=0.4)
         expected = linear_in_weights(*unit_weight_grads(trace, params), 0.6, 0.4)
         for a, b in zip(combined.arrays(), expected.arrays()):
@@ -300,7 +292,7 @@ class TestBackward:
                              params.b2, Wc, np.zeros(2))
         src_x = np.array([[1.0, 1.0]])
         trace = compute_losses(src_x, np.array([0]), np.empty((0, 2)), params,
-                               tau=0.0, kcfg=FIXED, train=False)
+                               tau=0.0, sigma=FIXED)
         grads = backward(trace, params, alpha=0.0, beta=0.0)
         for arr in grads.arrays():
             npt.assert_allclose(arr, 0.0, atol=1e-12)
@@ -312,17 +304,16 @@ class TestBackward:
                              params.b2, params.Wc * 1e10, params.bc)
         with np.errstate(over="ignore"):
             trace = compute_losses(src_x * 1e300, src_y, tgt_x, params, tau=0.0,
-                                   kcfg=FIXED, train=False, use_mmd=False, use_cmmd=False)
+                                   sigma=FIXED, use_mmd=False, use_cmmd=False)
             with pytest.raises(NumericsError, match="gradient overflowed: W1"):
                 backward(trace, params, alpha=0.0, beta=0.0)
 
     def test_duplicating_source_batch_keeps_gradient(self):
         params, src_x, src_y, tgt_x = tiny_setup(17)
-        trace1 = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
-                                train=False)
+        trace1 = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         g1 = backward(trace1, params, alpha=1.0, beta=1.0)
         trace2 = compute_losses(np.vstack([src_x, src_x]), np.concatenate([src_y, src_y]),
-                                tgt_x, params, tau=0.0, kcfg=FIXED, train=False)
+                                tgt_x, params, tau=0.0, sigma=FIXED)
         g2 = backward(trace2, params, alpha=1.0, beta=1.0)
         for a, b in zip(g1.arrays(), g2.arrays()):
             npt.assert_allclose(a, b, rtol=1e-9, atol=1e-10)
@@ -332,15 +323,13 @@ class TestBackward:
         # combined backward against manual recomposition through train traces
         params, src_x, src_y, tgt_x = tiny_setup(18)
         rng = np.random.default_rng(99)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
-                               train=True, rng=rng)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED, rng=rng)
         g = backward(trace, params, alpha=1.0, beta=1.0)
         assert all(np.isfinite(a).all() for a in g.arrays())
 
     def test_stale_trace_rejected(self):
         params, src_x, src_y, tgt_x = tiny_setup(19)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
-                               train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         other = init_params(6, 4, 4, 3, np.random.default_rng(20))
         with pytest.raises(ValidationError, match="stale"):
             backward(trace, other, alpha=1.0, beta=0.0)
@@ -350,8 +339,7 @@ class TestBackward:
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
-                                   train=True, rng=rng)
+            trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED, rng=rng)
             outs.append(backward(trace, params, alpha=1.0, beta=1.0))
         for a, b in zip(outs[0].arrays(), outs[1].arrays()):
             npt.assert_array_equal(a, b)
@@ -360,7 +348,7 @@ class TestBackward:
 class TestDegenerateSteps:
     """Degenerate alignment cases through compute_losses and backward."""
 
-    MEDIAN = KernelConfig()
+    MEDIAN = None  # median-heuristic bandwidth
 
     @staticmethod
     def assert_same(a: ModelParams, b: ModelParams):
@@ -374,8 +362,7 @@ class TestDegenerateSteps:
                              np.full(4, 0.3), params.Wc, params.bc)
         labels, _ = eval_scores(tgt_x, params)
         src_y = np.full(src_x.shape[0], labels[0])  # one class, shared by both sides
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=self.MEDIAN,
-                               train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=self.MEDIAN)
         assert trace.sigma == 1.0
         assert trace.raw_l_mmd == 0.0 and trace.raw_l_cmmd == 0.0
         assert trace.kept_idx.size == tgt_x.shape[0]
@@ -390,8 +377,7 @@ class TestDegenerateSteps:
         params = ModelParams(params.W1, params.b1, params.W2, params.b2, params.Wc,
                              np.array([0.0, 0.0, 30.0]))
         src_y = np.array([0, 1, 0, 1, 0])
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.5, kcfg=self.MEDIAN,
-                               train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.5, sigma=self.MEDIAN)
         assert trace.kept_idx.size == tgt_x.shape[0]
         assert trace.raw_l_cmmd == 0.0 and trace.raw_l_mmd > 0.0
         g00, g10, g01 = unit_weight_grads(trace, params)
@@ -400,8 +386,7 @@ class TestDegenerateSteps:
 
     def test_tau_one_empties_pseudo_labels(self):
         params, src_x, src_y, tgt_x = tiny_setup(26)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=1.0, kcfg=self.MEDIAN,
-                               train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=1.0, sigma=self.MEDIAN)
         assert trace.kept_idx.size == 0
         assert trace.raw_l_cmmd == 0.0
         g00, _, g01 = unit_weight_grads(trace, params)
@@ -410,8 +395,8 @@ class TestDegenerateSteps:
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     def test_backward_is_sum_of_parts(self, alpha, beta):
         params, src_x, src_y, tgt_x = tiny_setup(27)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=self.MEDIAN,
-                               train=True, rng=np.random.default_rng(5))
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=self.MEDIAN,
+                               rng=np.random.default_rng(5))
         assert trace.raw_l_mmd > 0.0 and trace.raw_l_cmmd > 0.0
         expected = linear_in_weights(*unit_weight_grads(trace, params), alpha, beta)
         for a, b in zip(backward(trace, params, alpha, beta).arrays(), expected.arrays()):
@@ -444,8 +429,7 @@ class TestCheckpoint:
 class TestBreakdown:
     def test_negative_residue_clamped_but_raw_kept(self):
         params, src_x, src_y, tgt_x = tiny_setup(23)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, kcfg=FIXED,
-                               train=False)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         trace.raw_l_mmd = -1e-15
         assert trace.l_mmd == 0.0
         assert trace.raw_l_mmd == -1e-15
