@@ -22,6 +22,7 @@ from .data import (
     PRESETS,
     RUN_KEYS,
     FeatureDataset,
+    SynthShiftConfig,
     build_run_config,
     generate_synth_shift,
     load_checkpoint,
@@ -124,14 +125,13 @@ def cmd_extract_features(args) -> int:
     return 0
 
 
+# synth flags named otherwise than the SynthShiftConfig field they set
+_SYNTH_FLAG_NAMES = {"n_classes": "classes", "rotation_deg": "rotation"}
+
+
 def cmd_synth(args) -> int:
-    cfg = replace(
-        ACCEPT_SYNTH,
-        n_classes=args.classes, dim=args.dim, n_per_class=args.n_per_class,
-        class_sep=args.class_sep, domain_shift=args.domain_shift,
-        rotation_deg=args.rotation, shift_mix=args.shift_mix,
-        noise=args.noise, seed=args.seed,
-    )
+    cfg = replace(ACCEPT_SYNTH,
+                  **{f.name: getattr(args, f.name) for f in fields(SynthShiftConfig)})
     task = generate_synth_shift(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,18 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic domain-shift task")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=ACCEPT_SYNTH.n_classes)
-    p.add_argument("--dim", type=int, default=ACCEPT_SYNTH.dim)
-    p.add_argument("--n-per-class", type=int, dest="n_per_class",
-                   default=ACCEPT_SYNTH.n_per_class)
-    p.add_argument("--class-sep", type=float, dest="class_sep", default=ACCEPT_SYNTH.class_sep)
-    p.add_argument("--domain-shift", type=float, dest="domain_shift",
-                   default=ACCEPT_SYNTH.domain_shift)
-    p.add_argument("--rotation", type=float, default=ACCEPT_SYNTH.rotation_deg)
-    p.add_argument("--shift-mix", type=float, dest="shift_mix", default=ACCEPT_SYNTH.shift_mix)
-    p.add_argument("--noise", type=float, default=ACCEPT_SYNTH.noise)
-    p.add_argument("--seed", type=int, default=3)
-    p.set_defaults(func=cmd_synth)
+    # one flag per generator field, defaulting to ACCEPT_SYNTH's value but for
+    # the seed, which defaults to the run seed as in every command
+    for f in fields(SynthShiftConfig):
+        name = _SYNTH_FLAG_NAMES.get(f.name, f.name)
+        p.add_argument("--" + name.replace("_", "-"), dest=f.name, metavar=name.upper(),
+                       type=type(f.default), default=getattr(ACCEPT_SYNTH, f.name))
+    p.set_defaults(func=cmd_synth, seed=TrainConfig.seed)
 
     p = sub.add_parser("train", help="train on a labeled source and unlabeled target")
     p.add_argument("--source", help="labeled feature file")

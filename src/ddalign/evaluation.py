@@ -166,7 +166,8 @@ def _run_fold(args) -> FoldResult:
 
 def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> list[FoldResult]:
     """Train and score one model per (name, task maker) fold, fold k with seed
-    cfg.seed + k; tasks are made one at a time, in the worker when jobs > 1."""
+    cfg.seed + k; tasks are made one at a time, in min(jobs, folds) worker
+    processes when that is above 1."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if not folds:
@@ -178,8 +179,9 @@ def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> lis
     cfg = replace(cfg, flags=VARIANTS[variant])
     tasks = [(name, make_task, replace(cfg, seed=cfg.seed + k), out_dir)
              for k, (name, make_task) in enumerate(folds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_fold, tasks))
     return [_run_fold(t) for t in tasks]
 
@@ -196,6 +198,8 @@ def run_protocol(
     """Train one model per held-out subject and aggregate mean and spread."""
     if len(dataset.subjects) < 2:
         raise ValidationError("protocol needs at least 2 subjects")
+    if protocol == PROTOCOL_CROSS and session is not None:
+        raise ValidationError("a session applies to single-session, not cross-session")
     folds = [(subject, partial(_loso_task, dataset, subject, protocol, session))
              for subject in dataset.subjects]
     return ProtocolSummary(variant=variant, protocol=protocol,

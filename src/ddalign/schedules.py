@@ -28,7 +28,6 @@ class ScheduleConfig:
     conf2: float = 0.75       # tau over [stage_e2, stage_e3]
     lr_extractor: float = 0.001
     lr_classifier: float = 0.01
-    alpha_decay: str = "linear"  # or "exponential"
 
     def __post_init__(self):
         if not (self.tau_h >= self.tau_l > 0):
@@ -41,8 +40,6 @@ class ScheduleConfig:
             raise ValidationError("need 0 <= conf1 <= conf2 <= 1")
         if self.lr_extractor <= 0 or self.lr_classifier <= 0:
             raise ValidationError("learning rates must be positive")
-        if self.alpha_decay not in ("linear", "exponential"):
-            raise ValidationError(f"unknown alpha_decay {self.alpha_decay!r}")
 
 
 def alpha_at(epoch: int, epochs: int, cfg: ScheduleConfig) -> float:
@@ -52,10 +49,7 @@ def alpha_at(epoch: int, epochs: int, cfg: ScheduleConfig) -> float:
         raise ValidationError(f"epoch {epoch} outside [0, {epochs})")
     if epochs == 1:
         return cfg.tau_h
-    p = epoch / (epochs - 1)
-    if cfg.alpha_decay == "linear":
-        return cfg.tau_h + (cfg.tau_l - cfg.tau_h) * p
-    return cfg.tau_h * (cfg.tau_l / cfg.tau_h) ** p
+    return cfg.tau_h + (cfg.tau_l - cfg.tau_h) * (epoch / (epochs - 1))
 
 
 def beta_of(l_ds: float, cfg: ScheduleConfig) -> float:

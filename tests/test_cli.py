@@ -5,12 +5,14 @@ import json
 import struct
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ddalign.cli import main
-from ddalign.data import FeatureDataset, save_checkpoint, save_features, save_raw_recording
+from ddalign.data import (ACCEPT_SYNTH, FeatureDataset, save_checkpoint, save_features,
+                          save_raw_recording)
 from ddalign.features import RawWindow, build_feature_matrix
 from ddalign.net import init_params
 
@@ -38,6 +40,13 @@ class TestSynth:
             "domain_shift = 5.0\nrotation_deg = 20.0\nshift_mix = 0.6\nnoise = 1.0\n"
             "seed = 5\n"
         )
+
+    def test_defaults_are_accept_synth_at_seed_3(self, tmp_path):
+        out = tmp_path / "task"
+        assert run_cli("synth", "--out", str(out)) == 0
+        expected = replace(ACCEPT_SYNTH, seed=3)
+        assert (out / "config.resolved").read_text() == "".join(
+            f"{f.name} = {getattr(expected, f.name)}\n" for f in fields(expected))
 
     def test_negative_seed_exit_3_without_output(self, tmp_path, capsys):
         out = tmp_path / "task"
@@ -361,6 +370,15 @@ class TestProtocol:
         assert run_cli("protocol", "--data", str(manifest), *SHORT_MANIFEST_RUN,
                        "--out", str(out)) == 3
         assert "manifest.csv:2: expected subject,session,path\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_session_with_cross_session_exit_3(self, tmp_path, manifest, capsys):
+        out = tmp_path / "run"
+        code = run_cli("protocol", "--data", str(manifest), "--protocol", "cross-session",
+                       "--session", "7", *SHORT_MANIFEST_RUN, "--out", str(out))
+        assert code == 3
+        assert "a session applies to single-session, not cross-session" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_seeds_with_a_manifest_exit_3(self, tmp_path, manifest, capsys):

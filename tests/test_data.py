@@ -375,7 +375,6 @@ class TestRunConfig:
             "conf2 = 0.75\n"
             "lr_extractor = 0.001\n"
             "lr_classifier = 0.01\n"
-            "alpha_decay = linear\n"
             "variant = EXP6\n"
             "source = \n"
             "target = \n"

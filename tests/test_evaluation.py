@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ddalign import evaluation
 from ddalign.data import FeatureDataset, SubjectDataset, SynthShiftConfig
 from ddalign.errors import ValidationError
 from ddalign.evaluation import (
@@ -174,6 +175,26 @@ class TestRunProtocol:
         parallel = run_synth_protocol(synth, fast_cfg(), variant="EXP6", n_seeds=3, jobs=2)
         assert [f.subject for f in parallel.folds] == ["seed0", "seed1", "seed2"]
         npt.assert_array_equal(serial.accuracies, parallel.accuracies)
+
+    def test_pool_has_no_more_workers_than_folds(self, monkeypatch):
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        ds = make_dataset(n_subjects=2, sessions=(1,))
+        run_protocol(ds, "single_session", fast_cfg(), variant="EXP1", jobs=16)
+        assert workers == [2]
 
     def test_save_summary_files(self, tmp_path):
         ds = make_dataset(n_subjects=2, sessions=(1,))

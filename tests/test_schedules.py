@@ -27,11 +27,6 @@ class TestAlpha:
         vals = [alpha_at(e, 100, CFG) for e in range(100)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_exponential_decay_endpoints(self):
-        cfg = ScheduleConfig(alpha_decay="exponential")
-        assert alpha_at(0, 100, cfg) == 1.0
-        assert alpha_at(99, 100, cfg) == pytest.approx(0.01, rel=1e-12)
-
     def test_out_of_range_epoch(self):
         with pytest.raises(ValidationError):
             alpha_at(100, 100, CFG)
