@@ -9,6 +9,7 @@ the run seed plus the fold index, so a summary is reproducible fold by fold.
 
 import csv
 import json
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -46,6 +47,7 @@ class FoldResult:
     subject: str
     metrics: Metrics
     history_steps: int
+    warned: tuple[tuple[type[Warning], str], ...] = ()  # (category, message) raised in the fold
 
 
 @dataclass
@@ -79,6 +81,13 @@ class ProtocolSummary:
         }
 
 
+def _check_protocol(protocol: str, session: int | None) -> None:
+    if protocol not in (PROTOCOL_SINGLE, PROTOCOL_CROSS):
+        raise ValidationError(f"unknown protocol {protocol!r}")
+    if protocol == PROTOCOL_CROSS and session is not None:
+        raise ValidationError("a session applies to single-session, not cross-session")
+
+
 def loso_split(
     dataset: SubjectDataset,
     held_out_subject: str,
@@ -93,8 +102,7 @@ def loso_split(
     """
     if held_out_subject not in dataset.sessions:
         raise ValidationError(f"unknown subject {held_out_subject!r}")
-    if protocol not in (PROTOCOL_SINGLE, PROTOCOL_CROSS):
-        raise ValidationError(f"unknown protocol {protocol!r}")
+    _check_protocol(protocol, session)
 
     def sessions_for(subject: str) -> list[FeatureDataset]:
         available = dataset.sessions[subject]
@@ -155,13 +163,17 @@ def _loso_task(
 
 
 def _run_fold(args) -> FoldResult:
+    """Train and score one fold; its warnings are recorded, not shown, so the
+    parent can show each once however many processes ran the folds."""
     name, make_task, cfg, out_dir = args
-    task = make_task()
-    result = train(task.source.features, task.source.labels, task.target_features, cfg)
-    metrics = evaluate(result.params, task.target_eval)
+    with warnings.catch_warnings(record=True) as caught:
+        task = make_task()
+        result = train(task.source.features, task.source.labels, task.target_features, cfg)
+        metrics = evaluate(result.params, task.target_eval)
     if out_dir is not None:
         save_history(result.history, Path(out_dir) / f"history_{name}.csv")
-    return FoldResult(subject=name, metrics=metrics, history_steps=len(result.history))
+    return FoldResult(subject=name, metrics=metrics, history_steps=len(result.history),
+                      warned=tuple((w.category, str(w.message)) for w in caught))
 
 
 def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> list[FoldResult]:
@@ -182,8 +194,12 @@ def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> lis
     workers = min(jobs, len(tasks))  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_fold, tasks))
-    return [_run_fold(t) for t in tasks]
+            results = list(pool.map(_run_fold, tasks))
+    else:
+        results = [_run_fold(t) for t in tasks]
+    for category, message in dict.fromkeys(w for r in results for w in r.warned):
+        warnings.warn(message, category, stacklevel=3)
+    return results
 
 
 def run_protocol(
@@ -198,8 +214,7 @@ def run_protocol(
     """Train one model per held-out subject and aggregate mean and spread."""
     if len(dataset.subjects) < 2:
         raise ValidationError("protocol needs at least 2 subjects")
-    if protocol == PROTOCOL_CROSS and session is not None:
-        raise ValidationError("a session applies to single-session, not cross-session")
+    _check_protocol(protocol, session)  # before _run_folds makes out_dir
     folds = [(subject, partial(_loso_task, dataset, subject, protocol, session))
              for subject in dataset.subjects]
     return ProtocolSummary(variant=variant, protocol=protocol,

@@ -17,9 +17,12 @@ terms cost one product K @ W (discrepancies), and their exact gradients with
 respect to Z reuse the same K and the centered rows it was built from
 (discrepancy_grad). The bandwidth is a constant of the evaluation even when
 it was chosen by the median heuristic.
-"""
 
-import functools
+The large intermediates (the [N, N] Gram and weight matrices, the pair
+distances the median selects from, the [N, d] rows and products) are written
+into a KernelBuffers that the caller passes; a training run keeps one for all
+its steps, so that memory is not handed back and faulted in again per step.
+"""
 
 import numpy as np
 
@@ -28,7 +31,41 @@ from .errors import NumericsError
 _BLOCK_ROWS = 64  # rows of the distance matrix assembled per pass
 
 
-def pooled_sq_dists(Zc: np.ndarray) -> np.ndarray:
+class KernelBuffers:
+    """Destination arrays of the kernel layer, reused from call to call.
+
+    An array is made on first request for its name and shape, so a training
+    run, which sees two pooled row counts (its batch's and its last batch's),
+    holds two sets. Whatever a call writes here, the K it returns included,
+    is valid until the next call given the same buffers; a caller that keeps
+    it longer copies it. One instance serves one run at a time: concurrent
+    runs each make their own. A kernel function called without buffers makes
+    a throwaway set, so its results are its caller's to keep.
+    """
+
+    def __init__(self):
+        self._arrays: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        self._upper: dict[int, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The float64 array called name with this shape, uninitialised when new."""
+        key = (name, shape)
+        a = self._arrays.get(key)
+        if a is None:
+            a = self._arrays[key] = np.empty(shape)
+        return a
+
+    def upper_index(self, n: int) -> np.ndarray:
+        """Flat positions of the strict upper triangle of an [n, n] matrix,
+        row-major. Writeable, since ndarray.take copies a read-only index
+        before it gathers, and private: only _median_upper reads it."""
+        idx = self._upper.get(n)
+        if idx is None:
+            idx = self._upper[n] = np.flatnonzero(~np.tri(n, dtype=bool))
+        return idx
+
+
+def pooled_sq_dists(Zc: np.ndarray, buffers: KernelBuffers | None = None) -> np.ndarray:
     """Squared distances between all rows of Zc, rows centered on their mean.
 
     ||a - b||^2 = |a|^2 + |b|^2 - 2 a.b loses digits to cancellation when rows
@@ -38,9 +75,11 @@ def pooled_sq_dists(Zc: np.ndarray) -> np.ndarray:
     diagonal, and is assembled in the Gram buffer in row blocks, so no second
     [N, N] array is made. Non-finite distances raise NumericsError.
     """
-    D = Zc @ Zc.T
+    buffers = KernelBuffers() if buffers is None else buffers
+    n = Zc.shape[0]
+    D = np.matmul(Zc, Zc.T, out=buffers.get("D", (n, n)))
     sq = D.diagonal().copy()
-    sums = np.empty((min(_BLOCK_ROWS, sq.size), sq.size))
+    sums = buffers.get("sums", (min(_BLOCK_ROWS, n), n))
     for start in range(0, sq.size, _BLOCK_ROWS):
         block = D[start:start + _BLOCK_ROWS]
         pair = sums[:block.shape[0]]
@@ -55,15 +94,7 @@ def pooled_sq_dists(Zc: np.ndarray) -> np.ndarray:
     return D
 
 
-@functools.lru_cache(maxsize=4)  # a run sees its batch's N and the last batch's
-def _upper_index(n: int) -> np.ndarray:
-    """Flat positions of the strict upper triangle of an [n, n] matrix, row-major."""
-    idx = np.flatnonzero(~np.tri(n, dtype=bool))
-    idx.flags.writeable = False
-    return idx
-
-
-def _median_upper(D: np.ndarray) -> float:
+def _median_upper(D: np.ndarray, buffers: KernelBuffers | None = None) -> float:
     """Median of the distinct-pair distances; 1.0 when that median is 0 or
     there is no pair.
 
@@ -72,7 +103,10 @@ def _median_upper(D: np.ndarray) -> float:
     np.median returns, but np.median partitions at two positions, which takes
     a generic path several times slower.
     """
-    upper = D.ravel().take(_upper_index(D.shape[0]))
+    buffers = KernelBuffers() if buffers is None else buffers
+    idx = buffers.upper_index(D.shape[0])
+    # in range by construction, and "clip" lets take write straight into out
+    upper = D.ravel().take(idx, out=buffers.get("upper", idx.shape), mode="clip")
     if upper.size == 0:
         return 1.0
     k = upper.size // 2
@@ -84,16 +118,20 @@ def _median_upper(D: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def pooled_gram(Z: np.ndarray, sigma: float | None) -> tuple[np.ndarray, float, np.ndarray]:
+def pooled_gram(
+    Z: np.ndarray, sigma: float | None, buffers: KernelBuffers | None = None
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Gaussian kernel over every pair of rows of Z, the sigma it used, and the
     centered rows it was computed from, which discrepancy_grad takes.
 
     ``sigma`` is the denominator of the squared-distance exponent. None selects
-    the median heuristic: sigma comes from the same distances as K.
+    the median heuristic: sigma comes from the same distances as K. K and the
+    centered rows live in ``buffers``.
     """
-    Zc = Z - Z.mean(axis=0)
-    K = pooled_sq_dists(Zc)
-    sigma = _median_upper(K) if sigma is None else float(sigma)
+    buffers = KernelBuffers() if buffers is None else buffers
+    Zc = np.subtract(Z, Z.mean(axis=0), out=buffers.get("Zc", Z.shape))
+    K = pooled_sq_dists(Zc, buffers)
+    sigma = _median_upper(K, buffers) if sigma is None else float(sigma)
     # in place: each [N, N] temporary costs as much as the exp itself
     K /= -sigma
     np.exp(K, out=K)
@@ -130,15 +168,27 @@ def discrepancies(K: np.ndarray, W: np.ndarray, scale: np.ndarray) -> np.ndarray
 
 
 def discrepancy_grad(
-    K: np.ndarray, W: np.ndarray, coef: np.ndarray, Zc: np.ndarray, sigma: float
+    K: np.ndarray,
+    W: np.ndarray,
+    coef: np.ndarray,
+    Zc: np.ndarray,
+    sigma: float,
+    buffers: KernelBuffers | None = None,
 ) -> np.ndarray:
-    """Exact gradient of sum_k coef_k w_k^T K w_k with respect to the rows of Z.
+    """Exact gradient of sum_k coef_k w_k^T K w_k with respect to the rows of Z,
+    written into ``buffers``.
 
     ``Zc`` holds the centered rows pooled_gram returned with K. With
     M = K o (W diag(coef) W^T), each row gets -(4 / sigma) sum_j M_ij (z_i - z_j),
     from d/du exp(-||u - v||^2 / sigma) = -(2 / sigma) k(u, v) (u - v). Rows
     that no weighted column uses get exactly zero.
     """
-    M = (W * coef) @ W.T
+    buffers = KernelBuffers() if buffers is None else buffers
+    n = K.shape[0]
+    M = np.matmul(W * coef, W.T, out=buffers.get("M", (n, n)))
     M *= K
-    return (4.0 / sigma) * (M @ Zc - M.sum(axis=1)[:, None] * Zc)
+    MZ = np.matmul(M, Zc, out=buffers.get("MZ", Zc.shape))
+    grad = np.multiply(M.sum(axis=1)[:, None], Zc, out=buffers.get("grad", Zc.shape))
+    np.subtract(MZ, grad, out=grad)
+    grad *= 4.0 / sigma
+    return grad

@@ -8,9 +8,10 @@ statistics act on the embeddings of both batches. Pseudo-label choices, the
 confidence mask, and the kernel bandwidth are constants of a step: no
 gradient flows through them. Both kernel statistics share one pooled Gram
 matrix per step, which the backward pass reuses with the centered embeddings
-it was built from. The pseudo-labels reuse the target pass's layer-1 product,
-which dropout does not touch. Everything is float64
-numpy; dropout is the inverted kind so evaluation applies no scaling.
+it was built from; both live in the kernel buffers the step was given. The
+pseudo-labels reuse the target pass's layer-1 product, which dropout does
+not touch. Everything is float64 numpy; dropout is the inverted kind so
+evaluation applies no scaling.
 """
 
 from dataclasses import dataclass, field
@@ -206,7 +207,11 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class StepTrace:
-    """Everything backward() needs; valid only for the params it was built with."""
+    """Everything backward() needs; valid only for the params it was built with.
+
+    K and Zc live in ``buffers``: a trace stays valid until the next step
+    given the same buffers, which overwrites them.
+    """
 
     params_ref: ModelParams
     src: FeatureTrace
@@ -222,6 +227,7 @@ class StepTrace:
     W: np.ndarray | None           # signed weights: marginal column, then one per shared class
     w_scale: np.ndarray | None
     kept_idx: np.ndarray           # rows of the target batch feeding the conditional term
+    buffers: kernels.KernelBuffers  # where K, Zc and the alignment gradient are written
 
     @property
     def l_mmd(self) -> float:
@@ -266,11 +272,14 @@ def compute_losses(
     *,
     use_mmd: bool = True,
     use_cmmd: bool = True,
+    buffers: kernels.KernelBuffers | None = None,
 ) -> StepTrace:
     """Run both batches through the extractor and evaluate every loss head.
 
-    ``sigma`` None selects the median heuristic; ``rng`` None turns dropout off.
+    ``sigma`` None selects the median heuristic; ``rng`` None turns dropout off;
+    ``buffers`` None gives the step a set of kernel buffers of its own.
     """
+    buffers = kernels.KernelBuffers() if buffers is None else buffers
     src_x = np.asarray(src_x, dtype=np.float64)
     tgt_x = np.asarray(tgt_x, dtype=np.float64)
     if src_x.shape[0] == 0:
@@ -291,7 +300,9 @@ def compute_losses(
 
     if tgt_x.shape[0] > 0 and (use_mmd or use_cmmd):
         h_tgt, tgt_trace = forward_features(tgt_x, params, rng)
-        K, used_sigma, Zc = kernels.pooled_gram(np.vstack([h_src, h_tgt]), sigma)
+        Z = buffers.get("Z", (h_src.shape[0] + h_tgt.shape[0], h_src.shape[1]))
+        np.concatenate([h_src, h_tgt], out=Z)
+        K, used_sigma, Zc = kernels.pooled_gram(Z, sigma, buffers)
         # no class column unless the conditional head is on
         tgt_labels = np.full(h_tgt.shape[0], -1)
         if use_cmmd:
@@ -322,6 +333,7 @@ def compute_losses(
         W=W,
         w_scale=w_scale,
         kept_idx=kept_idx,
+        buffers=buffers,
     )
 
 
@@ -356,7 +368,7 @@ def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
     if not coef.any():
         return None
     d_z = kernels.discrepancy_grad(trace.K, trace.W, coef * trace.w_scale, trace.Zc,
-                                   trace.sigma)
+                                   trace.sigma, trace.buffers)
     n = trace.src.h.shape[0]
     return d_z[:n], d_z[n:]
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericsError, ValidationError
+from .kernels import KernelBuffers
 from .net import (
     ModelParams,
     backward,
@@ -181,6 +182,7 @@ def train(
     params = init_params(src_x.shape[1], cfg.hidden1, cfg.hidden2, cfg.n_classes, init_rng)
     velocity = zeros_like_params(params)
     targets = _TargetCycle(tgt_x.shape[0], target_rng)
+    buffers = KernelBuffers()  # one set for every step: no fresh [N, N] memory per step
     flags = cfg.flags
     aligns = flags.use_mmd or flags.use_cmmd  # only the alignment heads read a target batch
     sched = cfg.schedule
@@ -206,6 +208,7 @@ def train(
                 trace = compute_losses(
                     src_x[batch], src_y[batch], tgt_batch, params, tau, cfg.sigma,
                     dropout_rng, use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
+                    buffers=buffers,
                 )
                 beta = beta_of(trace.l_ds, sched) if flags.dynamic_weights else 1.0
                 if not np.isfinite(trace.total(alpha, beta)):

@@ -1,6 +1,7 @@
 """Split correctness, metric identities, protocol aggregation, embedding dumps."""
 
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -68,6 +69,11 @@ class TestLosoSplit:
         src, tgt = loso_split(ds, "sub0", "cross_session")
         assert tgt.n_samples == 24       # both sessions of the held-out subject
         assert src.n_samples == 2 * 24   # both sessions of the other two
+
+    def test_session_with_cross_session_rejected(self):
+        ds = make_dataset()
+        with pytest.raises(ValidationError, match="not cross-session"):
+            loso_split(ds, "sub0", "cross_session", session=7)
 
     def test_single_session_defaults_to_lowest(self):
         ds = make_dataset(n_subjects=2, sessions=(2, 5))
@@ -175,6 +181,17 @@ class TestRunProtocol:
         parallel = run_synth_protocol(synth, fast_cfg(), variant="EXP6", n_seeds=3, jobs=2)
         assert [f.subject for f in parallel.folds] == ["seed0", "seed1", "seed2"]
         npt.assert_array_equal(serial.accuracies, parallel.accuracies)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fold_warning_shown_once(self, jobs):
+        # both folds' one-epoch runs warn that the filter is inert
+        synth = SynthShiftConfig(n_per_class=10, domain_shift=2.0, seed=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_synth_protocol(synth, fast_cfg(epochs=1), variant="EXP6", n_seeds=2, jobs=jobs)
+        inert = [w for w in caught if "inert" in str(w.message)]
+        assert len(inert) == 1
+        assert inert[0].category is UserWarning
 
     def test_pool_has_no_more_workers_than_folds(self, monkeypatch):
         workers = []

@@ -1,6 +1,7 @@
 """Kernel statistics against brute-force double-loop oracles and closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,8 @@ import pytest
 
 from ddalign.errors import NumericsError, ValidationError
 from ddalign.kernels import (
+    KernelBuffers,
+    _median_upper,
     discrepancies,
     discrepancy_grad,
     pooled_gram,
@@ -276,11 +279,28 @@ class TestExactFastPaths:
     def test_median_sigma_equals_numpy_median(self, n):
         rng = np.random.default_rng(100 + n)
         # continuous rows, then small-integer rows whose distances tie often;
-        # the second call per size reads the cached triangle index
+        # after the first call per size, calls reuse the triangle index and
+        # gather buffer that earlier rows were selected in
+        buffers = KernelBuffers()
         for Z in (rng.normal(size=(n, 4)), rng.integers(0, 3, size=(n, 2)).astype(float)):
             for _ in range(2):
-                _, sigma, _ = pooled_gram(Z, MEDIAN)
+                _, sigma, _ = pooled_gram(Z, MEDIAN, buffers)
                 assert sigma == self.numpy_median(Z)
+
+    def test_median_gathers_in_place(self):
+        # the gather writes into the buffer: no copy of the triangle index
+        # (ndarray.take makes one of a read-only index) and no fresh result
+        D = np.random.default_rng(18).random((256, 256))
+        triangle = 256 * 255 // 2 * D.itemsize
+        buffers = KernelBuffers()
+        _median_upper(D, buffers)
+        tracemalloc.start()
+        try:
+            _median_upper(D, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < triangle / 4
 
     def test_zero_median_falls_back_to_one(self):
         # all rows equal; then 9 of 10 equal, so 36 of 45 pair distances are 0

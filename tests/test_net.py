@@ -327,6 +327,18 @@ class TestBackward:
         g = backward(trace, params, alpha=1.0, beta=1.0)
         assert all(np.isfinite(a).all() for a in g.arrays())
 
+    def test_trace_without_buffers_outlives_next_call(self):
+        params, src_x, src_y, tgt_x = tiny_setup(22)
+        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
+        K, Zc = trace.K.copy(), trace.Zc.copy()
+        g = backward(trace, params, alpha=1.0, beta=1.0)
+        other = compute_losses(src_x + 1.0, src_y, tgt_x - 1.0, params, tau=0.0, sigma=FIXED)
+        backward(other, params, alpha=1.0, beta=1.0)
+        assert not np.shares_memory(trace.K, other.K)
+        npt.assert_array_equal(trace.K, K)
+        npt.assert_array_equal(trace.Zc, Zc)
+        npt.assert_array_equal(backward(trace, params, alpha=1.0, beta=1.0).flat, g.flat)
+
     def test_stale_trace_rejected(self):
         params, src_x, src_y, tgt_x = tiny_setup(19)
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)

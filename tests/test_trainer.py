@@ -12,6 +12,7 @@ from ddalign.net import (
     ModelParams,
     _layer1,
     _scores_from_z1,
+    compute_losses,
     confidence_mask,
     init_params,
     zeros_like_params,
@@ -221,6 +222,40 @@ class TestTrain:
         with np.errstate(over="ignore"), pytest.raises(
                 NumericsError, match=r"^step 0 \(epoch 0\): update diverged: W1 "):
             train(src_x * 1e100, src_y, tgt_x * 1e100, cfg)
+
+
+class TestKernelBuffers:
+    """A run writes every step's kernel intermediates into one set of buffers
+    per pooled size; 300 source rows at batch 128 give N = 256 and 88."""
+
+    @staticmethod
+    def run(sigma):
+        src_x, src_y, tgt_x = toy_task(10, n=300)
+        return train(src_x, src_y, tgt_x,
+                     small_cfg(batch_size=128, hidden2=64, sigma=sigma, flags=VARIANTS["EXP6"]))
+
+    @pytest.mark.parametrize("sigma", [None, 2.0], ids=["median", "fixed"])
+    def test_run_buffers_change_no_bit(self, sigma, monkeypatch):
+        buffered = self.run(sigma)
+        # every step then makes a throwaway set, as a call without buffers does
+        monkeypatch.setattr("ddalign.trainer.KernelBuffers", lambda: None)
+        fresh = self.run(sigma)
+        npt.assert_array_equal(buffered.params.flat, fresh.params.flat)
+        assert buffered.history == fresh.history
+
+    def test_steps_of_a_run_share_kernel_memory(self, monkeypatch):
+        traces = []
+
+        def spy(*args, **kwargs):
+            traces.append(compute_losses(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr("ddalign.trainer.compute_losses", spy)
+        self.run(None)
+        assert [t.K.shape[0] for t in traces[:4]] == [256, 256, 88, 256]
+        assert np.shares_memory(traces[0].K, traces[1].K)
+        assert np.shares_memory(traces[0].K, traces[3].K)  # kept past the N = 88 step
+        assert not np.shares_memory(traces[1].K, traces[2].K)
 
 
 class TestInertFilterWarning:
