@@ -159,6 +159,8 @@ def _load_training_pair(run_config):
 def cmd_train(args) -> int:
     run_config = _resolve_run_config(args)
     source, target_features = _load_training_pair(run_config)
+    # the model has as many classes as the source header names; config.resolved says so
+    run_config.values["n_classes"] = source.n_classes
     cfg = run_config.train_config()
     result = train(source.features, source.labels, target_features, cfg)
     print(f"seed: {cfg.seed}")
@@ -274,17 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("protocol", help="leave-one-subject-out cross-validation")
-    p.add_argument("--data", required=True, help="manifest CSV ('synth': generated tasks)")
-    p.add_argument("--protocol", choices=["single-session", "cross-session"],
-                   help="default single-session")
-    p.add_argument("--session", type=int, help="session id for single-session runs")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
-    _add_run_flags(p)
-    p.set_defaults(func=_run_folds_command, seeds=None)
-
-    p = sub.add_parser("ablate", help="run one EXP1..EXP6 variant")
+    p = sub.add_parser("ablate", aliases=["protocol"],
+                       help="leave-one-subject-out folds of one EXP1..EXP6 variant")
     p.add_argument("--data", required=True, help="'synth' or a manifest CSV")
     p.add_argument("--protocol", choices=["single-session", "cross-session"],
                    help="manifest only (default single-session)")

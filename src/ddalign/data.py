@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, require_finite
 from .features import RawWindow
 from .net import ModelParams
 from .schedules import ScheduleConfig
@@ -336,6 +336,7 @@ class SynthShiftConfig:
         for name in ("class_sep", "domain_shift", "noise", "seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+        require_finite(self)
 
 
 @dataclass

@@ -39,8 +39,7 @@ class KernelBuffers:
     holds two sets. Whatever a call writes here, the K it returns included,
     is valid until the next call given the same buffers; a caller that keeps
     it longer copies it. One instance serves one run at a time: concurrent
-    runs each make their own. A kernel function called without buffers makes
-    a throwaway set, so its results are its caller's to keep.
+    runs each make their own.
     """
 
     def __init__(self):
@@ -65,7 +64,7 @@ class KernelBuffers:
         return idx
 
 
-def pooled_sq_dists(Zc: np.ndarray, buffers: KernelBuffers | None = None) -> np.ndarray:
+def pooled_sq_dists(Zc: np.ndarray, buffers: KernelBuffers) -> np.ndarray:
     """Squared distances between all rows of Zc, rows centered on their mean.
 
     ||a - b||^2 = |a|^2 + |b|^2 - 2 a.b loses digits to cancellation when rows
@@ -75,7 +74,6 @@ def pooled_sq_dists(Zc: np.ndarray, buffers: KernelBuffers | None = None) -> np.
     diagonal, and is assembled in the Gram buffer in row blocks, so no second
     [N, N] array is made. Non-finite distances raise NumericsError.
     """
-    buffers = KernelBuffers() if buffers is None else buffers
     n = Zc.shape[0]
     D = np.matmul(Zc, Zc.T, out=buffers.get("D", (n, n)))
     sq = D.diagonal().copy()
@@ -94,7 +92,7 @@ def pooled_sq_dists(Zc: np.ndarray, buffers: KernelBuffers | None = None) -> np.
     return D
 
 
-def _median_upper(D: np.ndarray, buffers: KernelBuffers | None = None) -> float:
+def _median_upper(D: np.ndarray, buffers: KernelBuffers) -> float:
     """Median of the distinct-pair distances; 1.0 when that median is 0 or
     there is no pair.
 
@@ -103,7 +101,6 @@ def _median_upper(D: np.ndarray, buffers: KernelBuffers | None = None) -> float:
     np.median returns, but np.median partitions at two positions, which takes
     a generic path several times slower.
     """
-    buffers = KernelBuffers() if buffers is None else buffers
     idx = buffers.upper_index(D.shape[0])
     # in range by construction, and "clip" lets take write straight into out
     upper = D.ravel().take(idx, out=buffers.get("upper", idx.shape), mode="clip")
@@ -119,7 +116,7 @@ def _median_upper(D: np.ndarray, buffers: KernelBuffers | None = None) -> float:
 
 
 def pooled_gram(
-    Z: np.ndarray, sigma: float | None, buffers: KernelBuffers | None = None
+    Z: np.ndarray, sigma: float | None, buffers: KernelBuffers
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Gaussian kernel over every pair of rows of Z, the sigma it used, and the
     centered rows it was computed from, which discrepancy_grad takes.
@@ -128,7 +125,6 @@ def pooled_gram(
     the median heuristic: sigma comes from the same distances as K. K and the
     centered rows live in ``buffers``.
     """
-    buffers = KernelBuffers() if buffers is None else buffers
     Zc = np.subtract(Z, Z.mean(axis=0), out=buffers.get("Zc", Z.shape))
     K = pooled_sq_dists(Zc, buffers)
     sigma = _median_upper(K, buffers) if sigma is None else float(sigma)
@@ -173,7 +169,7 @@ def discrepancy_grad(
     coef: np.ndarray,
     Zc: np.ndarray,
     sigma: float,
-    buffers: KernelBuffers | None = None,
+    buffers: KernelBuffers,
 ) -> np.ndarray:
     """Exact gradient of sum_k coef_k w_k^T K w_k with respect to the rows of Z,
     written into ``buffers``.
@@ -183,7 +179,6 @@ def discrepancy_grad(
     from d/du exp(-||u - v||^2 / sigma) = -(2 / sigma) k(u, v) (u - v). Rows
     that no weighted column uses get exactly zero.
     """
-    buffers = KernelBuffers() if buffers is None else buffers
     n = K.shape[0]
     M = np.matmul(W * coef, W.T, out=buffers.get("M", (n, n)))
     M *= K

@@ -207,13 +207,13 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class StepTrace:
-    """Everything backward() needs; valid only for the params it was built with.
+    """Everything backward() needs, the params it was built with included.
 
     K and Zc live in ``buffers``: a trace stays valid until the next step
     given the same buffers, which overwrites them.
     """
 
-    params_ref: ModelParams
+    params: ModelParams
     src: FeatureTrace
     tgt: FeatureTrace | None
     probs_src: np.ndarray
@@ -319,7 +319,7 @@ def compute_losses(
             raw_l_cmmd = float(values[1:].mean())
 
     return StepTrace(
-        params_ref=params,
+        params=params,
         src=src_trace,
         tgt=tgt_trace,
         probs_src=probs_src,
@@ -373,10 +373,9 @@ def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
     return d_z[:n], d_z[n:]
 
 
-def backward(trace: StepTrace, params: ModelParams, alpha: float, beta: float) -> ModelParams:
+def backward(trace: StepTrace, alpha: float, beta: float) -> ModelParams:
     """Exact gradient of trace.total(alpha, beta) w.r.t. every parameter."""
-    if trace.params_ref is not params:
-        raise ValidationError("stale trace: parameters changed since the forward pass")
+    params = trace.params
     d_logits = (trace.probs_src - trace.y_src) / trace.probs_src.shape[0]
     d_h_src = d_logits @ params.Wc.T
     align = _alignment_grads(trace, alpha, beta)

@@ -9,7 +9,7 @@ learning rates anneal as base / (1 + 10 p)^0.75 with progress p.
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 LR_ANNEAL_GAIN = 10.0
 LR_ANNEAL_POWER = 0.75
@@ -38,8 +38,10 @@ class ScheduleConfig:
             raise ValidationError("need 0 <= stage_e1 < stage_e2 < stage_e3")
         if not (0 <= self.conf1 <= self.conf2 <= 1):
             raise ValidationError("need 0 <= conf1 <= conf2 <= 1")
-        if self.lr_extractor <= 0 or self.lr_classifier <= 0:
-            raise ValidationError("learning rates must be positive")
+        for name in ("lr_extractor", "lr_classifier"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be > 0")
+        require_finite(self)
 
 
 def alpha_at(epoch: int, epochs: int, cfg: ScheduleConfig) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, require_finite
 from .kernels import KernelBuffers
 from .net import (
     ModelParams,
@@ -83,6 +83,7 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be >= 1")
         if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
+        require_finite(self)
 
 
 @dataclass
@@ -213,7 +214,7 @@ def train(
                 beta = beta_of(trace.l_ds, sched) if flags.dynamic_weights else 1.0
                 if not np.isfinite(trace.total(alpha, beta)):
                     raise NumericsError("non-finite loss")
-                grads = backward(trace, params, alpha, beta)
+                grads = backward(trace, alpha, beta)
                 params, velocity = sgd_step(
                     params, grads, velocity, lr_ext, lr_cls, cfg.momentum, cfg.weight_decay
                 )

@@ -22,7 +22,7 @@ from ddalign.features import (
     RawWindow,
     build_feature_matrix,
 )
-from ddalign.kernels import discrepancies, pooled_gram, signed_weights
+from ddalign.kernels import KernelBuffers, discrepancies, pooled_gram, signed_weights
 from ddalign.net import (
     backward,
     compute_losses,
@@ -73,7 +73,7 @@ def test_criterion_1_kernel_oracle_equivalence():
         sigma = float(rng.uniform(0.5, 4.0))
 
         # the composition a training step runs: one Gram matrix, one weight call
-        K, _, _ = pooled_gram(np.vstack([Xs, Xt]), sigma)
+        K, _, _ = pooled_gram(np.vstack([Xs, Xt]), sigma, KernelBuffers())
         W, scale = signed_weights(ys, yt, C)
         v = discrepancies(K, W, scale)
 
@@ -128,7 +128,7 @@ def test_criterion_2_gradient_correctness():
     worst = 0.0
     for alpha, beta, label in ((1.0, 1.0, "total"), (1.0, 0.0, "marginal"),
                                (0.0, 1.0, "conditional")):
-        analytic = backward(trace, params, alpha, beta)
+        analytic = backward(trace, alpha, beta)
         numeric = fd(alpha, beta)
         for a, n in zip(analytic.arrays(), numeric):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)

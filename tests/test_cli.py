@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from ddalign.cli import main
-from ddalign.data import (ACCEPT_SYNTH, FeatureDataset, save_checkpoint, save_features,
-                          save_raw_recording)
+from ddalign.data import (ACCEPT_SYNTH, FeatureDataset, load_checkpoint, save_checkpoint,
+                          save_features, save_raw_recording)
 from ddalign.features import RawWindow, build_feature_matrix
 from ddalign.net import init_params
 
@@ -52,6 +52,16 @@ class TestSynth:
         out = tmp_path / "task"
         assert run_cli("synth", "--out", str(out), "--seed", "-1") == 3
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [("--noise", "nan", "noise"),
+                                                    ("--class-sep", "inf", "class_sep"),
+                                                    ("--rotation", "nan", "rotation_deg")])
+    def test_non_finite_setting_exit_3_without_output(self, tmp_path, capsys, flag, value,
+                                                      field):
+        out = tmp_path / "task"
+        assert run_cli("synth", "--out", str(out), flag, value) == 3
+        assert f"error: {field} must be finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_target_file_is_unlabeled(self, synth_dir):
@@ -121,6 +131,35 @@ class TestTrain:
         key = setting.split()[0]
         assert f"error: {key} must be >= " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nan_weight_decay_exit_3_without_output(self, tmp_path, synth_dir, capsys):
+        # NaN fails sgd_step's `weight_decay > 0`, so unchecked it would train as weight_decay = 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("weight_decay = nan\n")
+        out = tmp_path / "x"
+        assert run_cli("train", "--config", str(cfg), "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 3
+        assert "error: weight_decay must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_class_count_comes_from_the_source(self, tmp_path):
+        task = tmp_path / "t4"
+        assert run_cli("synth", "--classes", "4", "--n-per-class", "10", "--out", str(task)) == 0
+        out = tmp_path / "run"
+        assert run_cli("train", "--source", str(task / "source.csv"),
+                       "--target", str(task / "target.csv"), "--epochs", "1",
+                       "--batch-size", "16", "--out", str(out)) == 0
+        assert load_checkpoint(out / "model.ckpt").Wc.shape[1] == 4
+        assert "n_classes = 4\n" in (out / "config.resolved").read_text()
+
+    def test_snapshot_records_the_class_count_trained(self, tmp_path, synth_dir):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_classes = 5\nepochs = 1\nbatch_size = 16\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(cfg), "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 0
+        assert "n_classes = 3\n" in (out / "config.resolved").read_text()
+        assert load_checkpoint(out / "model.ckpt").Wc.shape[1] == 3
 
     def test_negative_seed_flag_exit_3_without_output(self, tmp_path, synth_dir, capsys):
         out = tmp_path / "x"
@@ -339,6 +378,18 @@ class TestProtocol:
         assert "EXP1 single-session: " in capsys.readouterr().out
         payload = json.loads((out / "summary.json").read_text())
         assert [f["subject"] for f in payload["folds"]] == ["sub0", "sub1", "sub2"]
+
+    def test_protocol_is_ablate_under_a_second_name(self, tmp_path, capsys):
+        # one subparser: --seeds works under both names and the runs are the same
+        for command in ("protocol", "ablate"):
+            assert run_cli(command, "--data", "synth", "--seeds", "2", "--epochs", "1",
+                           "--batch-size", "64", "--out", str(tmp_path / command)) == 0
+        assert (tmp_path / "protocol" / "summary.json").read_bytes() == \
+            (tmp_path / "ablate" / "summary.json").read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            run_cli("--help")
+        assert "ablate (protocol)" in capsys.readouterr().out
 
     def test_ablate_on_a_manifest_runs_the_same_folds(self, tmp_path, manifest, capsys):
         outputs = {}

@@ -3,6 +3,7 @@
 import os
 import re
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,9 @@ from ddalign.data import (
 )
 from ddalign.errors import DataFormatError, ValidationError
 from ddalign.features import RawWindow
-from ddalign.kernels import discrepancies, pooled_gram, signed_weights
+from ddalign.kernels import KernelBuffers, discrepancies, pooled_gram, signed_weights
 from ddalign.net import init_params
+from ddalign.schedules import ScheduleConfig
 from ddalign.trainer import TrainConfig
 
 
@@ -258,7 +260,7 @@ class TestSynthShift:
             cfg = SynthShiftConfig(n_per_class=n, domain_shift=0.0, rotation_deg=0.0, seed=7)
             task = generate_synth_shift(cfg)
             src, tgt = task.source.features, task.target_features
-            K, _, _ = pooled_gram(np.vstack([src, tgt]), None)
+            K, _, _ = pooled_gram(np.vstack([src, tgt]), None, KernelBuffers())
             W, scale = signed_weights(np.zeros(len(src)), np.zeros(len(tgt)), 1)
             vals.append(discrepancies(K, W, scale)[0])
         assert vals[0] > vals[1] > vals[2]
@@ -385,3 +387,21 @@ class TestRunConfig:
         values = build_run_config(None, {"source": "task/s.csv", "target": ""}).values
         assert values["source"] == str((tmp_path / "task" / "s.csv").resolve())
         assert values["target"] == ""
+
+
+# every float setting of the three configs (TrainConfig.sigma may also be None)
+FLOAT_FIELDS = [(cls, f.name) for cls in (TrainConfig, ScheduleConfig, SynthShiftConfig)
+                for f in fields(cls) if f.type in (float, float | None)]
+
+
+class TestFiniteSettings:
+    def test_every_float_setting_is_covered(self):
+        assert {name for _, name in FLOAT_FIELDS} >= {
+            "weight_decay", "sigma", "tau_h", "rho1", "lr_extractor", "noise", "rotation_deg"}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+    def test_non_finite_rejected_naming_the_field(self, cls, name, value):
+        with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+            cls(**{name: value})

@@ -57,7 +57,7 @@ def step_statistics(Xs, Xt, sigma, ys=None, yt=None, n_classes=1):
     """
     ys = np.zeros(len(Xs), int) if ys is None else ys
     yt = np.zeros(len(Xt), int) if yt is None else yt
-    K, _, _ = pooled_gram(np.vstack([Xs, Xt]), sigma)
+    K, _, _ = pooled_gram(np.vstack([Xs, Xt]), sigma, KernelBuffers())
     W, scale = signed_weights(ys, yt, n_classes)
     v = discrepancies(K, W, scale)
     return max(float(v[0]), 0.0), max(float(v[1:].mean()), 0.0) if v.size > 1 else 0.0
@@ -65,7 +65,7 @@ def step_statistics(Xs, Xt, sigma, ys=None, yt=None, n_classes=1):
 
 def kernel_of_pair(u, v, sigma):
     """k(u, v) of two single vectors, read off their pooled Gram matrix."""
-    return float(pooled_gram(np.array([u, v], dtype=float), sigma)[0][0, 1])
+    return float(pooled_gram(np.array([u, v], dtype=float), sigma, KernelBuffers())[0][0, 1])
 
 
 class TestGaussianKernel:
@@ -90,50 +90,51 @@ class TestGaussianKernel:
         # a NaN embedding row must not pass as a collapsed one
         Z = np.array([[np.nan, 0.0], [1.0, 2.0], [0.5, 0.5]])
         with pytest.raises(NumericsError, match="non-finite pooled distances"):
-            pooled_gram(Z, MEDIAN)
+            pooled_gram(Z, MEDIAN, KernelBuffers())
 
 
 class TestKernelMatrix:
     def test_single_point(self):
-        npt.assert_array_equal(pooled_gram(np.array([[1.0, 2.0]]), FIXED)[0], [[1.0]])
+        K, _, _ = pooled_gram(np.array([[1.0, 2.0]]), FIXED, KernelBuffers())
+        npt.assert_array_equal(K, [[1.0]])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         Z = rng.normal(size=(7, 2))
-        K, _, _ = pooled_gram(Z, FIXED)
+        K, _, _ = pooled_gram(Z, FIXED, KernelBuffers())
         for i in range(7):
             for j in range(7):
                 assert K[i, j] == pytest.approx(kernel_oracle(Z[i], Z[j], 1.0), rel=1e-12)
 
     def test_distant_points_decay(self):
-        K, _, _ = pooled_gram(np.array([[0.0], [1e4]]), FIXED)
+        K, _, _ = pooled_gram(np.array([[0.0], [1e4]]), FIXED, KernelBuffers())
         assert K[0, 1] <= 1e-12 and K[1, 0] <= 1e-12
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(2)
-        K, _, _ = pooled_gram(rng.normal(size=(11, 3)), FIXED)
+        K, _, _ = pooled_gram(rng.normal(size=(11, 3)), FIXED, KernelBuffers())
         assert (K >= 0).all()
         assert (K <= 1.0).all()
 
 
 class TestMedianBandwidth:
     def test_single_pair(self):
-        assert pooled_gram(np.array([[0.0], [2.0]]), MEDIAN)[1] == 4.0
+        assert pooled_gram(np.array([[0.0], [2.0]]), MEDIAN, KernelBuffers())[1] == 4.0
 
     def test_three_points(self):
         # pairwise squared distances {1, 9, 4} -> median 4
-        assert pooled_gram(np.array([[0.0], [1.0], [3.0]]), MEDIAN)[1] == 4.0
+        assert pooled_gram(np.array([[0.0], [1.0], [3.0]]), MEDIAN, KernelBuffers())[1] == 4.0
 
     def test_degenerate_fallback(self):
-        assert pooled_gram(np.ones((5, 2)), MEDIAN)[1] == 1.0
+        assert pooled_gram(np.ones((5, 2)), MEDIAN, KernelBuffers())[1] == 1.0
 
     def test_median_sigma_of_pooled_gram(self):
-        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), MEDIAN)
+        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), MEDIAN, KernelBuffers())
         assert sigma == 4.0
         assert K[0, 1] == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_given_sigma_replaces_the_heuristic(self):
-        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), 2.0)
+        K, sigma, _ = pooled_gram(np.array([[0.0], [2.0]]), 2.0, KernelBuffers())
         assert sigma == 2.0
         assert K[0, 1] == pytest.approx(math.exp(-2), rel=1e-12)
 
@@ -235,7 +236,8 @@ class TestPooledKernel:
         d2 = [sum((a - b) ** 2 for a, b in zip(pooled[i], pooled[j]))
               for i in range(len(pooled)) for j in range(i + 1, len(pooled))]
         sigma = float(np.median(d2))
-        npt.assert_allclose(pooled_gram(np.vstack([Xs, Xt]), MEDIAN)[1], sigma, rtol=1e-10)
+        npt.assert_allclose(pooled_gram(np.vstack([Xs, Xt]), MEDIAN, KernelBuffers())[1], sigma,
+                            rtol=1e-10)
         npt.assert_allclose(step_statistics(Xs, Xt, MEDIAN)[0], mmd_oracle(Xs, Xt, sigma),
                             rtol=1e-10)
         npt.assert_allclose(step_statistics(Xs, Xt, MEDIAN, ys, yt, 3)[1],
@@ -246,7 +248,7 @@ class TestPooledKernel:
         rng = np.random.default_rng(16)
         base = 1e3 + rng.normal(size=(40, 8))
         Z = np.vstack([base, base[:10], base[:10] + 1e-9])  # duplicates, near-duplicates
-        D = pooled_sq_dists(Z - Z.mean(axis=0))
+        D = pooled_sq_dists(Z - Z.mean(axis=0), KernelBuffers())
         npt.assert_array_equal(D, D.T)
         assert (D >= 0.0).all()
         npt.assert_array_equal(np.diag(D), 0.0)
@@ -265,13 +267,13 @@ class TestExactFastPaths:
         sq = G.diagonal().copy()
         expected = np.maximum(sq[:, None] + sq[None, :] - 2.0 * G, 0.0)
         np.fill_diagonal(expected, 0.0)
-        npt.assert_array_equal(pooled_sq_dists(Zc), expected)
+        npt.assert_array_equal(pooled_sq_dists(Zc, KernelBuffers()), expected)
 
     @staticmethod
     def numpy_median(Z):
         if len(Z) < 2:  # no pair
             return 1.0
-        D = pooled_sq_dists(Z - Z.mean(axis=0))
+        D = pooled_sq_dists(Z - Z.mean(axis=0), KernelBuffers())
         med = float(np.median(D[np.triu_indices(len(Z), 1)]))
         return med if med > 0.0 else 1.0
 
@@ -307,10 +309,10 @@ class TestExactFastPaths:
         mostly = np.zeros((10, 3))
         mostly[0] = 1.0
         for Z in (np.full((7, 3), 5.0), mostly):
-            _, sigma, _ = pooled_gram(Z, MEDIAN)
+            _, sigma, _ = pooled_gram(Z, MEDIAN, KernelBuffers())
             assert sigma == self.numpy_median(Z) == 1.0
         # one row has no pair at all
-        assert pooled_gram(np.ones((1, 3)), MEDIAN)[1] == 1.0
+        assert pooled_gram(np.ones((1, 3)), MEDIAN, KernelBuffers())[1] == 1.0
 
     @pytest.mark.parametrize("sigma", [MEDIAN, FIXED], ids=["median", "fixed"])
     def test_overflowing_distances_raise_naming_kernel(self, sigma):
@@ -319,7 +321,7 @@ class TestExactFastPaths:
         Z = 1e160 * np.random.default_rng(17).normal(size=(6, 3))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericsError, match="non-finite pooled distances in the kernel layer"):
-            pooled_gram(Z, sigma)
+            pooled_gram(Z, sigma, KernelBuffers())
 
 
 class TestGradients:
@@ -336,11 +338,11 @@ class TestGradients:
     @staticmethod
     def pooled_grad(Xs, ys, Xt, yt, sigma, n_classes):
         """d/dZ of the class-averaged statistic on the pooled rows [Xs; Xt]."""
-        K, _, Zc = pooled_gram(np.vstack([Xs, Xt]), sigma)
+        K, _, Zc = pooled_gram(np.vstack([Xs, Xt]), sigma, KernelBuffers())
         W, scale = signed_weights(ys, yt, n_classes)
         coef = scale / (W.shape[1] - 1)
         coef[0] = 0.0  # the marginal column
-        d_z = discrepancy_grad(K, W, coef, Zc, sigma)
+        d_z = discrepancy_grad(K, W, coef, Zc, sigma, KernelBuffers())
         return d_z[:len(Xs)], d_z[len(Xs):]
 
     def test_mmd_grad_vs_finite_differences(self):

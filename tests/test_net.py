@@ -255,9 +255,9 @@ def max_rel_err(analytic: ModelParams, numeric: ModelParams) -> float:
 UNIT_WEIGHTS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
-def unit_weight_grads(trace, params) -> list[ModelParams]:
+def unit_weight_grads(trace) -> list[ModelParams]:
     """backward at (alpha, beta) = (0, 0), (1, 0) and (0, 1)."""
-    return [backward(trace, params, alpha, beta) for alpha, beta in UNIT_WEIGHTS]
+    return [backward(trace, alpha, beta) for alpha, beta in UNIT_WEIGHTS]
 
 
 def linear_in_weights(g00, g10, g01, alpha, beta) -> ModelParams:
@@ -270,7 +270,7 @@ class TestBackward:
     def test_components_match_finite_differences(self):
         params, src_x, src_y, tgt_x = tiny_setup(14)
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
-        for (alpha, beta), g in zip(UNIT_WEIGHTS, unit_weight_grads(trace, params)):
+        for (alpha, beta), g in zip(UNIT_WEIGHTS, unit_weight_grads(trace)):
             fd = fd_param_grads(
                 lambda p: compute_losses(src_x, src_y, tgt_x, p, tau=0.0,
                                          sigma=FIXED).total(alpha, beta), params)
@@ -279,8 +279,8 @@ class TestBackward:
     def test_combined_backward_matches_weighted_parts(self):
         params, src_x, src_y, tgt_x = tiny_setup(15)
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
-        combined = backward(trace, params, alpha=0.6, beta=0.4)
-        expected = linear_in_weights(*unit_weight_grads(trace, params), 0.6, 0.4)
+        combined = backward(trace, alpha=0.6, beta=0.4)
+        expected = linear_in_weights(*unit_weight_grads(trace), 0.6, 0.4)
         for a, b in zip(combined.arrays(), expected.arrays()):
             npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
@@ -293,7 +293,7 @@ class TestBackward:
         src_x = np.array([[1.0, 1.0]])
         trace = compute_losses(src_x, np.array([0]), np.empty((0, 2)), params,
                                tau=0.0, sigma=FIXED)
-        grads = backward(trace, params, alpha=0.0, beta=0.0)
+        grads = backward(trace, alpha=0.0, beta=0.0)
         for arr in grads.arrays():
             npt.assert_allclose(arr, 0.0, atol=1e-12)
 
@@ -306,15 +306,15 @@ class TestBackward:
             trace = compute_losses(src_x * 1e300, src_y, tgt_x, params, tau=0.0,
                                    sigma=FIXED, use_mmd=False, use_cmmd=False)
             with pytest.raises(NumericsError, match="gradient overflowed: W1"):
-                backward(trace, params, alpha=0.0, beta=0.0)
+                backward(trace, alpha=0.0, beta=0.0)
 
     def test_duplicating_source_batch_keeps_gradient(self):
         params, src_x, src_y, tgt_x = tiny_setup(17)
         trace1 = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
-        g1 = backward(trace1, params, alpha=1.0, beta=1.0)
+        g1 = backward(trace1, alpha=1.0, beta=1.0)
         trace2 = compute_losses(np.vstack([src_x, src_x]), np.concatenate([src_y, src_y]),
                                 tgt_x, params, tau=0.0, sigma=FIXED)
-        g2 = backward(trace2, params, alpha=1.0, beta=1.0)
+        g2 = backward(trace2, alpha=1.0, beta=1.0)
         for a, b in zip(g1.arrays(), g2.arrays()):
             npt.assert_allclose(a, b, rtol=1e-9, atol=1e-10)
 
@@ -324,27 +324,20 @@ class TestBackward:
         params, src_x, src_y, tgt_x = tiny_setup(18)
         rng = np.random.default_rng(99)
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED, rng=rng)
-        g = backward(trace, params, alpha=1.0, beta=1.0)
+        g = backward(trace, alpha=1.0, beta=1.0)
         assert all(np.isfinite(a).all() for a in g.arrays())
 
     def test_trace_without_buffers_outlives_next_call(self):
         params, src_x, src_y, tgt_x = tiny_setup(22)
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         K, Zc = trace.K.copy(), trace.Zc.copy()
-        g = backward(trace, params, alpha=1.0, beta=1.0)
+        g = backward(trace, alpha=1.0, beta=1.0)
         other = compute_losses(src_x + 1.0, src_y, tgt_x - 1.0, params, tau=0.0, sigma=FIXED)
-        backward(other, params, alpha=1.0, beta=1.0)
+        backward(other, alpha=1.0, beta=1.0)
         assert not np.shares_memory(trace.K, other.K)
         npt.assert_array_equal(trace.K, K)
         npt.assert_array_equal(trace.Zc, Zc)
-        npt.assert_array_equal(backward(trace, params, alpha=1.0, beta=1.0).flat, g.flat)
-
-    def test_stale_trace_rejected(self):
-        params, src_x, src_y, tgt_x = tiny_setup(19)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
-        other = init_params(6, 4, 4, 3, np.random.default_rng(20))
-        with pytest.raises(ValidationError, match="stale"):
-            backward(trace, other, alpha=1.0, beta=0.0)
+        npt.assert_array_equal(backward(trace, alpha=1.0, beta=1.0).flat, g.flat)
 
     def test_deterministic_given_seed(self):
         params, src_x, src_y, tgt_x = tiny_setup(21)
@@ -352,7 +345,7 @@ class TestBackward:
         for _ in range(2):
             rng = np.random.default_rng(42)
             trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED, rng=rng)
-            outs.append(backward(trace, params, alpha=1.0, beta=1.0))
+            outs.append(backward(trace, alpha=1.0, beta=1.0))
         for a, b in zip(outs[0].arrays(), outs[1].arrays()):
             npt.assert_array_equal(a, b)
 
@@ -378,10 +371,10 @@ class TestDegenerateSteps:
         assert trace.sigma == 1.0
         assert trace.raw_l_mmd == 0.0 and trace.raw_l_cmmd == 0.0
         assert trace.kept_idx.size == tgt_x.shape[0]
-        g00, g10, g01 = unit_weight_grads(trace, params)
+        g00, g10, g01 = unit_weight_grads(trace)
         self.assert_same(g10, g00)
         self.assert_same(g01, g00)
-        self.assert_same(backward(trace, params, 1.0, 1.0), g00)
+        self.assert_same(backward(trace, 1.0, 1.0), g00)
 
     def test_no_class_shared_with_kept_target(self):
         params, src_x, _, tgt_x = tiny_setup(25)
@@ -392,7 +385,7 @@ class TestDegenerateSteps:
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.5, sigma=self.MEDIAN)
         assert trace.kept_idx.size == tgt_x.shape[0]
         assert trace.raw_l_cmmd == 0.0 and trace.raw_l_mmd > 0.0
-        g00, g10, g01 = unit_weight_grads(trace, params)
+        g00, g10, g01 = unit_weight_grads(trace)
         self.assert_same(g01, g00)
         assert np.any(g10.W1 != g00.W1)
 
@@ -401,7 +394,7 @@ class TestDegenerateSteps:
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=1.0, sigma=self.MEDIAN)
         assert trace.kept_idx.size == 0
         assert trace.raw_l_cmmd == 0.0
-        g00, _, g01 = unit_weight_grads(trace, params)
+        g00, _, g01 = unit_weight_grads(trace)
         self.assert_same(g01, g00)
 
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
@@ -410,8 +403,8 @@ class TestDegenerateSteps:
         trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=self.MEDIAN,
                                rng=np.random.default_rng(5))
         assert trace.raw_l_mmd > 0.0 and trace.raw_l_cmmd > 0.0
-        expected = linear_in_weights(*unit_weight_grads(trace, params), alpha, beta)
-        for a, b in zip(backward(trace, params, alpha, beta).arrays(), expected.arrays()):
+        expected = linear_in_weights(*unit_weight_grads(trace), alpha, beta)
+        for a, b in zip(backward(trace, alpha, beta).arrays(), expected.arrays()):
             npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
