@@ -159,9 +159,8 @@ def _load_training_pair(run_config):
 def cmd_train(args) -> int:
     run_config = _resolve_run_config(args)
     source, target_features = _load_training_pair(run_config)
-    # the model has as many classes as the source header names; config.resolved says so
-    run_config.values["n_classes"] = source.n_classes
-    cfg = run_config.train_config()
+    # the model has as many classes as the source header names
+    cfg = replace(run_config.train_config(), n_classes=source.n_classes)
     result = train(source.features, source.labels, target_features, cfg)
     print(f"seed: {cfg.seed}")
     last = result.history[-1]
@@ -190,8 +189,7 @@ def cmd_evaluate(args) -> int:
 
 def _run_folds_command(args) -> int:
     """``protocol`` and ``ablate``: one fold per held-out subject of a manifest,
-    or per generated ACCEPT_SYNTH task with ``--data synth``. The folds train
-    with the data's class count, and config.resolved records it."""
+    or per generated ACCEPT_SYNTH task with ``--data synth``."""
     run_config = _resolve_run_config(args)
     values = run_config.values
     if values["source"] or values["target"]:
@@ -200,7 +198,6 @@ def _run_folds_command(args) -> int:
     if args.data == "synth":
         if args.protocol is not None or args.session is not None:
             raise ValidationError("--protocol and --session apply to a manifest, not --data synth")
-        values["n_classes"] = ACCEPT_SYNTH.n_classes
         # the tasks are always generator seeds 0..n-1; --seed moves only training
         n_seeds = 5 if args.seeds is None else args.seeds
         summary = run_synth_protocol(ACCEPT_SYNTH, run_config.train_config(),
@@ -209,10 +206,8 @@ def _run_folds_command(args) -> int:
     else:
         if args.seeds is not None:
             raise ValidationError("--seeds applies to --data synth, not a manifest")
-        dataset = load_dataset(args.data)
-        values["n_classes"] = dataset.n_classes
         summary = run_protocol(
-            dataset, (args.protocol or "single-session").replace("-", "_"),
+            load_dataset(args.data), (args.protocol or "single-session").replace("-", "_"),
             run_config.train_config(), variant=values["variant"],
             session=args.session, jobs=args.jobs, out_dir=args.out,
         )
@@ -228,10 +223,7 @@ def _run_folds_command(args) -> int:
 
 def cmd_dump_embeddings(args) -> int:
     params = load_checkpoint(args.model)
-    source = load_features(args.source)
-    target = load_features(args.target)
-    dump_embeddings(params, source, target.features, args.out,
-                    target_labels=target.labels)
+    dump_embeddings(params, load_features(args.source), load_features(args.target), args.out)
     print(f"wrote embeddings to {args.out}")
     return 0
 

@@ -70,6 +70,14 @@ def _regular_file(path, kind: str) -> Path:
     return path
 
 
+def _construct(path, cls, *args):
+    """``cls(*args)``, its ValidationError re-raised naming the file ``path``."""
+    try:
+        return cls(*args)
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def _write_bin(path, layout, fields, blocks) -> None:
     """Header (magic, version, ``fields``), then each (array, dtype) block."""
     magic, header = layout
@@ -168,7 +176,8 @@ def load_features(path) -> FeatureDataset:
             path, "features", _FEATURE_BIN,
             lambda n, d, labeled, _: [((n, d), "<f8"), ((n if labeled else 0,), "<i8")],
         )
-        return FeatureDataset(feats, labels if has_labels else None, n_classes)
+        return _construct(path, FeatureDataset, feats, labels if has_labels else None,
+                          n_classes)
     header, rows = _read_csv(
         path, "features",
         {"n_samples": int, "feature_dim": int, "has_labels": int, "n_classes": int},
@@ -185,7 +194,7 @@ def load_features(path) -> FeatureDataset:
                 labels[i] = int(row[d])
     except ValueError as exc:
         raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-    return FeatureDataset(feats, labels, header["n_classes"])
+    return _construct(path, FeatureDataset, feats, labels, header["n_classes"])
 
 
 def save_raw_recording(path, window: RawWindow) -> None:
@@ -205,7 +214,7 @@ def load_raw_recording(path) -> RawWindow:
     if Path(path).suffix == ".bin":
         (_, fs, _), (data,) = _read_bin(path, "raw", _RAW_BIN,
                                         lambda n_ch, fs, n_samp: [((n_ch, n_samp), "<f8")])
-        return RawWindow(data, fs)
+        return _construct(path, RawWindow, data, fs)
     header, rows = _read_csv(
         path, "raw", {"n_channels": int, "fs": float, "n_samples": int},
         lambda n_channels, fs, n_samples: (n_channels, n_samples),
@@ -216,7 +225,7 @@ def load_raw_recording(path) -> RawWindow:
             data[i] = [float(v) for v in row]
     except ValueError as exc:
         raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-    return RawWindow(data, header["fs"])
+    return _construct(path, RawWindow, data, header["fs"])
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -230,7 +239,7 @@ def load_checkpoint(path) -> ModelParams:
     _, arrays = _read_bin(path, "checkpoint", _CKPT_BIN, lambda d, h1, h2, c: [
         (shape, "<f8") for shape in ((d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,))
     ])
-    return ModelParams(*arrays)
+    return _construct(path, ModelParams, *arrays)
 
 
 @dataclass
@@ -402,8 +411,10 @@ PRESETS = {
     "short": {"batch_size": 32, "epochs": 10},
 }
 
-# TrainConfig's scalar settings; schedule and flags are nested configs
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING}
+# TrainConfig's scalar settings; schedule and flags are nested configs, and
+# each command takes n_classes from its data
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)
+                   if f.default is not MISSING and f.name != "n_classes"}
 _SCHEDULE_DEFAULTS = asdict(ScheduleConfig())
 
 # every run setting, in config.resolved order, with the dataclasses' defaults;
@@ -459,12 +470,13 @@ def _coerce(key: str, raw) -> object:
 
 
 def read_config_file(path) -> dict:
-    """key = value lines; '#' starts a comment; unknown keys are rejected."""
+    """key = value lines; a line whose first non-blank character is '#' is a
+    comment, so a value may hold '#'; unknown keys are rejected."""
     path = _regular_file(path, "config")
     out = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:

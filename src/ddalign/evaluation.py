@@ -168,7 +168,8 @@ def _run_fold(args) -> FoldResult:
     name, make_task, cfg, out_dir = args
     with warnings.catch_warnings(record=True) as caught:
         task = make_task()
-        result = train(task.source.features, task.source.labels, task.target_features, cfg)
+        result = train(task.source.features, task.source.labels, task.target_features,
+                       replace(cfg, n_classes=task.source.n_classes))
         metrics = evaluate(result.params, task.target_eval)
     if out_dir is not None:
         save_history(result.history, Path(out_dir) / f"history_{name}.csv")
@@ -234,35 +235,26 @@ def run_synth_protocol(
         (f"seed{k}", partial(generate_synth_shift, replace(synth_cfg, seed=synth_cfg.seed + k)))
         for k in range(n_seeds)
     ]
-    cfg = replace(cfg, n_classes=synth_cfg.n_classes)
     return ProtocolSummary(variant=variant, protocol="synthetic",
                            folds=_run_folds(folds, cfg, variant, jobs, out_dir))
 
 
 def dump_embeddings(
-    params: ModelParams,
-    source: FeatureDataset,
-    target_features: np.ndarray,
-    path,
-    target_labels: np.ndarray | None = None,
+    params: ModelParams, source: FeatureDataset, target: FeatureDataset, path
 ) -> None:
-    """CSV of 64-dim embeddings with domain (0 source, 1 target) and label columns.
+    """CSV of extractor embeddings with domain (0 source, 1 target) and label columns.
 
-    Unknown target labels are written as -1.
+    Unknown labels are written as -1.
     """
-    h_src, _ = forward_features(source.features, params)
-    h_tgt, _ = forward_features(np.asarray(target_features, dtype=np.float64), params)
-    dim = h_src.shape[1]
+    # both passes run before the file opens, so a failing one leaves no file
+    embedded = [forward_features(ds.features, params)[0] for ds in (source, target)]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow([f"e{i}" for i in range(dim)] + ["domain", "label"])
-        src_labels = source.labels if source.labels is not None else -np.ones(len(h_src))
-        for row, label in zip(h_src, src_labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [0, int(label)])
-        if target_labels is None:
-            target_labels = -np.ones(len(h_tgt))
-        for row, label in zip(h_tgt, target_labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [1, int(label)])
+        writer.writerow([f"e{i}" for i in range(embedded[0].shape[1])] + ["domain", "label"])
+        for domain, (ds, h) in enumerate(zip((source, target), embedded)):
+            labels = ds.labels if ds.labels is not None else np.full(len(h), -1)
+            for row, label in zip(h, labels):
+                writer.writerow([f"{v:.17g}" for v in row] + [domain, int(label)])
 
 
 def save_summary(summary: ProtocolSummary, out_dir, config_hash: str = "") -> None:

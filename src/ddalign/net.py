@@ -185,10 +185,6 @@ def forward_logits(h: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.ndim == 2:
-        if labels.shape[1] != n_classes:
-            raise ValidationError("one-hot width does not match class count")
-        return np.asarray(labels, dtype=np.float64)
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValidationError(f"label id outside [0, {n_classes})")
     out = np.zeros((labels.shape[0], n_classes))
@@ -196,12 +192,11 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood; the log argument is clamped at 1e-12."""
+def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
+    """Mean negative log-likelihood of one-hot rows ``y``; logs clamped at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
-    y = _one_hot(labels, probs.shape[1])
     if y.shape != probs.shape:
-        raise ValidationError("labels and probabilities disagree on batch size")
+        raise ValidationError(f"one-hot labels have shape {y.shape}, probabilities {probs.shape}")
     return float(-(y * np.log(np.maximum(probs, LOG_CLAMP))).sum() / probs.shape[0])
 
 
@@ -310,8 +305,7 @@ def compute_losses(
             keep = confidence_mask(conf, tau)
             kept_idx = np.flatnonzero(keep)
             tgt_labels = np.where(keep, labels, -1)
-        W, w_scale = kernels.signed_weights(y_onehot.argmax(axis=1), tgt_labels,
-                                            params.n_classes)
+        W, w_scale = kernels.signed_weights(src_y, tgt_labels, params.n_classes)
         values = kernels.discrepancies(K, W, w_scale)
         if use_mmd:
             raw_l_mmd = float(values[0])

@@ -121,6 +121,36 @@ class TestTrain:
             for name in ("model.ckpt", "history.csv", "config.resolved"):
                 assert (tmp_path / "a" / name).read_bytes() == (rerun / name).read_bytes()
 
+    def test_snapshot_replays_from_a_path_with_hash(self, tmp_path, monkeypatch):
+        # the snapshot's absolute source/target paths hold the '#'
+        work = tmp_path / "h#x"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run_cli("synth", "--out", "task", "--n-per-class", "20") == 0
+        assert run_cli("train", "--source", "task/source.csv", "--target", "task/target.csv",
+                       "--preset", "short", "--out", "a") == 0
+        assert f"source = {work / 'task' / 'source.csv'}\n" in \
+            (work / "a" / "config.resolved").read_text()
+        assert run_cli("train", "--config", "a/config.resolved", "--out", "b") == 0
+        assert (work / "a" / "model.ckpt").read_bytes() == (work / "b" / "model.ckpt").read_bytes()
+
+    def test_unlabeled_source_exit_3_naming_file(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "x"
+        source = synth_dir / "target.csv"
+        assert run_cli("train", "--source", str(source), "--target", str(source),
+                       "--out", str(out)) == 3
+        assert f"error: {source}: training source must be labeled" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_preset_in_config_exit_3(self, tmp_path, synth_dir, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("preset = huge\n")
+        out = tmp_path / "x"
+        assert run_cli("train", "--config", str(cfg), "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 3
+        assert "error: unknown preset 'huge'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", ["seed = -1", "hidden1 = 0", "hidden2 = -3"])
     def test_bad_setting_exit_3_without_output(self, tmp_path, synth_dir, capsys, setting):
         cfg = tmp_path / "c.cfg"
@@ -150,16 +180,17 @@ class TestTrain:
                        "--target", str(task / "target.csv"), "--epochs", "1",
                        "--batch-size", "16", "--out", str(out)) == 0
         assert load_checkpoint(out / "model.ckpt").Wc.shape[1] == 4
-        assert "n_classes = 4\n" in (out / "config.resolved").read_text()
+        assert "n_classes" not in (out / "config.resolved").read_text()
 
-    def test_snapshot_records_the_class_count_trained(self, tmp_path, synth_dir):
+    def test_class_count_key_exit_3_without_output(self, tmp_path, synth_dir, capsys):
+        # the class count is the data's, so a config key for it is refused, not ignored
         cfg = tmp_path / "c.cfg"
         cfg.write_text("n_classes = 5\nepochs = 1\nbatch_size = 16\n")
         out = tmp_path / "run"
         assert run_cli("train", "--config", str(cfg), "--source", str(synth_dir / "source.csv"),
-                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 0
-        assert "n_classes = 3\n" in (out / "config.resolved").read_text()
-        assert load_checkpoint(out / "model.ckpt").Wc.shape[1] == 3
+                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 3
+        assert f"error: {cfg}:1: unknown key 'n_classes'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_flag_exit_3_without_output(self, tmp_path, synth_dir, capsys):
         out = tmp_path / "x"
@@ -223,6 +254,25 @@ class TestEvaluate:
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert np.array(payload["confusion"]).sum() == payload["n_samples"]
+
+    def test_out_writes_the_printed_metrics(self, tmp_path, synth_dir, capsys):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(16, 4, 4, 3, np.random.default_rng(0)), model)
+        out = tmp_path / "ev"
+        assert run_cli("evaluate", "--model", str(model),
+                       "--data", str(synth_dir / "target_eval.csv"), "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert (out / "metrics.json").read_text() == printed
+        assert json.loads(printed)["n_samples"] == 60
+
+    def test_nan_checkpoint_exit_3_naming_file(self, tmp_path, synth_dir, capsys):
+        model = tmp_path / "model.ckpt"
+        params = init_params(16, 4, 4, 3, np.random.default_rng(0))
+        params.W1[0, 0] = np.nan
+        save_checkpoint(params, model)
+        assert run_cli("evaluate", "--model", str(model),
+                       "--data", str(synth_dir / "target_eval.csv")) == 3
+        assert f"error: {model}: W1 contains non-finite values" in capsys.readouterr().err
 
     def test_negative_header_count_exit_3(self, tmp_path, capsys):
         model = tmp_path / "model.ckpt"
@@ -336,13 +386,20 @@ class TestAblate:
         assert "source and target apply to train" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_snapshot_records_the_class_count_trained(self, tmp_path):
+    def test_class_count_key_exit_3_without_output(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("n_classes = 5\n")
+        out = tmp_path / "a"
+        assert run_cli("ablate", "--data", "synth", "--seeds", "1", "--epochs", "1",
+                       "--config", str(cfg), "--out", str(out)) == 3
+        assert "unknown key 'n_classes'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_replays_the_folds(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         assert run_cli("ablate", "--data", "synth", "--seeds", "1", "--epochs", "1",
-                       "--config", str(cfg), "--out", str(first)) == 0
-        assert "n_classes = 3\n" in (first / "config.resolved").read_text()
+                       "--out", str(first)) == 0
+        assert "n_classes" not in (first / "config.resolved").read_text()
         payload = json.loads((first / "summary.json").read_text())
         assert np.shape(payload["folds"][0]["confusion"]) == (3, 3)
         assert run_cli("ablate", "--data", "synth", "--seeds", "1",
@@ -403,7 +460,7 @@ class TestProtocol:
                 (tmp_path / "ablate" / name).read_bytes()
         assert outputs["protocol"] == outputs["ablate"]
 
-    def test_snapshot_records_the_manifest_class_count(self, tmp_path):
+    def test_folds_train_with_the_manifest_class_count(self, tmp_path):
         rng = np.random.default_rng(1)
         for s in range(2):
             save_features(tmp_path / f"s{s}.csv",
@@ -413,7 +470,9 @@ class TestProtocol:
         out = tmp_path / "proto"
         assert run_cli("protocol", "--data", str(manifest), *SHORT_MANIFEST_RUN,
                        "--out", str(out)) == 0
-        assert "n_classes = 2\n" in (out / "config.resolved").read_text()
+        payload = json.loads((out / "summary.json").read_text())
+        assert [np.shape(f["confusion"]) for f in payload["folds"]] == [(2, 2), (2, 2)]
+        assert "n_classes" not in (out / "config.resolved").read_text()
 
     def test_role_column_exit_3(self, tmp_path, manifest, capsys):
         manifest.write_text(manifest.read_text().replace("sub1,1,s1.csv", "sub1,1,s1.csv,target"))
@@ -506,6 +565,27 @@ class TestExtractFeatures:
                        "--out", str(tmp_path / "features.csv"), "--bands", "a:0.05-0.1")
         assert code == 3
         assert "sampling rate 0.4 Hz is below 1 Hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bands", ["delta", "delta:1-x", "delta:1"])
+    def test_malformed_bands_exit_3(self, tmp_path, capsys, bands):
+        rec_path = tmp_path / "rec.csv"
+        save_raw_recording(rec_path, RawWindow(np.ones((2, 200 * 3)), fs=200.0))
+        out = tmp_path / "features.csv"
+        code = run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(out), "--bands", bands)
+        assert code == 3
+        assert "; expected name:lo-hi" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_window_below_one_second_exit_3(self, tmp_path, capsys):
+        rec_path = tmp_path / "rec.csv"
+        save_raw_recording(rec_path, RawWindow(np.ones((2, 200 * 3)), fs=200.0))
+        out = tmp_path / "features.csv"
+        code = run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(out), "--window-seconds", "0.5")
+        assert code == 3
+        assert "--window-seconds must cover at least one second" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seconds", ["nan", "inf"])
     def test_non_finite_window_seconds_exit_3(self, tmp_path, capsys, seconds):

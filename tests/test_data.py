@@ -208,6 +208,47 @@ class TestMalformedFiles:
         with pytest.raises(DataFormatError, match=re.escape("s0.csv: not a regular file")):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_features_content_error_names_file(self, tmp_path, suffix):
+        # the header declares fewer classes than the labels use
+        path = tmp_path / f"feat{suffix}"
+        save_features(path, FeatureDataset(np.zeros((2, 2)), np.array([0, 5]), 6))
+        if suffix == ".csv":
+            path.write_text(path.read_text().replace("n_classes=6", "n_classes=2"))
+        else:
+            data = bytearray(path.read_bytes())
+            struct.pack_into("<Q", data, 32, 2)  # n_classes field of the DFEA header
+            path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: labels outside [0, 2)")):
+            load_features(path)
+
+    @pytest.mark.parametrize("suffix, damage, message", [
+        pytest.param(".csv", lambda p: p.write_text(p.read_text().replace("fs=2", "fs=0.5")),
+                     "sampling rate 0.5 Hz is below 1 Hz", id="csv-fs"),
+        pytest.param(".csv", lambda p: p.write_text(p.read_text()[:-2] + "nan\n"),
+                     "samples contain non-finite values", id="csv-nan"),
+        pytest.param(".bin",
+                     lambda p: p.write_bytes(p.read_bytes()[:-8] + struct.pack("<d", np.nan)),
+                     "samples contain non-finite values", id="bin-nan"),
+    ])
+    def test_raw_content_error_names_file(self, tmp_path, suffix, damage, message):
+        path = tmp_path / f"rec{suffix}"
+        save_raw_recording(path, RawWindow(np.zeros((1, 2)), fs=2.0))
+        damage(path)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")):
+            load_raw_recording(path)
+
+    def test_checkpoint_content_error_names_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(3, 2, 2, 2, np.random.default_rng(0)), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, struct.calcsize("<8sIQQQQ"), np.nan)  # W1[0, 0]
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: W1 contains non-finite values")):
+            load_checkpoint(path)
+
 
 class TestManifest:
     def write_dataset_files(self, tmp_path, dims):
@@ -348,6 +389,19 @@ class TestRunConfig:
         again = build_run_config(read_config_file(snap))
         assert again.values == rc.values
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # only a line whose first non-blank character is '#' is a comment
+        path = tmp_path / "c.cfg"
+        path.write_text("  # an indented comment\nsource = /data/h#x/s.csv\n")
+        assert read_config_file(path) == {"source": "/data/h#x/s.csv"}
+
+    def test_inline_comment_fails_loudly(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("epochs = 5  # note\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape("config key 'epochs': cannot parse '5  # note'")):
+            build_run_config(read_config_file(path))
+
     def test_fixed_sigma_config(self):
         rc = build_run_config(None, {"sigma": "2.5"})
         assert rc.train_config().sigma == 2.5
@@ -362,7 +416,6 @@ class TestRunConfig:
             "momentum = 0.9\n"
             "weight_decay = 0.0005\n"
             "seed = 3\n"
-            "n_classes = 3\n"
             "hidden1 = 64\n"
             "hidden2 = 64\n"
             "sigma = median\n"

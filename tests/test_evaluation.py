@@ -231,7 +231,7 @@ class TestDumpEmbeddings:
         params = init_params(6, 4, 4, 3, np.random.default_rng(6))
         src = FeatureDataset(np.random.default_rng(7).normal(size=(5, 6)),
                              np.zeros(5, dtype=int), 3)
-        tgt = np.random.default_rng(8).normal(size=(4, 6))
+        tgt = FeatureDataset(np.random.default_rng(8).normal(size=(4, 6)))
         path = tmp_path / "emb.csv"
         dump_embeddings(params, src, tgt, path)
         rows = path.read_text().strip().splitlines()
@@ -240,11 +240,29 @@ class TestDumpEmbeddings:
         assert rows[1].split(",")[-2] == "0"
         assert rows[-1].split(",")[-2:] == ["1", "-1"]
 
+    def test_labels_of_both_sides(self, tmp_path):
+        params = init_params(6, 4, 4, 3, np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        src = FeatureDataset(rng.normal(size=(2, 6)))
+        tgt = FeatureDataset(rng.normal(size=(3, 6)), np.array([2, 0, 1]), 3)
+        path = tmp_path / "emb.csv"
+        dump_embeddings(params, src, tgt, path)
+        tails = [r.split(",")[-2:] for r in path.read_text().strip().splitlines()[1:]]
+        assert tails == [["0", "-1"], ["0", "-1"], ["1", "2"], ["1", "0"], ["1", "1"]]
+
+    def test_dimension_mismatch_leaves_no_file(self, tmp_path):
+        params = init_params(6, 4, 4, 3, np.random.default_rng(6))
+        src = FeatureDataset(np.zeros((2, 6)))
+        path = tmp_path / "emb.csv"
+        with pytest.raises(ValidationError):
+            dump_embeddings(params, src, FeatureDataset(np.zeros((2, 5))), path)
+        assert not path.exists()
+
     def test_deterministic_dump(self, tmp_path):
         params = init_params(6, 4, 4, 3, np.random.default_rng(9))
         src = FeatureDataset(np.random.default_rng(10).normal(size=(3, 6)),
                              np.zeros(3, dtype=int), 3)
-        tgt = np.random.default_rng(11).normal(size=(3, 6))
+        tgt = FeatureDataset(np.random.default_rng(11).normal(size=(3, 6)))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         dump_embeddings(params, src, tgt, p1)
         dump_embeddings(params, src, tgt, p2)
@@ -256,8 +274,9 @@ class TestDumpEmbeddings:
         rng = np.random.default_rng(12)
         src = FeatureDataset(rng.normal(size=(30, 6)),
                              np.tile(np.arange(3), 10), 3)
-        tgt = rng.normal(size=(20, 6))
-        result = train(src.features, src.labels, tgt, fast_cfg(epochs=1, batch_size=16))
+        tgt = FeatureDataset(rng.normal(size=(20, 6)))
+        result = train(src.features, src.labels, tgt.features,
+                       fast_cfg(epochs=1, batch_size=16))
         untrained = init_params(6, 6, 6, 3, np.random.default_rng(13))
         before, after = tmp_path / "before.csv", tmp_path / "after.csv"
         dump_embeddings(untrained, src, tgt, before)

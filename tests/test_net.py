@@ -103,20 +103,29 @@ class TestForwardLogits:
 class TestCrossEntropy:
     def test_perfect_prediction(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert cross_entropy(probs, np.array([0, 1])) == pytest.approx(0.0, abs=1e-10)
+        assert cross_entropy(probs, np.eye(2)[[0, 1]]) == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_three_classes(self):
         probs = np.full((4, 3), 1 / 3)
-        assert cross_entropy(probs, np.array([0, 1, 2, 0])) == pytest.approx(math.log(3), rel=1e-12)
+        y = np.eye(3)[[0, 1, 2, 0]]
+        assert cross_entropy(probs, y) == pytest.approx(math.log(3), rel=1e-12)
 
     def test_two_sample_closed_form(self):
         probs = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
         expected = -(math.log(0.5) + math.log(0.25)) / 2
-        assert cross_entropy(probs, np.array([0, 1])) == pytest.approx(expected, rel=1e-12)
+        assert cross_entropy(probs, np.eye(3)[[0, 1]]) == pytest.approx(expected, rel=1e-12)
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ValidationError):
-            cross_entropy(np.full((1, 3), 1 / 3), np.array([3]))
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range(self, label):
+        # compute_losses one-hots the source labels, so an id outside [0, C) stops there
+        params, src_x, src_y, tgt_x = tiny_setup()
+        src_y[0] = label
+        with pytest.raises(ValidationError, match=r"label id outside \[0, 3\)"):
+            compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED)
+
+    def test_one_hot_shape_must_match(self):
+        with pytest.raises(ValidationError, match=r"shape \(1, 3\), probabilities \(2, 3\)"):
+            cross_entropy(np.full((2, 3), 1 / 3), np.eye(3)[[0]])
 
 
 class TestModelParams:
