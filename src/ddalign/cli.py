@@ -29,6 +29,7 @@ from .data import (
     load_dataset,
     load_features,
     load_raw_recording,
+    naming_file,
     read_config_file,
     save_checkpoint,
     save_features,
@@ -153,6 +154,8 @@ def _load_training_pair(run_config):
     if source.labels is None:
         raise ValidationError(f"{source_path}: training source must be labeled")
     target = load_features(target_path)
+    if target.feature_dim != source.feature_dim:
+        raise ValidationError(f"{target_path}: source and target feature dimensions differ")
     return source, target.features
 
 
@@ -177,7 +180,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     params = load_checkpoint(args.model)
     data = load_features(args.data)
-    metrics = evaluate(params, data)
+    metrics = naming_file(args.data, evaluate, params, data)
     payload = {"n_samples": data.n_samples, **metrics.to_dict()}
     print(json.dumps(payload, indent=2))
     if args.out:
@@ -223,7 +226,13 @@ def _run_folds_command(args) -> int:
 
 def cmd_dump_embeddings(args) -> int:
     params = load_checkpoint(args.model)
-    dump_embeddings(params, load_features(args.source), load_features(args.target), args.out)
+    paths = (args.source, args.target)
+    sides = [load_features(path) for path in paths]
+    for path, ds in zip(paths, sides):
+        if ds.feature_dim != params.input_dim:
+            raise ValidationError(f"{path}: model expects {params.input_dim} features, "
+                                  f"data has {ds.feature_dim}")
+    dump_embeddings(params, *sides, args.out)
     print(f"wrote embeddings to {args.out}")
     return 0
 

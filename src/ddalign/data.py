@@ -70,10 +70,10 @@ def _regular_file(path, kind: str) -> Path:
     return path
 
 
-def _construct(path, cls, *args):
-    """``cls(*args)``, its ValidationError re-raised naming the file ``path``."""
+def naming_file(path, fn, *args):
+    """``fn(*args)``, its ValidationError re-raised naming the file ``path``."""
     try:
-        return cls(*args)
+        return fn(*args)
     except ValidationError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -121,9 +121,12 @@ def _read_bin(path, kind: str, layout, blocks_of):
 
 
 def _read_csv(path, kind: str, types: dict, shape_of):
-    """Header fields, typed by ``types``, and rows of a ``# <kind> key=value``
-    CSV file. ``shape_of`` maps the fields to the row count and row width,
-    both checked before the caller allocates a matrix."""
+    """Header fields, typed by ``types``, then the float64 matrix and int64
+    labels (or None) of a ``# <kind> key=value`` CSV file, parsed line by
+    line. ``shape_of`` maps the fields to (rows, floats per row, labeled).
+    Rows that pass the checks hold a byte per field, so the arrays are only
+    allocated if the file is that large. Errors rank the row count (counted
+    to the end), then the first wrong width, then the first bad field."""
     path = _regular_file(path, kind)
     with open(path, newline="") as f:
         parts = f.readline().lstrip("#").split()
@@ -137,14 +140,28 @@ def _read_csv(path, kind: str, types: dict, shape_of):
         negative = [f"{k}={v}" for k, v in header.items() if types[k] is int and v < 0]
         if negative:
             raise DataFormatError(f"{path}: negative header count {', '.join(negative)}")
-        rows = list(csv.reader(f))
-    n, width = shape_of(**header)
-    if len(rows) != n:
-        raise DataFormatError(f"{path}: header says {n} rows, file has {len(rows)}")
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-    return header, rows
+        n, d, labeled = shape_of(**header)
+        width = d + labeled
+        matrix = np.empty((n, d)) if n * width <= path.stat().st_size else None
+        labels = np.empty(n, dtype=np.int64) if labeled and matrix is not None else None
+        i, wrong, bad = -1, None, None
+        for i, line in enumerate(f):
+            if wrong or i >= n:
+                continue
+            cells = text.split(",") if (text := line.rstrip("\r\n")) else []
+            if len(cells) != width:
+                wrong = f"row {i} has {len(cells)} fields, expected {width}"
+            elif matrix is not None and not bad:
+                try:
+                    matrix[i] = np.fromiter(map(float, cells), np.float64, d)
+                    if labeled:
+                        labels[i] = int(cells[d])
+                except (ValueError, OverflowError) as exc:
+                    bad = f"row {i}: {exc}"
+    error = f"header says {n} rows, file has {i + 1}" if i + 1 != n else wrong or bad
+    if error:
+        raise DataFormatError(f"{path}: {error}")
+    return header, matrix, labels
 
 
 def save_features(path, dataset: FeatureDataset) -> None:
@@ -176,25 +193,15 @@ def load_features(path) -> FeatureDataset:
             path, "features", _FEATURE_BIN,
             lambda n, d, labeled, _: [((n, d), "<f8"), ((n if labeled else 0,), "<i8")],
         )
-        return _construct(path, FeatureDataset, feats, labels if has_labels else None,
-                          n_classes)
-    header, rows = _read_csv(
+        return naming_file(path, FeatureDataset, feats, labels if has_labels else None,
+                           n_classes)
+    header, feats, labels = _read_csv(
         path, "features",
         {"n_samples": int, "feature_dim": int, "has_labels": int, "n_classes": int},
         lambda n_samples, feature_dim, has_labels, n_classes:
-            (n_samples, feature_dim + bool(has_labels)),
+            (n_samples, feature_dim, bool(has_labels)),
     )
-    d = header["feature_dim"]
-    feats = np.empty((len(rows), d))
-    labels = np.empty(len(rows), dtype=np.int64) if header["has_labels"] else None
-    try:
-        for i, row in enumerate(rows):
-            feats[i] = [float(v) for v in row[:d]]
-            if labels is not None:
-                labels[i] = int(row[d])
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-    return _construct(path, FeatureDataset, feats, labels, header["n_classes"])
+    return naming_file(path, FeatureDataset, feats, labels, header["n_classes"])
 
 
 def save_raw_recording(path, window: RawWindow) -> None:
@@ -214,18 +221,12 @@ def load_raw_recording(path) -> RawWindow:
     if Path(path).suffix == ".bin":
         (_, fs, _), (data,) = _read_bin(path, "raw", _RAW_BIN,
                                         lambda n_ch, fs, n_samp: [((n_ch, n_samp), "<f8")])
-        return _construct(path, RawWindow, data, fs)
-    header, rows = _read_csv(
+        return naming_file(path, RawWindow, data, fs)
+    header, data, _ = _read_csv(
         path, "raw", {"n_channels": int, "fs": float, "n_samples": int},
-        lambda n_channels, fs, n_samples: (n_channels, n_samples),
+        lambda n_channels, fs, n_samples: (n_channels, n_samples, False),
     )
-    data = np.empty((len(rows), header["n_samples"]))
-    try:
-        for i, row in enumerate(rows):
-            data[i] = [float(v) for v in row]
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-    return _construct(path, RawWindow, data, header["fs"])
+    return naming_file(path, RawWindow, data, header["fs"])
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -239,7 +240,7 @@ def load_checkpoint(path) -> ModelParams:
     _, arrays = _read_bin(path, "checkpoint", _CKPT_BIN, lambda d, h1, h2, c: [
         (shape, "<f8") for shape in ((d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,))
     ])
-    return _construct(path, ModelParams, *arrays)
+    return naming_file(path, ModelParams, *arrays)
 
 
 @dataclass

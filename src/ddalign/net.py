@@ -193,11 +193,12 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
-    """Mean negative log-likelihood of one-hot rows ``y``; logs clamped at 1e-12."""
+    """Mean negative log-likelihood of one-hot rows ``y``, +0.0 (never -0.0)
+    when every row's probability is 1; logs clamped at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
     if y.shape != probs.shape:
         raise ValidationError(f"one-hot labels have shape {y.shape}, probabilities {probs.shape}")
-    return float(-(y * np.log(np.maximum(probs, LOG_CLAMP))).sum() / probs.shape[0])
+    return float((0.0 - (y * np.log(np.maximum(probs, LOG_CLAMP))).sum()) / probs.shape[0])
 
 
 @dataclass

@@ -142,6 +142,16 @@ class TestTrain:
         assert f"error: {source}: training source must be labeled" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_target_width_mismatch_exit_3_naming_file(self, tmp_path, synth_dir, capsys):
+        target = tmp_path / "t5.csv"
+        save_features(target, FeatureDataset(np.zeros((10, 5))))
+        out = tmp_path / "x"
+        assert run_cli("train", "--source", str(synth_dir / "source.csv"),
+                       "--target", str(target), "--out", str(out)) == 3
+        assert (f"error: {target}: source and target feature dimensions differ"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_preset_in_config_exit_3(self, tmp_path, synth_dir, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("preset = huge\n")
@@ -254,6 +264,13 @@ class TestEvaluate:
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert np.array(payload["confusion"]).sum() == payload["n_samples"]
+
+    def test_unlabeled_data_exit_3_naming_file(self, tmp_path, synth_dir, capsys):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(16, 4, 4, 3, np.random.default_rng(0)), model)
+        data = synth_dir / "target.csv"
+        assert run_cli("evaluate", "--model", str(model), "--data", str(data)) == 3
+        assert f"error: {data}: evaluation needs a labeled dataset" in capsys.readouterr().err
 
     def test_out_writes_the_printed_metrics(self, tmp_path, synth_dir, capsys):
         model = tmp_path / "model.ckpt"
@@ -642,6 +659,21 @@ class TestDumpEmbeddings:
         assert code == 0
         rows = emb.read_text().strip().splitlines()
         assert len(rows) == 1 + 60 + 60   # header + 3x20 source + target rows
+
+    @pytest.mark.parametrize("side", ["--source", "--target"])
+    def test_width_mismatch_exit_3_naming_file(self, tmp_path, synth_dir, capsys, side):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(16, 4, 4, 3, np.random.default_rng(0)), model)
+        narrow = tmp_path / "t5.csv"
+        save_features(narrow, FeatureDataset(np.zeros((10, 5))))
+        files = {"--source": synth_dir / "source.csv", "--target": synth_dir / "target.csv",
+                 side: narrow}
+        emb = tmp_path / "emb.csv"
+        assert run_cli("dump-embeddings", "--model", str(model),
+                       *(str(a) for item in files.items() for a in item), "--out", str(emb)) == 3
+        assert (f"error: {narrow}: model expects 16 features, data has 5"
+                in capsys.readouterr().err)
+        assert not emb.exists()
 
 
 class TestExitCodes:

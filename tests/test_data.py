@@ -3,6 +3,7 @@
 import os
 import re
 import struct
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -119,6 +120,76 @@ class TestRawFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=r"rec\.csv: row 1"):
             load_raw_recording(path)
+
+
+# CSV files the package writes: a writer, its loader, and the loaded arrays.
+CSV_FILES = {
+    "labeled": (lambda p: save_features(p, labeled_dataset(n=400, d=62)), load_features,
+                lambda ds: (ds.features, ds.labels)),
+    "unlabeled": (lambda p: save_features(p, FeatureDataset(np.ones((400, 62)) / 3)),
+                  load_features, lambda ds: (ds.features,)),
+    "raw": (lambda p: save_raw_recording(
+                p, RawWindow(np.random.default_rng(5).normal(size=(62, 400)), fs=200.0)),
+            load_raw_recording, lambda win: (win.samples,)),
+}
+
+
+class TestCsvReader:
+    """The CSV loaders parse each line as it is read."""
+
+    @pytest.mark.parametrize("kind", list(CSV_FILES))
+    def test_peak_memory_below_three_copies_of_the_arrays(self, tmp_path, kind):
+        write, load, arrays = CSV_FILES[kind]
+        path = tmp_path / "file.csv"
+        write(path)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loaded = load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sum(a.nbytes for a in arrays(loaded))
+
+    @pytest.mark.parametrize("kind", list(CSV_FILES))
+    def test_crlf_and_lf_rows_load_identically(self, tmp_path, kind):
+        write, load, arrays = CSV_FILES[kind]
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        write(crlf)  # csv.writer ends its rows in CRLF
+        assert crlf.read_bytes().count(b"\r\n") == crlf.read_bytes().count(b"\n") - 1
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        for a, b in zip(arrays(load(crlf)), arrays(load(lf)), strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param("1,2,0\n\n", "row 1 has 0 fields, expected 3", id="blank-line"),
+        pytest.param("1,2,0\n1,2,1\n1,2,1\n", "header says 2 rows, file has 3", id="extra-row"),
+        pytest.param("1,2,0\n1,2\n", "row 1 has 2 fields, expected 3", id="short-row"),
+        pytest.param('1,2,0\n"1.5",2,1\n', "row 1: could not convert string to float: "
+                     "'\"1.5\"'", id="quoted-field"),
+        pytest.param("1,2,0\n1,2,1.5\n", "row 1: invalid literal for int() with base 10: "
+                     "'1.5'", id="float-label"),
+        pytest.param("1,2,0\n1,2,99999999999999999999\n",
+                     "row 1: Python int too large to convert to C long", id="huge-label"),
+        # a wrong width outranks an earlier bad field, the row count both
+        pytest.param("1,x,0\n1,2\n", "row 1 has 2 fields, expected 3", id="width-first"),
+        pytest.param("1,x,0\n1,2\n1,2,0\n", "header says 2 rows, file has 3",
+                     id="count-first"),
+    ])
+    def test_malformed_rows_named(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("# features n_samples=2 feature_dim=2 has_labels=1 n_classes=2\n"
+                        + rows)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_features(path)
+
+    def test_huge_declared_row_count_counted_not_allocated(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"# features n_samples={2**40} feature_dim=2 has_labels=0 "
+                        "n_classes=0\n1,2\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: header says {2**40} rows, file has 1")):
+            load_features(path)
 
 
 # Each .bin layout: a writer of a small valid file, its loader, its header

@@ -105,6 +105,11 @@ class TestCrossEntropy:
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert cross_entropy(probs, np.eye(2)[[0, 1]]) == pytest.approx(0.0, abs=1e-10)
 
+    def test_saturated_batch_is_positive_zero(self):
+        # every log is 0, so the negated sum must not come out as -0.0
+        l_ds = cross_entropy(np.eye(1)[[0, 0, 0]], np.eye(1)[[0, 0, 0]])
+        assert l_ds == 0.0 and math.copysign(1, l_ds) == 1
+
     def test_uniform_three_classes(self):
         probs = np.full((4, 3), 1 / 3)
         y = np.eye(3)[[0, 1, 2, 0]]
