@@ -156,6 +156,9 @@ def _load_training_pair(run_config):
     target = load_features(target_path)
     if target.feature_dim != source.feature_dim:
         raise ValidationError(f"{target_path}: source and target feature dimensions differ")
+    for path, ds in ((source_path, source), (target_path, target)):
+        if ds.n_samples == 0:
+            raise ValidationError(f"{path}: training needs at least one row")
     return source, target.features
 
 

@@ -87,81 +87,93 @@ def _write_bin(path, layout, fields, blocks) -> None:
             f.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
 
 
-def _read_bin(path, kind: str, layout, blocks_of):
-    """Header fields and body blocks of a ``.bin`` file. ``blocks_of`` maps the
-    fields to each block's (shape, 8-byte dtype); the body size they declare
-    must equal the file's, checked before the body is allocated or read, and
-    a read that comes up short (the file shrank meanwhile) is an error too."""
+def _bin_header(f, path: Path, kind: str, layout, blocks_of):
+    """Header fields and body blocks of an open ``.bin`` file. ``blocks_of``
+    maps the fields to each block's (shape, 8-byte dtype); the body size they
+    declare must equal the file's, so no block is ever sized beyond it."""
     magic, header = layout
+    head = f.read(header.size)
+    if head[:len(magic)] != magic:
+        raise DataFormatError(f"{path}: not a {kind} file")
+    if len(head) != header.size:
+        raise DataFormatError(f"{path}: truncated header")
+    _, version, *fields = header.unpack(head)
+    if version != _BIN_VERSION:
+        raise DataFormatError(f"{path}: unsupported version {version}")
+    blocks = blocks_of(*fields)
+    declared = 8 * sum(math.prod(shape) for shape, _ in blocks)
+    body = path.stat().st_size - header.size
+    if body != declared:
+        raise DataFormatError(f"{path}: header declares {declared} body bytes, file has {body}")
+    return fields, blocks
+
+
+def _read_into(f, path: Path, arrays) -> None:
+    """Fill each contiguous array in turn with the next bytes of ``f``; a read
+    that comes up short (the file shrank meanwhile) is an error."""
+    body = sum(a.nbytes for a in arrays)
+    got = sum(f.readinto(a.reshape(-1).view(np.uint8)) for a in arrays)
+    if got != body:
+        raise DataFormatError(f"{path}: read {got} of {body} body bytes")
+
+
+def _read_bin(path, kind: str, layout, blocks_of):
+    """Header fields and body blocks of a ``.bin`` file (see ``_bin_header``)."""
     path = _regular_file(path, kind)
     with open(path, "rb") as f:
-        head = f.read(header.size)
-        if head[:len(magic)] != magic:
-            raise DataFormatError(f"{path}: not a {kind} file")
-        if len(head) != header.size:
-            raise DataFormatError(f"{path}: truncated header")
-        _, version, *fields = header.unpack(head)
-        if version != _BIN_VERSION:
-            raise DataFormatError(f"{path}: unsupported version {version}")
-        blocks = blocks_of(*fields)
-        sizes = [math.prod(shape) for shape, _ in blocks]
-        body = path.stat().st_size - header.size
-        if body != 8 * sum(sizes):
-            raise DataFormatError(f"{path}: header declares {8 * sum(sizes)} body bytes, "
-                                  f"file has {body}")
-        buf = np.empty(body, np.uint8)
-        got = f.readinto(buf)
-        if got != body:
-            raise DataFormatError(f"{path}: read {got} of {body} body bytes")
-    arrays, offset = [], 0
-    for (shape, dtype), size in zip(blocks, sizes):
-        arrays.append(np.frombuffer(buf, dtype, size, offset).reshape(shape))
-        offset += 8 * size
+        fields, blocks = _bin_header(f, path, kind, layout, blocks_of)
+        arrays = [np.empty(shape, dtype) for shape, dtype in blocks]
+        _read_into(f, path, arrays)
     return fields, arrays
 
 
-def _read_csv(path, kind: str, types: dict, shape_of):
-    """Header fields, typed by ``types``, then the float64 matrix and int64
-    labels (or None) of a ``# <kind> key=value`` CSV file, parsed line by
-    line. ``shape_of`` maps the fields to (rows, floats per row, labeled).
-    Rows that pass the checks hold a byte per field, so the arrays are only
-    allocated if the file is that large. Errors rank the row count (counted
-    to the end), then the first wrong width, then the first bad field."""
-    path = _regular_file(path, kind)
-    with open(path, newline="") as f:
-        parts = f.readline().lstrip("#").split()
-        if not parts or parts[0] != kind:
-            raise DataFormatError(f"{path}: expected a '# {kind} ...' header line")
-        raw = dict(item.partition("=")[::2] for item in parts[1:])
-        try:
-            header = {key: cast(raw[key]) for key, cast in types.items()}
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed header ({exc})") from exc
-        negative = [f"{k}={v}" for k, v in header.items() if types[k] is int and v < 0]
-        if negative:
-            raise DataFormatError(f"{path}: negative header count {', '.join(negative)}")
-        n, d, labeled = shape_of(**header)
-        width = d + labeled
-        matrix = np.empty((n, d)) if n * width <= path.stat().st_size else None
-        labels = np.empty(n, dtype=np.int64) if labeled and matrix is not None else None
-        i, wrong, bad = -1, None, None
-        for i, line in enumerate(f):
-            if wrong or i >= n:
-                continue
-            cells = text.split(",") if (text := line.rstrip("\r\n")) else []
-            if len(cells) != width:
-                wrong = f"row {i} has {len(cells)} fields, expected {width}"
-            elif matrix is not None and not bad:
-                try:
-                    matrix[i] = np.fromiter(map(float, cells), np.float64, d)
-                    if labeled:
-                        labels[i] = int(cells[d])
-                except (ValueError, OverflowError) as exc:
-                    bad = f"row {i}: {exc}"
+def _csv_header(f, path: Path, kind: str, types: dict, shape_of):
+    """Header fields, typed by ``types``, of an open ``# <kind> key=value`` CSV
+    file, and the (rows, floats per row, labeled) that ``shape_of`` maps them
+    to. Rows that pass the checks hold a byte per field, so a header that
+    declares more than the file holds is refused by counting its rows: no
+    array is ever sized from it."""
+    parts = f.readline().lstrip("#").split()
+    if not parts or parts[0] != kind:
+        raise DataFormatError(f"{path}: expected a '# {kind} ...' header line")
+    raw = dict(item.partition("=")[::2] for item in parts[1:])
+    try:
+        header = {key: cast(raw[key]) for key, cast in types.items()}
+    except (KeyError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed header ({exc})") from exc
+    negative = [f"{k}={v}" for k, v in header.items() if types[k] is int and v < 0]
+    if negative:
+        raise DataFormatError(f"{path}: negative header count {', '.join(negative)}")
+    n, d, labeled = shape_of(**header)
+    if n * (d + labeled) > path.stat().st_size:
+        _csv_rows(f, path, n, d, labeled)  # names the first fault of the rows
+        raise DataFormatError(f"{path}: header says {n} rows, more than the file holds")
+    return header, (n, d, labeled)
+
+
+def _csv_rows(f, path: Path, n: int, d: int, labeled: bool, matrix=None, labels=None) -> None:
+    """Parse the rest of an open CSV file line by line into ``matrix`` [n, d]
+    and, if labeled, int ``labels`` [n]; without a matrix only count the rows
+    and check their widths. Errors rank the row count (counted to the end),
+    then the first wrong width, then the first bad field."""
+    width = d + labeled
+    i, wrong, bad = -1, None, None
+    for i, line in enumerate(f):
+        if wrong or i >= n:
+            continue
+        cells = text.split(",") if (text := line.rstrip("\r\n")) else []
+        if len(cells) != width:
+            wrong = f"row {i} has {len(cells)} fields, expected {width}"
+        elif matrix is not None and not bad:
+            try:
+                matrix[i] = np.fromiter(map(float, cells), np.float64, d)
+                if labeled:
+                    labels[i] = int(cells[d])
+            except (ValueError, OverflowError) as exc:
+                bad = f"row {i}: {exc}"
     error = f"header says {n} rows, file has {i + 1}" if i + 1 != n else wrong or bad
     if error:
         raise DataFormatError(f"{path}: {error}")
-    return header, matrix, labels
 
 
 def save_features(path, dataset: FeatureDataset) -> None:
@@ -187,21 +199,45 @@ def save_features(path, dataset: FeatureDataset) -> None:
             writer.writerow(row)
 
 
-def load_features(path) -> FeatureDataset:
-    if Path(path).suffix == ".bin":
-        (_, _, has_labels, n_classes), (feats, labels) = _read_bin(
-            path, "features", _FEATURE_BIN,
+def _open_features(path: Path):
+    return open(path, "rb") if path.suffix == ".bin" else open(path, newline="")
+
+
+def _feature_header(f, path: Path) -> tuple[int, int, bool, int]:
+    """(rows, feature_dim, labeled, n_classes) of an open feature file, its
+    declared size checked against the file's."""
+    if path.suffix == ".bin":
+        (n, d, labeled, n_classes), _ = _bin_header(
+            f, path, "features", _FEATURE_BIN,
             lambda n, d, labeled, _: [((n, d), "<f8"), ((n if labeled else 0,), "<i8")],
         )
-        return naming_file(path, FeatureDataset, feats, labels if has_labels else None,
-                           n_classes)
-    header, feats, labels = _read_csv(
-        path, "features",
+        return n, d, bool(labeled), n_classes
+    header, (n, d, labeled) = _csv_header(
+        f, path, "features",
         {"n_samples": int, "feature_dim": int, "has_labels": int, "n_classes": int},
         lambda n_samples, feature_dim, has_labels, n_classes:
             (n_samples, feature_dim, bool(has_labels)),
     )
-    return naming_file(path, FeatureDataset, feats, labels, header["n_classes"])
+    return n, d, labeled, header["n_classes"]
+
+
+def _feature_body(f, path: Path, features: np.ndarray, labels: np.ndarray | None) -> None:
+    """Read the rows after ``_feature_header`` into ``features`` and ``labels``
+    (None for an unlabeled file), both contiguous and sized by the header."""
+    if path.suffix == ".bin":
+        _read_into(f, path, [features] if labels is None else [features, labels])
+    else:
+        _csv_rows(f, path, *features.shape, labels is not None, features, labels)
+
+
+def load_features(path) -> FeatureDataset:
+    path = _regular_file(path, "features")
+    with _open_features(path) as f:
+        n, d, labeled, n_classes = _feature_header(f, path)
+        features = np.empty((n, d), "<f8")
+        labels = np.empty(n, "<i8") if labeled else None
+        _feature_body(f, path, features, labels)
+    return naming_file(path, FeatureDataset, features, labels, n_classes)
 
 
 def save_raw_recording(path, window: RawWindow) -> None:
@@ -222,10 +258,14 @@ def load_raw_recording(path) -> RawWindow:
         (_, fs, _), (data,) = _read_bin(path, "raw", _RAW_BIN,
                                         lambda n_ch, fs, n_samp: [((n_ch, n_samp), "<f8")])
         return naming_file(path, RawWindow, data, fs)
-    header, data, _ = _read_csv(
-        path, "raw", {"n_channels": int, "fs": float, "n_samples": int},
-        lambda n_channels, fs, n_samples: (n_channels, n_samples, False),
-    )
+    path = _regular_file(path, "raw")
+    with open(path, newline="") as f:
+        header, (n_channels, n_samples, _) = _csv_header(
+            f, path, "raw", {"n_channels": int, "fs": float, "n_samples": int},
+            lambda n_channels, fs, n_samples: (n_channels, n_samples, False),
+        )
+        data = np.empty((n_channels, n_samples))
+        _csv_rows(f, path, n_channels, n_samples, False, data)
     return naming_file(path, RawWindow, data, header["fs"])
 
 
@@ -280,35 +320,82 @@ def load_manifest(path) -> list[ManifestEntry]:
 
 @dataclass
 class SubjectDataset:
-    """subject -> session -> labeled features, with consistent dimensions."""
+    """Every session's labeled rows in one matrix: subject by subject, in the
+    order each subject first appears, and by ascending session within one.
+    ``rows`` maps subject -> session -> its slice of ``data``."""
 
-    sessions: dict[str, dict[int, FeatureDataset]]
-    feature_dim: int
-    n_classes: int
+    data: FeatureDataset
+    rows: dict[str, dict[int, slice]]
+
+    def __post_init__(self):
+        parts = [part for sessions in self.rows.values() for _, part in sorted(sessions.items())]
+        stops = [0] + [part.stop for part in parts]
+        tiled = all(part.start == stop < part.stop for part, stop in zip(parts, stops))
+        if not (tiled and stops[-1] == self.data.n_samples and self.data.labels is not None):
+            raise ValidationError("session rows must tile the labeled data subject by "
+                                  "subject, sessions ascending")
 
     @property
     def subjects(self) -> list[str]:
-        return list(self.sessions.keys())
+        return list(self.rows)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.data.feature_dim
+
+    @property
+    def n_classes(self) -> int:
+        return self.data.n_classes
+
+    @property
+    def sessions(self) -> dict[str, dict[int, FeatureDataset]]:
+        """subject -> session -> a FeatureDataset viewing that session's rows."""
+        x, y = self.data.features, self.data.labels
+        return {subject: {k: FeatureDataset(x[part], y[part], self.n_classes)
+                          for k, part in sessions.items()}
+                for subject, sessions in self.rows.items()}
 
 
 def load_dataset(manifest_path) -> SubjectDataset:
+    """Every manifest file read straight into one matrix (see SubjectDataset).
+
+    All headers are read and checked first, so the matrix is sized only from
+    sizes their files were found to hold; then each file is parsed or read
+    into its own rows, with no per-file copy."""
     entries = load_manifest(manifest_path)
-    sessions: dict[str, dict[int, FeatureDataset]] = {}
-    feature_dim = None
-    n_classes = 0
+    heads = []
     for entry in entries:
-        ds = load_features(entry.path)
-        if ds.labels is None:
-            raise DataFormatError(f"{entry.path}: protocol datasets must be labeled")
-        if feature_dim is None:
-            feature_dim = ds.feature_dim
-        elif ds.feature_dim != feature_dim:
-            raise DataFormatError(
-                f"{entry.path}: feature_dim {ds.feature_dim} differs from {feature_dim}"
-            )
-        n_classes = max(n_classes, ds.n_classes)
-        sessions.setdefault(entry.subject, {})[entry.session] = ds
-    return SubjectDataset(sessions=sessions, feature_dim=feature_dim, n_classes=n_classes)
+        path = _regular_file(entry.path, "features")
+        with _open_features(path) as f:
+            head = n, d, labeled, _ = _feature_header(f, path)
+        if not labeled:
+            raise DataFormatError(f"{path}: protocol datasets must be labeled")
+        if n == 0:
+            raise DataFormatError(f"{path}: session file has no rows")
+        if heads and d != heads[0][1]:
+            raise DataFormatError(f"{path}: feature_dim {d} differs from {heads[0][1]}")
+        heads.append(head)
+    first = {}
+    for entry in entries:
+        first.setdefault(entry.subject, len(first))
+    total = sum(n for n, *_ in heads)
+    features = np.empty((total, heads[0][1]), "<f8")
+    labels = np.empty(total, "<i8")
+    rows: dict[str, dict[int, slice]] = {}
+    start = 0
+    for entry, head in sorted(zip(entries, heads),
+                              key=lambda pair: (first[pair[0].subject], pair[0].session)):
+        n, _, _, n_classes = head
+        part = slice(start, start + n)
+        with _open_features(entry.path) as f:
+            if _feature_header(f, entry.path) != head:
+                raise DataFormatError(f"{entry.path}: file changed while loading")
+            _feature_body(f, entry.path, features[part], labels[part])
+        naming_file(entry.path, FeatureDataset, features[part], labels[part], n_classes)
+        rows.setdefault(entry.subject, {})[entry.session] = part
+        start = part.stop
+    n_classes = max(n_classes for *_, n_classes in heads)
+    return SubjectDataset(FeatureDataset(features, labels, n_classes), rows)
 
 
 @dataclass(frozen=True)
@@ -351,11 +438,13 @@ class SynthShiftConfig:
 
 @dataclass
 class SynthTask:
-    """Training-facing view plus evaluation-only target labels."""
+    """Training-facing view plus evaluation-only target labels; training uses
+    the ``source_rows`` of ``source`` (None: every row)."""
 
     source: FeatureDataset
     target_features: np.ndarray
     target_eval: FeatureDataset
+    source_rows: np.ndarray | None = None
 
 
 def generate_synth_shift(cfg: SynthShiftConfig) -> SynthTask:

@@ -93,19 +93,23 @@ def loso_split(
     held_out_subject: str,
     protocol: str = PROTOCOL_SINGLE,
     session: int | None = None,
-) -> tuple[FeatureDataset, FeatureDataset]:
-    """(pooled labeled source, held-out target) for one fold.
+) -> tuple[np.ndarray, FeatureDataset]:
+    """(source rows, held-out target) for one fold, with no copy of the features.
 
+    The source is an int64 index into ``dataset.data``: the remaining
+    subjects' rows in dataset order, each subject's sessions ascending, which
+    ``train`` takes as ``src_rows``. The target is a FeatureDataset viewing
+    the held-out subject's rows, which are contiguous in either protocol.
     single_session uses one session per subject on both sides (the lowest
     session id unless given); cross_session pools every session of the
     remaining subjects against all sessions of the held-out subject.
     """
-    if held_out_subject not in dataset.sessions:
+    if held_out_subject not in dataset.rows:
         raise ValidationError(f"unknown subject {held_out_subject!r}")
     _check_protocol(protocol, session)
 
-    def sessions_for(subject: str) -> list[FeatureDataset]:
-        available = dataset.sessions[subject]
+    def sessions_for(subject: str) -> list[slice]:
+        available = dataset.rows[subject]
         if protocol == PROTOCOL_CROSS:
             return [available[k] for k in sorted(available)]
         sid = min(available) if session is None else session
@@ -113,19 +117,17 @@ def loso_split(
             raise ValidationError(f"subject {subject!r} has no session {sid}")
         return [available[sid]]
 
-    def pool(parts: list[FeatureDataset]) -> FeatureDataset:
-        feats = np.vstack([p.features for p in parts])
-        labels = np.concatenate([p.labels for p in parts])
-        return FeatureDataset(feats, labels, dataset.n_classes)
-
-    target = pool(sessions_for(held_out_subject))
+    held = sessions_for(held_out_subject)
+    target = slice(held[0].start, held[-1].stop)
     source_parts = [
-        ds for subject in dataset.subjects if subject != held_out_subject
-        for ds in sessions_for(subject)
+        np.arange(part.start, part.stop) for subject in dataset.subjects
+        if subject != held_out_subject for part in sessions_for(subject)
     ]
     if not source_parts:
         raise ValidationError("no source subjects left after holding out")
-    return pool(source_parts), target
+    data = dataset.data
+    return (np.concatenate(source_parts),
+            FeatureDataset(data.features[target], data.labels[target], data.n_classes))
 
 
 def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
@@ -158,8 +160,8 @@ def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
 def _loso_task(
     dataset: SubjectDataset, subject: str, protocol: str, session: int | None
 ) -> SynthTask:
-    src, tgt = loso_split(dataset, subject, protocol, session)
-    return SynthTask(src, tgt.features, tgt)
+    rows, tgt = loso_split(dataset, subject, protocol, session)
+    return SynthTask(dataset.data, tgt.features, tgt, source_rows=rows)
 
 
 def _run_fold(args) -> FoldResult:
@@ -169,7 +171,7 @@ def _run_fold(args) -> FoldResult:
     with warnings.catch_warnings(record=True) as caught:
         task = make_task()
         result = train(task.source.features, task.source.labels, task.target_features,
-                       replace(cfg, n_classes=task.source.n_classes))
+                       replace(cfg, n_classes=task.source.n_classes), task.source_rows)
         metrics = evaluate(result.params, task.target_eval)
     if out_dir is not None:
         save_history(result.history, Path(out_dir) / f"history_{name}.csv")

@@ -159,13 +159,24 @@ def train(
     src_y: np.ndarray,
     tgt_x: np.ndarray,
     cfg: TrainConfig,
+    src_rows: np.ndarray | None = None,
 ) -> TrainResult:
-    """Full training run; returns final parameters and the per-step history."""
+    """Full training run; returns final parameters and the per-step history.
+
+    The source set is the ``src_rows`` of ``src_x`` and ``src_y`` in that
+    order (default every row); each batch gathers its rows from them, so a
+    subset costs an index, not a copy. ``src_y`` must label every row."""
     src_x = np.asarray(src_x, dtype=np.float64)
     src_y = np.asarray(src_y, dtype=np.int64)
     tgt_x = np.asarray(tgt_x, dtype=np.float64)
-    if src_x.ndim != 2 or src_x.shape[0] == 0:
+    if src_x.ndim != 2:
         raise ValidationError("source set must be a non-empty [n, d] matrix")
+    rows = (np.arange(src_x.shape[0]) if src_rows is None
+            else np.asarray(src_rows, dtype=np.int64))
+    if rows.ndim != 1 or rows.size == 0:
+        raise ValidationError("source set must be a non-empty [n, d] matrix")
+    if rows.min() < 0 or rows.max() >= src_x.shape[0]:
+        raise ValidationError(f"source rows must lie in [0, {src_x.shape[0]})")
     if src_y.shape != (src_x.shape[0],):
         raise ValidationError("source labels must match source rows")
     if tgt_x.ndim != 2 or tgt_x.shape[0] == 0:
@@ -201,9 +212,9 @@ def train(
         tau = confidence_threshold(epoch, sched) if flags.confidence_filter else 0.0
         lr_ext = learning_rate(epoch, cfg.epochs, sched.lr_extractor)
         lr_cls = learning_rate(epoch, cfg.epochs, sched.lr_classifier)
-        order = shuffle_rng.permutation(src_x.shape[0])
+        order = shuffle_rng.permutation(rows.shape[0])
         for start in range(0, order.shape[0], cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+            batch = rows[order[start:start + cfg.batch_size]]
             tgt_batch = tgt_x[targets.take(batch.shape[0])] if aligns else tgt_x[:0]
             try:
                 trace = compute_losses(

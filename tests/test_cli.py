@@ -142,6 +142,18 @@ class TestTrain:
         assert f"error: {source}: training source must be labeled" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_zero_row_input_exit_3_naming_file(self, tmp_path, synth_dir, capsys, side):
+        out = tmp_path / "x"
+        empty = tmp_path / "empty.csv"
+        save_features(empty, FeatureDataset(np.zeros((0, 16)), np.zeros(0, dtype=int), 3))
+        paths = {"source": synth_dir / "source.csv", "target": synth_dir / "target.csv",
+                 side: empty}
+        assert run_cli("train", "--source", str(paths["source"]),
+                       "--target", str(paths["target"]), "--out", str(out)) == 3
+        assert f"error: {empty}: training needs at least one row" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_target_width_mismatch_exit_3_naming_file(self, tmp_path, synth_dir, capsys):
         target = tmp_path / "t5.csv"
         save_features(target, FeatureDataset(np.zeros((10, 5))))
@@ -497,6 +509,17 @@ class TestProtocol:
         assert run_cli("protocol", "--data", str(manifest), *SHORT_MANIFEST_RUN,
                        "--out", str(out)) == 3
         assert "manifest.csv:2: expected subject,session,path\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["protocol", "ablate"])
+    def test_zero_row_session_exit_3_naming_file(self, tmp_path, manifest, capsys, command):
+        empty = tmp_path / "empty.csv"
+        save_features(empty, FeatureDataset(np.zeros((0, 6)), np.zeros(0, dtype=int), 3))
+        manifest.write_text("a,1,s0.csv\nb,1,empty.csv\n")
+        out = tmp_path / "run"
+        assert run_cli(command, "--data", str(manifest), *SHORT_MANIFEST_RUN,
+                       "--out", str(out)) == 3
+        assert f"error: {empty}: session file has no rows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_session_with_cross_session_exit_3(self, tmp_path, manifest, capsys):

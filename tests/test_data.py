@@ -11,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ddalign import data as data_module
 from ddalign.data import (
     ACCEPT_SYNTH,
     FeatureDataset,
@@ -343,6 +344,89 @@ class TestManifest:
         manifest = self.write_dataset_files(tmp_path, [310, 160])
         with pytest.raises(DataFormatError, match="s1.csv"):
             load_dataset(manifest)
+
+    def test_rows_stacked_subject_by_subject_sessions_ascending(self, tmp_path):
+        # subjects listed non-contiguously and sessions out of order, .csv and .bin mixed
+        files = {("a", 2): "a2.bin", ("b", 1): "b1.csv", ("a", 1): "a1.csv", ("b", 3): "b3.bin"}
+        parts = {}
+        for k, ((subject, session), name) in enumerate(files.items()):
+            parts[subject, session] = labeled_dataset(seed=k, n=3 + k)
+            save_features(tmp_path / name, parts[subject, session])
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("".join(f"{s},{k},{name}\n" for (s, k), name in files.items()))
+        dataset = load_dataset(manifest)
+        order = [("a", 1), ("a", 2), ("b", 1), ("b", 3)]
+        npt.assert_array_equal(dataset.data.features,
+                               np.vstack([parts[key].features for key in order]))
+        npt.assert_array_equal(dataset.data.labels,
+                               np.concatenate([parts[key].labels for key in order]))
+        assert dataset.subjects == ["a", "b"]
+        assert [list(dataset.rows[s]) for s in ("a", "b")] == [[1, 2], [1, 3]]
+        for (subject, session), part in parts.items():
+            view = dataset.sessions[subject][session]
+            assert np.shares_memory(view.features, dataset.data.features)
+            npt.assert_array_equal(view.features, part.features)
+            npt.assert_array_equal(view.labels, part.labels)
+
+    def test_file_changed_between_header_and_body_named(self, tmp_path, monkeypatch):
+        manifest = self.write_dataset_files(tmp_path, [4, 4])
+        real = data_module._feature_header
+        calls = []
+
+        def header_then_grow(f, path):
+            calls.append(path)
+            if len(calls) == 3:  # the first body read: the file has grown since its check
+                save_features(path, labeled_dataset(n=7, d=4))
+                f.seek(0)
+            return real(f, path)
+
+        monkeypatch.setattr(data_module, "_feature_header", header_then_grow)
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{tmp_path / 's0.csv'}: file changed while loading")):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_zero_row_session_named(self, tmp_path, suffix):
+        manifest = self.write_dataset_files(tmp_path, [4])
+        save_features(tmp_path / f"empty{suffix}",
+                      FeatureDataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3))
+        manifest.write_text(f"sub0,1,s0.csv\nsub1,1,empty{suffix}\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"empty{suffix}: session file has no rows")):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_unlabeled_session_named(self, tmp_path, suffix):
+        manifest = self.write_dataset_files(tmp_path, [4])
+        save_features(tmp_path / f"u{suffix}", FeatureDataset(np.zeros((2, 4))))
+        manifest.write_text(f"sub0,1,s0.csv\nsub1,1,u{suffix}\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"u{suffix}: protocol datasets must be labeled")):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("suffix, message", [
+        (".csv", f"header says {2**40} rows, file has 1"),
+        (".bin", "header declares"),
+    ])
+    def test_huge_declared_row_count_not_allocated(self, tmp_path, suffix, message):
+        manifest = self.write_dataset_files(tmp_path, [2])
+        big = tmp_path / f"big{suffix}"
+        save_features(big, FeatureDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 3))
+        if suffix == ".csv":
+            big.write_text(big.read_text().replace("n_samples=1", f"n_samples={2**40}"))
+        else:
+            data = bytearray(big.read_bytes())
+            struct.pack_into("<Q", data, 8, 2**40)  # n field of the DFEA header
+            big.write_bytes(bytes(data))
+        manifest.write_text(f"sub0,1,s0.csv\nsub1,1,big{suffix}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=re.escape(f"{big}: {message}")):
+                load_dataset(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_empty_manifest_rejected(self, tmp_path):
         manifest = tmp_path / "empty.csv"

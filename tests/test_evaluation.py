@@ -1,14 +1,18 @@
 """Split correctness, metric identities, protocol aggregation, embedding dumps."""
 
 import json
+import math
+import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from ddalign import evaluation
-from ddalign.data import FeatureDataset, SubjectDataset, SynthShiftConfig
+from ddalign.data import (FeatureDataset, SubjectDataset, SynthShiftConfig, load_dataset,
+                          load_features, save_features)
 from ddalign.errors import ValidationError
 from ddalign.evaluation import (
     Metrics,
@@ -23,20 +27,20 @@ from ddalign.evaluation import (
 )
 from ddalign.net import ModelParams, init_params
 from ddalign.schedules import ScheduleConfig
-from ddalign.trainer import TrainConfig
+from ddalign.trainer import VARIANTS, TrainConfig, train
 
 
 def make_dataset(n_subjects=3, sessions=(1, 2), n=12, d=6, C=3, seed=0):
+    """``n`` rows per (subject, session), stacked subject by subject with
+    ascending sessions as load_dataset lays them out."""
     rng = np.random.default_rng(seed)
-    data = {}
+    feats, rows = [], {}
     for s in range(n_subjects):
-        per_session = {}
-        for sess in sessions:
-            feats = rng.normal(size=(n, d)) + s * 0.1
-            labels = np.tile(np.arange(C), n // C)
-            per_session[sess] = FeatureDataset(feats, labels, C)
-        data[f"sub{s}"] = per_session
-    return SubjectDataset(sessions=data, feature_dim=d, n_classes=C)
+        for sess in sorted(sessions):
+            rows.setdefault(f"sub{s}", {})[sess] = slice(len(feats) * n, (len(feats) + 1) * n)
+            feats.append(rng.normal(size=(n, d)) + s * 0.1)
+    labels = np.tile(np.arange(C), len(feats) * n // C)
+    return SubjectDataset(FeatureDataset(np.vstack(feats), labels, C), rows)
 
 
 def constant_predictor(d=6, C=3, winner=0):
@@ -50,14 +54,14 @@ def constant_predictor(d=6, C=3, winner=0):
 class TestLosoSplit:
     def test_source_pools_remaining_subjects(self):
         ds = make_dataset(n_subjects=15, sessions=(1,), n=6)
-        src, tgt = loso_split(ds, "sub3", "single_session")
+        rows, tgt = loso_split(ds, "sub3", "single_session")
         assert tgt.n_samples == 6
-        assert src.n_samples == 14 * 6
+        assert rows.dtype == np.int64 and rows.shape == (14 * 6,)
 
     def test_two_subjects_minimal(self):
         ds = make_dataset(n_subjects=2, sessions=(1,))
-        src, tgt = loso_split(ds, "sub1", "single_session")
-        assert src.n_samples == tgt.n_samples == 12
+        rows, tgt = loso_split(ds, "sub1", "single_session")
+        assert rows.size == tgt.n_samples == 12
 
     def test_unknown_subject_rejected(self):
         ds = make_dataset()
@@ -66,9 +70,9 @@ class TestLosoSplit:
 
     def test_cross_session_pools_all_sessions(self):
         ds = make_dataset(n_subjects=3, sessions=(1, 2))
-        src, tgt = loso_split(ds, "sub0", "cross_session")
+        rows, tgt = loso_split(ds, "sub0", "cross_session")
         assert tgt.n_samples == 24       # both sessions of the held-out subject
-        assert src.n_samples == 2 * 24   # both sessions of the other two
+        assert rows.size == 2 * 24       # both sessions of the other two
 
     def test_session_with_cross_session_rejected(self):
         ds = make_dataset()
@@ -77,10 +81,12 @@ class TestLosoSplit:
 
     def test_single_session_defaults_to_lowest(self):
         ds = make_dataset(n_subjects=2, sessions=(2, 5))
-        src, tgt = loso_split(ds, "sub0", "single_session")
+        rows, tgt = loso_split(ds, "sub0", "single_session")
         assert tgt.n_samples == 12
-        src5, _ = loso_split(ds, "sub0", "single_session", session=5)
-        assert src5.n_samples == 12
+        npt.assert_array_equal(rows, np.arange(24, 36))   # sub1's session 2
+        rows5, _ = loso_split(ds, "sub0", "single_session", session=5)
+        assert rows5.size == 12
+        npt.assert_array_equal(rows5, np.arange(36, 48))  # sub1's session 5
 
     def test_missing_session_named(self):
         ds = make_dataset(sessions=(1,))
@@ -89,10 +95,23 @@ class TestLosoSplit:
 
     def test_no_leakage_between_source_and_target(self):
         ds = make_dataset(n_subjects=4, sessions=(1,), seed=5)
-        src, tgt = loso_split(ds, "sub2", "single_session")
+        rows, tgt = loso_split(ds, "sub2", "single_session")
         held = ds.sessions["sub2"][1].features
+        src = ds.data.features[rows]
         for row in held:
-            assert not (src.features == row).all(axis=1).any()
+            assert not (src == row).all(axis=1).any()
+
+    @pytest.mark.parametrize("protocol", ["single_session", "cross_session"])
+    def test_target_is_a_view_of_the_dataset(self, protocol):
+        ds = make_dataset(n_subjects=3, sessions=(1, 2))
+        _, tgt = loso_split(ds, "sub1", protocol)
+        assert np.shares_memory(tgt.features, ds.data.features)
+        assert np.shares_memory(tgt.labels, ds.data.labels)
+
+    def test_rows_must_tile_the_data(self):
+        ds = make_dataset(n_subjects=2, sessions=(1,))
+        with pytest.raises(ValidationError, match="must tile"):
+            SubjectDataset(ds.data, {"sub0": {1: slice(0, 12)}, "sub1": {1: slice(13, 24)}})
 
 
 class TestEvaluate:
@@ -224,6 +243,88 @@ class TestRunProtocol:
         assert rows[0] == "variant,subject,accuracy"
         assert rows[-2].startswith("EXP1,mean,")
         assert rows[-1].startswith("EXP1,std,")
+
+
+# (subject, session) -> file, listed with subjects non-contiguous and
+# sessions out of order, .csv and .bin mixed
+MIXED_FILES = {("a", 1): "a1.csv", ("b", 1): "b1.bin", ("a", 2): "a2.bin",
+               ("c", 2): "c2.csv", ("c", 1): "c1.bin", ("b", 2): "b2.csv"}
+
+
+def param_bytes(params) -> bytes:
+    return b"".join(a.tobytes() for a in params.arrays())
+
+
+class TestFoldsFromManifest:
+    @pytest.fixture
+    def mixed_manifest(self, tmp_path):
+        rng = np.random.default_rng(21)
+        lines = []
+        for k, ((subject, session), name) in enumerate(MIXED_FILES.items()):
+            n = 9 + 2 * k
+            save_features(tmp_path / name, FeatureDataset(
+                rng.normal(size=(n, 5)) + k * 0.1, rng.integers(0, 3, n), 3))
+            lines.append(f"{subject},{session},{name}\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("".join(lines))
+        return manifest
+
+    @pytest.mark.parametrize("protocol, session", [
+        ("single_session", None), ("single_session", 2), ("cross_session", None)])
+    def test_folds_train_as_the_pooled_copies_did(self, mixed_manifest, protocol, session):
+        """Each fold trains bit for bit as on its sessions stacked by np.vstack,
+        subject by subject in manifest order with ascending sessions."""
+        dataset = load_dataset(mixed_manifest)
+        files = {key: load_features(mixed_manifest.parent / name)
+                 for key, name in MIXED_FILES.items()}
+
+        def pooled(subjects):
+            parts = []
+            for subject in subjects:
+                ids = sorted(k for s, k in files if s == subject)
+                if protocol == "single_session":
+                    ids = [ids[0] if session is None else session]
+                parts += [files[subject, k] for k in ids]
+            return (np.vstack([p.features for p in parts]),
+                    np.concatenate([p.labels for p in parts]))
+
+        cfg = fast_cfg(epochs=2)
+        for held in ("a", "b", "c"):
+            rows, target = loso_split(dataset, held, protocol, session)
+            assert np.shares_memory(target.features, dataset.data.features)
+            tgt_x, tgt_y = pooled([held])
+            npt.assert_array_equal(target.features, tgt_x)
+            npt.assert_array_equal(target.labels, tgt_y)
+            src_x, src_y = pooled([s for s in ("a", "b", "c") if s != held])
+            npt.assert_array_equal(dataset.data.features[rows], src_x)
+            new = train(dataset.data.features, dataset.data.labels, target.features, cfg, rows)
+            old = train(src_x, src_y, tgt_x, cfg)
+            assert param_bytes(new.params) == param_bytes(old.params)
+            assert new.history == old.history
+
+    def test_fold_holds_an_index_not_a_copy(self, tmp_path):
+        # the fold holding out "small" trains on all of "big"'s rows
+        d, n_big = 64, 24000
+        rng = np.random.default_rng(4)
+        for name, n in (("big", n_big), ("small", 64)):
+            save_features(tmp_path / f"{name}.bin", FeatureDataset(
+                rng.normal(size=(n, d)), np.tile(np.arange(2), n // 2), 2))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("big,1,big.bin\nsmall,1,small.bin\n")
+        dataset = load_dataset(manifest)
+        cfg = TrainConfig(batch_size=32, epochs=1, n_classes=2, hidden1=16, hidden2=16,
+                          flags=VARIANTS["EXP1"])
+        fold = ("small", partial(evaluation._loso_task, dataset, "small", "single_session",
+                                 None), cfg, None)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result = evaluation._run_fold(fold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.history_steps == math.ceil(n_big / cfg.batch_size)
+        assert peak < 0.1 * n_big * d * 8
 
 
 class TestDumpEmbeddings:

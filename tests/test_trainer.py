@@ -192,6 +192,27 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(src_x, src_y, np.empty((0, 8)), small_cfg())
 
+    def test_source_rows_train_as_their_copy(self):
+        src_x, src_y, tgt_x = toy_task(4)
+        rows = np.random.default_rng(5).permutation(60)[:45]
+        cfg = small_cfg(flags=VARIANTS["EXP6"])
+        indexed = train(src_x, src_y, tgt_x, cfg, rows)
+        copied = train(src_x[rows], src_y[rows], tgt_x, cfg)
+        for a, b in zip(indexed.params.arrays(), copied.params.arrays(), strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert indexed.history == copied.history
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.array([], dtype=np.int64), "non-empty"),
+        (np.array([0, 60]), r"source rows must lie in \[0, 60\)"),
+        (np.array([-1, 3]), r"source rows must lie in \[0, 60\)"),
+        (np.zeros((2, 2), dtype=np.int64), "non-empty"),
+    ])
+    def test_bad_source_rows_rejected(self, rows, message):
+        src_x, src_y, tgt_x = toy_task()
+        with pytest.raises(ValidationError, match=message):
+            train(src_x, src_y, tgt_x, small_cfg(), rows)
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             TrainConfig(batch_size=1)
