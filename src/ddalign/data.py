@@ -10,8 +10,11 @@ session, path) rows with paths resolved relative to the manifest location.
 """
 
 import csv
+import io
 import math
 import struct
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -55,10 +58,36 @@ class FeatureDataset:
 
 
 _BIN_VERSION = 1
-# One header struct per .bin layout, magic first; "<" adds no padding.
-_FEATURE_BIN = (b"DFEA", struct.Struct("<4sIQQQQ"))  # n, d, has_labels, n_classes
-_RAW_BIN = (b"DRAW", struct.Struct("<4sIQdQ"))  # n_channels, fs, n_samples
-_CKPT_BIN = (b"DDALCKPT", struct.Struct("<8sIQQQQ"))  # input_dim, h1, h2, n_classes
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One file kind, both forms described once. The CSV header keys and the
+    .bin header fields are ``fields``, in order and typed (in .bin, after the
+    magic and a u32 version, an int is a u64 and a float an f64); ``blocks_of``
+    maps them to each body block's (shape, 8-byte dtype). A CSV body is the
+    first block's rows, each followed by the second block's entry if any."""
+
+    name: str
+    magic: bytes
+    fields: dict[str, type]
+    blocks_of: Callable
+
+    @property
+    def header(self) -> struct.Struct:
+        types = "".join("Q" if cast is int else "d" for cast in self.fields.values())
+        return struct.Struct(f"<{len(self.magic)}sI{types}")  # "<" adds no padding
+
+
+_FEATURES = _Kind("features", b"DFEA",
+                  {"n_samples": int, "feature_dim": int, "has_labels": int, "n_classes": int},
+                  lambda n, d, labeled, _: [((n, d), "<f8")] + [((n,), "<i8")] * bool(labeled))
+_RAW = _Kind("raw", b"DRAW", {"n_channels": int, "fs": float, "n_samples": int},
+             lambda n_channels, _, n_samples: [((n_channels, n_samples), "<f8")])
+_CHECKPOINT = _Kind("checkpoint", b"DDALCKPT",
+                    {"input_dim": int, "hidden1": int, "hidden2": int, "n_classes": int},
+                    lambda d, h1, h2, c: [(shape, "<f8") for shape in
+                                          ((d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,))])
 
 
 def _regular_file(path, kind: str) -> Path:
@@ -70,6 +99,21 @@ def _regular_file(path, kind: str) -> Path:
     return path
 
 
+@contextmanager
+def _open(path: Path, kind: _Kind | None = None, mode: str = "r"):
+    """``path`` open as bytes for a .bin ``kind`` file or any checkpoint, else
+    as UTF-8 text, where a byte that does not decode is an error naming the file."""
+    if kind is not None and (path.suffix == ".bin" or kind is _CHECKPOINT):
+        with open(path, mode + "b") as f:
+            yield f
+        return
+    try:
+        with open(path, mode, newline="", encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def naming_file(path, fn, *args):
     """``fn(*args)``, its ValidationError re-raised naming the file ``path``."""
     try:
@@ -78,77 +122,88 @@ def naming_file(path, fn, *args):
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _write_bin(path, layout, fields, blocks) -> None:
-    """Header (magic, version, ``fields``), then each (array, dtype) block."""
-    magic, header = layout
-    with open(path, "wb") as f:
-        f.write(header.pack(magic, _BIN_VERSION, *fields))
-        for block, dtype in blocks:
-            f.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
+def _write(path, kind: _Kind, fields, arrays) -> None:
+    """A ``kind`` file of the header ``fields`` and the body ``arrays``."""
+    fields = [cast(value) for cast, value in zip(kind.fields.values(), fields, strict=True)]
+    arrays = [np.ascontiguousarray(a, dtype)
+              for a, (_, dtype) in zip(arrays, kind.blocks_of(*fields), strict=True)]
+    with _open(Path(path), kind, "w") as f:
+        if not isinstance(f, io.TextIOBase):
+            f.write(kind.header.pack(kind.magic, _BIN_VERSION, *fields))
+            f.writelines(block.tobytes() for block in arrays)
+            return
+        f.write(" ".join([f"# {kind.name}", *(
+            f"{key}={value:.17g}" if cast is float else f"{key}={value}"
+            for (key, cast), value in zip(kind.fields.items(), fields))]) + "\n")
+        matrix, *entries = arrays
+        writer = csv.writer(f)
+        for i, row in enumerate(matrix):
+            writer.writerow([f"{v:.17g}" for v in row] + [str(int(e[i])) for e in entries])
 
 
-def _bin_header(f, path: Path, kind: str, layout, blocks_of):
-    """Header fields and body blocks of an open ``.bin`` file. ``blocks_of``
-    maps the fields to each block's (shape, 8-byte dtype); the body size they
-    declare must equal the file's, so no block is ever sized beyond it."""
-    magic, header = layout
-    head = f.read(header.size)
-    if head[:len(magic)] != magic:
-        raise DataFormatError(f"{path}: not a {kind} file")
-    if len(head) != header.size:
-        raise DataFormatError(f"{path}: truncated header")
-    _, version, *fields = header.unpack(head)
-    if version != _BIN_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    blocks = blocks_of(*fields)
-    declared = 8 * sum(math.prod(shape) for shape, _ in blocks)
-    body = path.stat().st_size - header.size
-    if body != declared:
-        raise DataFormatError(f"{path}: header declares {declared} body bytes, file has {body}")
+def _read_header(f, path: Path, kind: _Kind):
+    """Header fields of an open ``kind`` file and its blocks' (shape, dtype),
+    checked so that no block is sized beyond the file: a .bin body must be the
+    declared size, and a CSV header that declares more rows than the file
+    could hold (at a byte per field) is refused by counting them."""
+    if not isinstance(f, io.TextIOBase):
+        header = kind.header
+        head = f.read(header.size)
+        if head[:len(kind.magic)] != kind.magic:
+            raise DataFormatError(f"{path}: not a {kind.name} file")
+        if len(head) != header.size:
+            raise DataFormatError(f"{path}: truncated header")
+        _, version, *fields = header.unpack(head)
+        if version != _BIN_VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        blocks = kind.blocks_of(*fields)
+        declared = 8 * sum(math.prod(shape) for shape, _ in blocks)
+        body = path.stat().st_size - header.size
+        if body != declared:
+            raise DataFormatError(
+                f"{path}: header declares {declared} body bytes, file has {body}")
+        return fields, blocks
+    parts = f.readline().lstrip("#").split()
+    if not parts or parts[0] != kind.name:
+        raise DataFormatError(f"{path}: expected a '# {kind.name} ...' header line")
+    raw = dict(item.partition("=")[::2] for item in parts[1:])
+    try:
+        fields = [cast(raw[key]) for key, cast in kind.fields.items()]
+    except (KeyError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed header ({exc})") from exc
+    negative = [f"{key}={value}" for (key, cast), value in zip(kind.fields.items(), fields)
+                if cast is int and value < 0]
+    if negative:
+        raise DataFormatError(f"{path}: negative header count {', '.join(negative)}")
+    blocks = kind.blocks_of(*fields)
+    (n, d), _ = blocks[0]
+    labeled = len(blocks) > 1
+    if n * (d + labeled) > path.stat().st_size:
+        _csv_rows(f, path, n, d, labeled)  # names the first fault of the rows
+        raise DataFormatError(f"{path}: header says {n} rows, more than the file holds")
     return fields, blocks
 
 
-def _read_into(f, path: Path, arrays) -> None:
-    """Fill each contiguous array in turn with the next bytes of ``f``; a read
-    that comes up short (the file shrank meanwhile) is an error."""
+def _read_body(f, path: Path, arrays) -> None:
+    """Fill the contiguous ``arrays`` (``_read_header``'s blocks) from the rest
+    of the open file; a short .bin read (the file shrank meanwhile) is an error."""
+    if isinstance(f, io.TextIOBase):
+        _csv_rows(f, path, *arrays[0].shape, len(arrays) > 1, *arrays)
+        return
     body = sum(a.nbytes for a in arrays)
     got = sum(f.readinto(a.reshape(-1).view(np.uint8)) for a in arrays)
     if got != body:
         raise DataFormatError(f"{path}: read {got} of {body} body bytes")
 
 
-def _read_bin(path, kind: str, layout, blocks_of):
-    """Header fields and body blocks of a ``.bin`` file (see ``_bin_header``)."""
-    path = _regular_file(path, kind)
-    with open(path, "rb") as f:
-        fields, blocks = _bin_header(f, path, kind, layout, blocks_of)
+def _load(path, kind: _Kind):
+    """(path, header fields, body arrays) of one ``kind`` file."""
+    path = _regular_file(path, kind.name)
+    with _open(path, kind) as f:
+        fields, blocks = _read_header(f, path, kind)
         arrays = [np.empty(shape, dtype) for shape, dtype in blocks]
-        _read_into(f, path, arrays)
-    return fields, arrays
-
-
-def _csv_header(f, path: Path, kind: str, types: dict, shape_of):
-    """Header fields, typed by ``types``, of an open ``# <kind> key=value`` CSV
-    file, and the (rows, floats per row, labeled) that ``shape_of`` maps them
-    to. Rows that pass the checks hold a byte per field, so a header that
-    declares more than the file holds is refused by counting its rows: no
-    array is ever sized from it."""
-    parts = f.readline().lstrip("#").split()
-    if not parts or parts[0] != kind:
-        raise DataFormatError(f"{path}: expected a '# {kind} ...' header line")
-    raw = dict(item.partition("=")[::2] for item in parts[1:])
-    try:
-        header = {key: cast(raw[key]) for key, cast in types.items()}
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed header ({exc})") from exc
-    negative = [f"{k}={v}" for k, v in header.items() if types[k] is int and v < 0]
-    if negative:
-        raise DataFormatError(f"{path}: negative header count {', '.join(negative)}")
-    n, d, labeled = shape_of(**header)
-    if n * (d + labeled) > path.stat().st_size:
-        _csv_rows(f, path, n, d, labeled)  # names the first fault of the rows
-        raise DataFormatError(f"{path}: header says {n} rows, more than the file holds")
-    return header, (n, d, labeled)
+        _read_body(f, path, arrays)
+    return path, fields, arrays
 
 
 def _csv_rows(f, path: Path, n: int, d: int, labeled: bool, matrix=None, labels=None) -> None:
@@ -177,109 +232,34 @@ def _csv_rows(f, path: Path, n: int, d: int, labeled: bool, matrix=None, labels=
 
 
 def save_features(path, dataset: FeatureDataset) -> None:
-    has_labels = dataset.labels is not None
-    if Path(path).suffix == ".bin":
-        blocks = [(dataset.features, "<f8")]
-        if has_labels:
-            blocks.append((dataset.labels, "<i8"))
-        _write_bin(path, _FEATURE_BIN,
-                   (dataset.n_samples, dataset.feature_dim, int(has_labels), dataset.n_classes),
-                   blocks)
-        return
-    with open(path, "w", newline="") as f:
-        f.write(
-            f"# features n_samples={dataset.n_samples} feature_dim={dataset.feature_dim} "
-            f"has_labels={int(has_labels)} n_classes={dataset.n_classes}\n"
-        )
-        writer = csv.writer(f)
-        for i in range(dataset.n_samples):
-            row = [f"{v:.17g}" for v in dataset.features[i]]
-            if has_labels:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
-
-
-def _open_features(path: Path):
-    return open(path, "rb") if path.suffix == ".bin" else open(path, newline="")
-
-
-def _feature_header(f, path: Path) -> tuple[int, int, bool, int]:
-    """(rows, feature_dim, labeled, n_classes) of an open feature file, its
-    declared size checked against the file's."""
-    if path.suffix == ".bin":
-        (n, d, labeled, n_classes), _ = _bin_header(
-            f, path, "features", _FEATURE_BIN,
-            lambda n, d, labeled, _: [((n, d), "<f8"), ((n if labeled else 0,), "<i8")],
-        )
-        return n, d, bool(labeled), n_classes
-    header, (n, d, labeled) = _csv_header(
-        f, path, "features",
-        {"n_samples": int, "feature_dim": int, "has_labels": int, "n_classes": int},
-        lambda n_samples, feature_dim, has_labels, n_classes:
-            (n_samples, feature_dim, bool(has_labels)),
-    )
-    return n, d, labeled, header["n_classes"]
-
-
-def _feature_body(f, path: Path, features: np.ndarray, labels: np.ndarray | None) -> None:
-    """Read the rows after ``_feature_header`` into ``features`` and ``labels``
-    (None for an unlabeled file), both contiguous and sized by the header."""
-    if path.suffix == ".bin":
-        _read_into(f, path, [features] if labels is None else [features, labels])
-    else:
-        _csv_rows(f, path, *features.shape, labels is not None, features, labels)
+    labeled = dataset.labels is not None
+    _write(path, _FEATURES, (dataset.n_samples, dataset.feature_dim, labeled, dataset.n_classes),
+           [dataset.features, dataset.labels][:1 + labeled])
 
 
 def load_features(path) -> FeatureDataset:
-    path = _regular_file(path, "features")
-    with _open_features(path) as f:
-        n, d, labeled, n_classes = _feature_header(f, path)
-        features = np.empty((n, d), "<f8")
-        labels = np.empty(n, "<i8") if labeled else None
-        _feature_body(f, path, features, labels)
-    return naming_file(path, FeatureDataset, features, labels, n_classes)
+    path, fields, (features, *labels) = _load(path, _FEATURES)
+    return naming_file(path, FeatureDataset, features, labels[0] if labels else None, fields[3])
 
 
 def save_raw_recording(path, window: RawWindow) -> None:
-    if Path(path).suffix == ".bin":
-        _write_bin(path, _RAW_BIN, (window.n_channels, float(window.fs), window.n_samples),
-                   [(window.samples, "<f8")])
-        return
-    with open(path, "w", newline="") as f:
-        f.write(f"# raw n_channels={window.n_channels} fs={window.fs:.17g} "
-                f"n_samples={window.n_samples}\n")
-        writer = csv.writer(f)
-        for ch in range(window.n_channels):
-            writer.writerow([f"{v:.17g}" for v in window.samples[ch]])
+    _write(path, _RAW, (window.n_channels, window.fs, window.n_samples), [window.samples])
 
 
 def load_raw_recording(path) -> RawWindow:
-    if Path(path).suffix == ".bin":
-        (_, fs, _), (data,) = _read_bin(path, "raw", _RAW_BIN,
-                                        lambda n_ch, fs, n_samp: [((n_ch, n_samp), "<f8")])
-        return naming_file(path, RawWindow, data, fs)
-    path = _regular_file(path, "raw")
-    with open(path, newline="") as f:
-        header, (n_channels, n_samples, _) = _csv_header(
-            f, path, "raw", {"n_channels": int, "fs": float, "n_samples": int},
-            lambda n_channels, fs, n_samples: (n_channels, n_samples, False),
-        )
-        data = np.empty((n_channels, n_samples))
-        _csv_rows(f, path, n_channels, n_samples, False, data)
-    return naming_file(path, RawWindow, data, header["fs"])
+    path, (_, fs, _), (samples,) = _load(path, _RAW)
+    return naming_file(path, RawWindow, samples, fs)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Flat binary: magic, version, four dims, six float64 arrays row-major."""
-    _write_bin(path, _CKPT_BIN,
-               (params.input_dim, params.W1.shape[1], params.W2.shape[1], params.n_classes),
-               [(a, "<f8") for a in params.arrays()])
+    _write(path, _CHECKPOINT,
+           (params.input_dim, params.W1.shape[1], params.W2.shape[1], params.n_classes),
+           params.arrays())
 
 
 def load_checkpoint(path) -> ModelParams:
-    _, arrays = _read_bin(path, "checkpoint", _CKPT_BIN, lambda d, h1, h2, c: [
-        (shape, "<f8") for shape in ((d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,))
-    ])
+    path, _, arrays = _load(path, _CHECKPOINT)
     return naming_file(path, ModelParams, *arrays)
 
 
@@ -294,7 +274,7 @@ def load_manifest(path) -> list[ManifestEntry]:
     path = _regular_file(path, "manifest")
     entries = []
     seen = set()
-    with open(path, newline="") as f:
+    with _open(path) as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
@@ -339,21 +319,6 @@ class SubjectDataset:
     def subjects(self) -> list[str]:
         return list(self.rows)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.data.feature_dim
-
-    @property
-    def n_classes(self) -> int:
-        return self.data.n_classes
-
-    @property
-    def sessions(self) -> dict[str, dict[int, FeatureDataset]]:
-        """subject -> session -> a FeatureDataset viewing that session's rows."""
-        x, y = self.data.features, self.data.labels
-        return {subject: {k: FeatureDataset(x[part], y[part], self.n_classes)
-                          for k, part in sessions.items()}
-                for subject, sessions in self.rows.items()}
 
 
 def load_dataset(manifest_path) -> SubjectDataset:
@@ -366,8 +331,8 @@ def load_dataset(manifest_path) -> SubjectDataset:
     heads = []
     for entry in entries:
         path = _regular_file(entry.path, "features")
-        with _open_features(path) as f:
-            head = n, d, labeled, _ = _feature_header(f, path)
+        with _open(path, _FEATURES) as f:
+            head = n, d, labeled, _ = _read_header(f, path, _FEATURES)[0]
         if not labeled:
             raise DataFormatError(f"{path}: protocol datasets must be labeled")
         if n == 0:
@@ -385,12 +350,12 @@ def load_dataset(manifest_path) -> SubjectDataset:
     start = 0
     for entry, head in sorted(zip(entries, heads),
                               key=lambda pair: (first[pair[0].subject], pair[0].session)):
-        n, _, _, n_classes = head
+        n, *_, n_classes = head
         part = slice(start, start + n)
-        with _open_features(entry.path) as f:
-            if _feature_header(f, entry.path) != head:
+        with _open(entry.path, _FEATURES) as f:
+            if _read_header(f, entry.path, _FEATURES)[0] != head:
                 raise DataFormatError(f"{entry.path}: file changed while loading")
-            _feature_body(f, entry.path, features[part], labels[part])
+            _read_body(f, entry.path, [features[part], labels[part]])
         naming_file(entry.path, FeatureDataset, features[part], labels[part], n_classes)
         rows.setdefault(entry.subject, {})[entry.session] = part
         start = part.stop
@@ -564,7 +529,9 @@ def read_config_file(path) -> dict:
     comment, so a value may hold '#'; unknown keys are rejected."""
     path = _regular_file(path, "config")
     out = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    with _open(path) as f:
+        lines = f.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

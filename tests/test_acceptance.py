@@ -277,7 +277,7 @@ def test_criterion_7_efficiency():
 )
 def test_criterion_8_user_supplied_dataset():
     dataset = load_dataset(os.environ["DDALIGN_SEED_MANIFEST"])
-    cfg = TrainConfig(n_classes=dataset.n_classes)
+    cfg = TrainConfig(n_classes=dataset.data.n_classes)
     summary = run_protocol(dataset, "single_session", cfg, variant="EXP6")
     line = f"{100 * summary.mean_accuracy:.2f}+-{100 * summary.std_accuracy:.2f}"
     report(8, len(summary.folds) == len(dataset.subjects),

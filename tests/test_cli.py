@@ -154,6 +154,30 @@ class TestTrain:
         assert f"error: {empty}: training needs at least one row" in capsys.readouterr().err
         assert not out.exists()
 
+    # a text input holding a byte that is not UTF-8, and the arguments that read it
+    @pytest.mark.parametrize("content, argv", [
+        pytest.param(b"# features n_samples=1 feature_dim=1 has_labels=1 n_classes=3\n\xff,0\n",
+                     lambda bad, task: ["train", "--source", bad, "--target", task / "target.csv"],
+                     id="feature-row"),
+        pytest.param(b"\xff\xfe# features\n",
+                     lambda bad, task: ["train", "--source", bad, "--target", task / "target.csv"],
+                     id="feature-header"),
+        pytest.param(b"epochs = \xff\n",
+                     lambda bad, task: ["train", "--config", bad, "--source",
+                                        task / "source.csv", "--target", task / "target.csv"],
+                     id="config"),
+        pytest.param(b"a,1,\xff.csv\n", lambda bad, task: ["protocol", "--data", bad],
+                     id="manifest"),
+        pytest.param(b"# raw n_channels=1 fs=1 n_samples=1\n\xff\n",
+                     lambda bad, task: ["extract-features", "--input", bad], id="raw-row"),
+    ])
+    def test_non_utf8_input_exit_3_naming_file(self, tmp_path, synth_dir, capsys, content, argv):
+        bad, out = tmp_path / "bad.csv", tmp_path / "x"
+        bad.write_bytes(content)
+        assert run_cli(*map(str, argv(bad, synth_dir)), "--out", str(out)) == 3
+        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_target_width_mismatch_exit_3_naming_file(self, tmp_path, synth_dir, capsys):
         target = tmp_path / "t5.csv"
         save_features(target, FeatureDataset(np.zeros((10, 5))))

@@ -31,7 +31,7 @@ from ddalign.data import (
 from ddalign.errors import DataFormatError, ValidationError
 from ddalign.features import RawWindow
 from ddalign.kernels import KernelBuffers, discrepancies, pooled_gram, signed_weights
-from ddalign.net import init_params
+from ddalign.net import ModelParams, init_params
 from ddalign.schedules import ScheduleConfig
 from ddalign.trainer import TrainConfig
 
@@ -93,6 +93,57 @@ class TestFeatureFiles:
                         f"1,2,0\n{row}\n")
         with pytest.raises(DataFormatError, match=r"bad\.csv: row 1"):
             load_features(path)
+
+
+# Each kind the package writes, from a fixed tiny input, and the bytes it must be.
+PINNED_LABELED = FeatureDataset(np.array([[0.1, -2.0], [1e-300, 3.0]]), np.array([1, 0]), 2)
+PINNED_UNLABELED = FeatureDataset(np.array([[0.5], [-0.25]]))
+PINNED_RAW = RawWindow(np.array([[0.1, -1.0, 0.0], [2.5, 0.0, 1e10]]), fs=2.5)
+PINNED_FILES = {
+    "labeled.csv": (
+        lambda p: save_features(p, PINNED_LABELED),
+        b"# features n_samples=2 feature_dim=2 has_labels=1 n_classes=2\n"
+        b"0.10000000000000001,-2,1\r\n1e-300,3,0\r\n"),
+    "labeled.bin": (
+        lambda p: save_features(p, PINNED_LABELED),
+        bytes.fromhex("44464541 01000000"  # magic DFEA, version 1
+                      "0200000000000000 0200000000000000 0100000000000000 0200000000000000"
+                      "9a9999999999b93f 00000000000000c0 59f3f8c21f6ea501 0000000000000840"
+                      "0100000000000000 0000000000000000")),
+    "unlabeled.csv": (
+        lambda p: save_features(p, PINNED_UNLABELED),
+        b"# features n_samples=2 feature_dim=1 has_labels=0 n_classes=0\n0.5\r\n-0.25\r\n"),
+    "unlabeled.bin": (
+        lambda p: save_features(p, PINNED_UNLABELED),
+        bytes.fromhex("44464541 01000000"
+                      "0200000000000000 0100000000000000 0000000000000000 0000000000000000"
+                      "000000000000e03f 000000000000d0bf")),
+    "raw.csv": (
+        lambda p: save_raw_recording(p, PINNED_RAW),
+        b"# raw n_channels=2 fs=2.5 n_samples=3\n"
+        b"0.10000000000000001,-1,0\r\n2.5,0,10000000000\r\n"),
+    "raw.bin": (
+        lambda p: save_raw_recording(p, PINNED_RAW),
+        bytes.fromhex("44524157 01000000"  # magic DRAW, version 1
+                      "0200000000000000 0000000000000440 0300000000000000"  # fs as f64
+                      "9a9999999999b93f 000000000000f0bf 0000000000000000"
+                      "0000000000000440 0000000000000000 000000205fa00242")),
+    "model.ckpt": (
+        lambda p: save_checkpoint(ModelParams(
+            np.array([[0.5]]), np.array([0.0]), np.array([[-1.0]]), np.array([0.25]),
+            np.array([[1.0, -1.0]]), np.array([0.0, 0.1])), p),
+        bytes.fromhex("4444414c434b5054 01000000"  # magic DDALCKPT, version 1
+                      "0100000000000000 0100000000000000 0100000000000000 0200000000000000"
+                      "000000000000e03f 0000000000000000 000000000000f0bf 000000000000d03f"
+                      "000000000000f03f 000000000000f0bf 0000000000000000 9a9999999999b93f")),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FILES))
+def test_written_bytes_pinned(tmp_path, name):
+    write, expected = PINNED_FILES[name]
+    write(tmp_path / name)
+    assert (tmp_path / name).read_bytes() == expected
 
 
 class TestRawFiles:
@@ -338,7 +389,7 @@ class TestManifest:
         manifest = self.write_dataset_files(tmp_path, [310, 310])
         dataset = load_dataset(manifest)
         assert dataset.subjects == ["sub0", "sub1"]
-        assert dataset.feature_dim == 310
+        assert dataset.data.feature_dim == 310
 
     def test_dimension_mismatch_names_file(self, tmp_path):
         manifest = self.write_dataset_files(tmp_path, [310, 160])
@@ -363,24 +414,23 @@ class TestManifest:
         assert dataset.subjects == ["a", "b"]
         assert [list(dataset.rows[s]) for s in ("a", "b")] == [[1, 2], [1, 3]]
         for (subject, session), part in parts.items():
-            view = dataset.sessions[subject][session]
-            assert np.shares_memory(view.features, dataset.data.features)
-            npt.assert_array_equal(view.features, part.features)
-            npt.assert_array_equal(view.labels, part.labels)
+            rows = dataset.rows[subject][session]
+            npt.assert_array_equal(dataset.data.features[rows], part.features)
+            npt.assert_array_equal(dataset.data.labels[rows], part.labels)
 
     def test_file_changed_between_header_and_body_named(self, tmp_path, monkeypatch):
         manifest = self.write_dataset_files(tmp_path, [4, 4])
-        real = data_module._feature_header
+        real = data_module._read_header
         calls = []
 
-        def header_then_grow(f, path):
+        def header_then_grow(f, path, kind):
             calls.append(path)
             if len(calls) == 3:  # the first body read: the file has grown since its check
                 save_features(path, labeled_dataset(n=7, d=4))
                 f.seek(0)
-            return real(f, path)
+            return real(f, path, kind)
 
-        monkeypatch.setattr(data_module, "_feature_header", header_then_grow)
+        monkeypatch.setattr(data_module, "_read_header", header_then_grow)
         with pytest.raises(DataFormatError, match=re.escape(
                 f"{tmp_path / 's0.csv'}: file changed while loading")):
             load_dataset(manifest)

@@ -96,7 +96,7 @@ class TestLosoSplit:
     def test_no_leakage_between_source_and_target(self):
         ds = make_dataset(n_subjects=4, sessions=(1,), seed=5)
         rows, tgt = loso_split(ds, "sub2", "single_session")
-        held = ds.sessions["sub2"][1].features
+        held = ds.data.features[ds.rows["sub2"][1]]
         src = ds.data.features[rows]
         for row in held:
             assert not (src == row).all(axis=1).any()
