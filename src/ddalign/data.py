@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import struct
+import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -102,13 +103,14 @@ def _regular_file(path, kind: str) -> Path:
 @contextmanager
 def _open(path: Path, kind: _Kind | None = None, mode: str = "r"):
     """``path`` open as bytes for a .bin ``kind`` file or any checkpoint, else
-    as UTF-8 text, where a byte that does not decode is an error naming the file."""
+    as UTF-8 text, where a byte that does not decode is an error naming the file;
+    text is read past a byte-order mark, if any, and written without one."""
     if kind is not None and (path.suffix == ".bin" or kind is _CHECKPOINT):
         with open(path, mode + "b") as f:
             yield f
         return
     try:
-        with open(path, mode, newline="", encoding="utf-8") as f:
+        with open(path, mode, newline="", encoding="utf-8-sig" if mode == "r" else "utf-8") as f:
             yield f
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
@@ -546,8 +548,10 @@ def read_config_file(path) -> dict:
 
 
 def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then preset, then file keys, then explicit overrides."""
+    """Defaults, then preset, then file keys, then explicit overrides; last,
+    the schedule values the variant pins, which win over any given ones."""
     merged = dict(_CONFIG_DEFAULTS)
+    given = set()
 
     def apply(values: dict):
         if "preset" in values:
@@ -562,11 +566,19 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
             if key not in _CONFIG_DEFAULTS:
                 raise ValidationError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, raw)
+            given.add(key)
 
     if file_values:
         apply(file_values)
     if overrides:
         apply({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(values=merged)
-    cfg.train_config()  # validate eagerly so errors name the offending key
+    variant = merged["variant"]
+    pins = VARIANTS[variant].pins if variant in VARIANTS else {}
+    cfg = RunConfig(values={**merged, **pins})
+    cfg.train_config()  # validate eagerly so errors name the offending key or variant
+    clashes = [f"{key} = {pin} (given {merged[key]})" for key, pin in pins.items()
+               if key in given and merged[key] != pin]
+    if clashes:
+        warnings.warn(f"variant {variant} pins {', '.join(clashes)}; "
+                      f"the run uses the pinned values", stacklevel=2)
     return cfg

@@ -26,6 +26,7 @@ class ScheduleConfig:
     stage_e3: int = 85
     conf1: float = 0.5        # tau over [stage_e1, stage_e2)
     conf2: float = 0.75       # tau over [stage_e2, stage_e3]
+    conf3: float = 1.0        # tau after stage_e3
     lr_extractor: float = 0.001
     lr_classifier: float = 0.01
 
@@ -36,8 +37,8 @@ class ScheduleConfig:
             raise ValidationError("need 0 < rho0 < rho1")
         if not (0 <= self.stage_e1 < self.stage_e2 < self.stage_e3):
             raise ValidationError("need 0 <= stage_e1 < stage_e2 < stage_e3")
-        if not (0 <= self.conf1 <= self.conf2 <= 1):
-            raise ValidationError("need 0 <= conf1 <= conf2 <= 1")
+        if not (0 <= self.conf1 <= self.conf2 <= self.conf3 <= 1):
+            raise ValidationError("need 0 <= conf1 <= conf2 <= conf3 <= 1")
         for name in ("lr_extractor", "lr_classifier"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
@@ -72,7 +73,7 @@ def beta_of(l_ds: float, cfg: ScheduleConfig) -> float:
 
 def confidence_threshold(epoch: int, cfg: ScheduleConfig) -> float:
     """Staged pseudo-label confidence floor: 0 before stage_e1, then conf1, then
-    conf2 up to stage_e3 inclusive, then 1."""
+    conf2 up to stage_e3 inclusive, then conf3."""
     if epoch < 0:
         raise ValidationError("epoch must be >= 0")
     if epoch < cfg.stage_e1:
@@ -81,7 +82,7 @@ def confidence_threshold(epoch: int, cfg: ScheduleConfig) -> float:
         return cfg.conf1
     if epoch <= cfg.stage_e3:
         return cfg.conf2
-    return 1.0
+    return cfg.conf3
 
 
 def learning_rate(epoch: int, epochs: int, base_lr: float) -> float:

@@ -11,7 +11,7 @@ bit-identical parameter trajectories.
 
 import csv
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,18 +36,22 @@ from .schedules import (
 class AblationFlags:
     use_mmd: bool = True
     use_cmmd: bool = True
-    dynamic_weights: bool = True
-    confidence_filter: bool = True
+    pins: dict = field(default_factory=dict)  # schedule values that win over given ones
 
+
+# static weights: alpha is 1.0 at every epoch, and beta is 1.0 as rho0 lies above
+# -ln(net.LOG_CLAMP) ~ 27.63, which no clamped cross-entropy exceeds
+_STATIC_WEIGHTS = {"tau_h": 1.0, "tau_l": 1.0, "rho0": 28.0, "rho1": 29.0}
+_NO_FILTER = {"conf1": 0.0, "conf2": 0.0, "conf3": 0.0}  # tau 0 keeps every pseudo-label
 
 # incremental variants from bare classifier to the full method
 VARIANTS = {
-    "EXP1": AblationFlags(False, False, False, False),
-    "EXP2": AblationFlags(True, False, False, False),
-    "EXP3": AblationFlags(False, True, False, False),
-    "EXP4": AblationFlags(True, True, False, False),
-    "EXP5": AblationFlags(True, True, True, False),
-    "EXP6": AblationFlags(True, True, True, True),
+    "EXP1": AblationFlags(False, False, {**_STATIC_WEIGHTS, **_NO_FILTER}),
+    "EXP2": AblationFlags(True, False, {**_STATIC_WEIGHTS, **_NO_FILTER}),
+    "EXP3": AblationFlags(False, True, {**_STATIC_WEIGHTS, **_NO_FILTER}),
+    "EXP4": AblationFlags(True, True, {**_STATIC_WEIGHTS, **_NO_FILTER}),
+    "EXP5": AblationFlags(True, True, _NO_FILTER),
+    "EXP6": AblationFlags(True, True),
 }
 
 
@@ -197,19 +201,20 @@ def train(
     buffers = KernelBuffers()  # one set for every step: no fresh [N, N] memory per step
     flags = cfg.flags
     aligns = flags.use_mmd or flags.use_cmmd  # only the alignment heads read a target batch
-    sched = cfg.schedule
-    if flags.confidence_filter and sched.stage_e1 >= cfg.epochs:
+    sched = replace(cfg.schedule, **flags.pins)
+    if sched.conf3 > 0 and confidence_threshold(cfg.epochs - 1, sched) == 0:
         warnings.warn(
-            f"confidence filter is inert: its first stage keeps tau at 0 until epoch "
-            f"{sched.stage_e1}, and the run has only {cfg.epochs} epochs",
+            f"confidence filter is inert: tau is still 0 at the last epoch "
+            f"({sched.conf1:g} from epoch {sched.stage_e1}, {sched.conf2:g} from epoch "
+            f"{sched.stage_e2}) and the run has only {cfg.epochs} epochs",
             stacklevel=2,
         )
 
     history: list[StepRecord] = []
     step = 0
     for epoch in range(cfg.epochs):
-        alpha = alpha_at(epoch, cfg.epochs, sched) if flags.dynamic_weights else 1.0
-        tau = confidence_threshold(epoch, sched) if flags.confidence_filter else 0.0
+        alpha = alpha_at(epoch, cfg.epochs, sched)
+        tau = confidence_threshold(epoch, sched)
         lr_ext = learning_rate(epoch, cfg.epochs, sched.lr_extractor)
         lr_cls = learning_rate(epoch, cfg.epochs, sched.lr_classifier)
         order = shuffle_rng.permutation(rows.shape[0])
@@ -222,7 +227,7 @@ def train(
                     dropout_rng, use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
                     buffers=buffers,
                 )
-                beta = beta_of(trace.l_ds, sched) if flags.dynamic_weights else 1.0
+                beta = beta_of(trace.l_ds, sched)
                 if not np.isfinite(trace.total(alpha, beta)):
                     raise NumericsError("non-finite loss")
                 grads = backward(trace, alpha, beta)

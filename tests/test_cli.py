@@ -5,6 +5,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -133,6 +134,22 @@ class TestTrain:
             (work / "a" / "config.resolved").read_text()
         assert run_cli("train", "--config", "a/config.resolved", "--out", "b") == 0
         assert (work / "a" / "model.ckpt").read_bytes() == (work / "b" / "model.ckpt").read_bytes()
+
+    def test_pinned_flag_warns_and_trains_the_variant(self, tmp_path, synth_dir):
+        # EXP4 pins tau_l = 1: --tau-l is named in one warning and the run is plain EXP4
+        argv = ["train", "--config", str(self.small_cfg(tmp_path)), "--variant", "EXP4",
+                "--source", str(synth_dir / "source.csv"),
+                "--target", str(synth_dir / "target.csv")]
+        assert run_cli(*argv, "--out", str(tmp_path / "plain")) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--tau-l", "0.5", "--out", str(tmp_path / "given")) == 0
+        assert [str(w.message) for w in caught] == [
+            "variant EXP4 pins tau_l = 1.0 (given 0.5); the run uses the pinned values"]
+        for name in ("model.ckpt", "history.csv", "config.resolved"):
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                (tmp_path / "given" / name).read_bytes()
+        assert "tau_l = 1.0\n" in (tmp_path / "given" / "config.resolved").read_text()
 
     def test_unlabeled_source_exit_3_naming_file(self, tmp_path, synth_dir, capsys):
         out = tmp_path / "x"
@@ -488,6 +505,15 @@ class TestProtocol:
         assert "EXP1 single-session: " in capsys.readouterr().out
         payload = json.loads((out / "summary.json").read_text())
         assert [f["subject"] for f in payload["folds"]] == ["sub0", "sub1", "sub2"]
+
+    def test_manifest_with_byte_order_mark(self, tmp_path, manifest):
+        manifest.write_bytes("\ufeff".encode() + manifest.read_bytes())
+        out = tmp_path / "proto"
+        assert run_cli("protocol", "--data", str(manifest), *SHORT_MANIFEST_RUN,
+                       "--out", str(out)) == 0
+        payload = json.loads((out / "summary.json").read_text())
+        assert [f["subject"] for f in payload["folds"]] == ["sub0", "sub1", "sub2"]
+        assert (out / "history_sub0.csv").exists()
 
     def test_protocol_is_ablate_under_a_second_name(self, tmp_path, capsys):
         # one subparser: --seeds works under both names and the runs are the same

@@ -4,7 +4,8 @@ import os
 import re
 import struct
 import tracemalloc
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from ddalign.features import RawWindow
 from ddalign.kernels import KernelBuffers, discrepancies, pooled_gram, signed_weights
 from ddalign.net import ModelParams, init_params
 from ddalign.schedules import ScheduleConfig
-from ddalign.trainer import TrainConfig
+from ddalign.trainer import VARIANTS, TrainConfig
 
 
 def labeled_dataset(seed=0, n=10, d=4, C=3):
@@ -144,6 +145,37 @@ def test_written_bytes_pinned(tmp_path, name):
     write, expected = PINNED_FILES[name]
     write(tmp_path / name)
     assert (tmp_path / name).read_bytes() == expected
+
+
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark some editors write first
+
+
+class TestByteOrderMark:
+    """Text inputs are read past a leading byte-order mark."""
+
+    @pytest.mark.parametrize("save, load", [(save_features, load_features),
+                                            (save_raw_recording, load_raw_recording)],
+                             ids=["features", "raw"])
+    def test_csv_data_file(self, tmp_path, save, load):
+        value = (labeled_dataset() if save is save_features
+                 else RawWindow(np.random.default_rng(1).normal(size=(2, 8)), fs=4.0))
+        path = tmp_path / "x.csv"
+        save(path, value)
+        plain = load(path)
+        path.write_bytes(BOM + path.read_bytes())
+        for a, b in zip(vars(plain).values(), vars(load(path)).values()):
+            npt.assert_array_equal(a, b)
+
+    def test_manifest(self, tmp_path):
+        save_features(tmp_path / "s.csv", labeled_dataset())
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(BOM + b"a,1,s.csv\n")
+        assert [entry.subject for entry in load_manifest(path)] == ["a"]
+
+    def test_config_file(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(BOM + b"epochs = 5\n")
+        assert read_config_file(path) == {"epochs": "5"}
 
 
 class TestRawFiles:
@@ -633,12 +665,47 @@ class TestRunConfig:
             "stage_e3 = 85\n"
             "conf1 = 0.5\n"
             "conf2 = 0.75\n"
+            "conf3 = 1.0\n"
             "lr_extractor = 0.001\n"
             "lr_classifier = 0.01\n"
             "variant = EXP6\n"
             "source = \n"
             "target = \n"
         )
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_variant_pins_recorded_and_built(self, variant):
+        pins = VARIANTS[variant].pins
+        rc = build_run_config(None, {"variant": variant})
+        assert {key: rc.values[key] for key in pins} == pins
+        assert rc.train_config().schedule == replace(ScheduleConfig(), **pins)
+
+    def test_key_clashing_with_a_pin_warns_once_and_is_not_used(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("variant = EXP4\ntau_l = 0.5\nconf1 = 0.2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = build_run_config(read_config_file(path), {"rho0": 0.1})
+        assert [str(w.message) for w in caught] == [
+            "variant EXP4 pins tau_l = 1.0 (given 0.5), rho0 = 28.0 (given 0.1), "
+            "conf1 = 0.0 (given 0.2); the run uses the pinned values"]
+        assert rc.values == build_run_config(None, {"variant": "EXP4"}).values
+
+    @pytest.mark.parametrize("overrides", [{"variant": "EXP6", "tau_l": 0.5},
+                                           {"variant": "EXP5", "tau_l": 0.5},
+                                           {"variant": "EXP4", "tau_l": 1.0, "conf3": 0.0}])
+    def test_no_warning_without_a_clash(self, overrides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = build_run_config(None, overrides)
+        assert rc.values["tau_l"] == overrides["tau_l"]
+
+    def test_pinned_value_replaces_an_invalid_one(self):
+        # tau_l above tau_h is refused, but EXP4 reads its pinned tau_l instead
+        with pytest.raises(ValidationError, match="tau_h >= tau_l"):
+            build_run_config(None, {"variant": "EXP6", "tau_l": 2.0})
+        with pytest.warns(UserWarning, match=r"pins tau_l = 1\.0 \(given 2\.0\)"):
+            assert build_run_config(None, {"variant": "EXP4", "tau_l": 2.0}).values["tau_l"] == 1.0
 
     def test_relative_paths_resolved_against_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -80,6 +80,11 @@ class TestConfidenceThreshold:
         assert confidence_threshold(20, cfg) == 0.4
         assert confidence_threshold(60, cfg) == 0.95
 
+    def test_last_stage_is_conf3(self):
+        cfg = ScheduleConfig(conf3=0.9)
+        assert confidence_threshold(85, cfg) == 0.75
+        assert confidence_threshold(86, cfg) == 0.9
+
 
 class TestLearningRate:
     def test_progress_zero_is_base(self):
@@ -121,3 +126,7 @@ class TestConfigAndState:
             ScheduleConfig(stage_e1=40, stage_e2=10, stage_e3=85)
         with pytest.raises(ValidationError):
             ScheduleConfig(conf1=0.8, conf2=0.5)
+        with pytest.raises(ValidationError, match="conf2 <= conf3"):
+            ScheduleConfig(conf2=0.75, conf3=0.7)
+        with pytest.raises(ValidationError, match="conf3 <= 1"):
+            ScheduleConfig(conf3=1.5)

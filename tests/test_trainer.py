@@ -1,14 +1,17 @@
 """Training loop: pseudo-label ops, SGD update formulas, determinism, ablations."""
 
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.data import build_run_config
+from ddalign.data import build_run_config, read_config_file
 from ddalign.errors import NumericsError, ValidationError
 from ddalign.net import (
+    LOG_CLAMP,
     ModelParams,
     _layer1,
     _scores_from_z1,
@@ -17,7 +20,7 @@ from ddalign.net import (
     init_params,
     zeros_like_params,
 )
-from ddalign.schedules import ScheduleConfig
+from ddalign.schedules import ScheduleConfig, alpha_at, beta_of, confidence_threshold
 from ddalign.trainer import (
     VARIANTS,
     AblationFlags,
@@ -279,6 +282,40 @@ class TestKernelBuffers:
         assert not np.shares_memory(traces[1].K, traces[2].K)
 
 
+# the variants whose pins make alpha and beta 1, and those whose pins make tau 0
+STATIC_WEIGHTS = ["EXP1", "EXP2", "EXP3", "EXP4"]
+UNFILTERED = STATIC_WEIGHTS + ["EXP5"]
+
+
+def pinned(variant):
+    return replace(ScheduleConfig(), **VARIANTS[variant].pins)
+
+
+class TestVariantPins:
+    @pytest.mark.parametrize("epochs", [1, 2, 12, 100])
+    @pytest.mark.parametrize("variant", STATIC_WEIGHTS)
+    def test_alpha_exactly_one(self, variant, epochs):
+        assert all(alpha_at(e, epochs, pinned(variant)) == 1.0 for e in range(epochs))
+
+    @pytest.mark.parametrize("variant", STATIC_WEIGHTS)
+    def test_beta_one_above_any_clamped_cross_entropy(self, variant):
+        assert beta_of(-math.log(LOG_CLAMP) * (1 + 1e-9), pinned(variant)) == 1.0
+
+    @pytest.mark.parametrize("variant", UNFILTERED)
+    def test_tau_zero_at_every_epoch(self, variant):
+        assert all(confidence_threshold(e, pinned(variant)) == 0.0 for e in range(100))
+
+    def test_pins_win_over_the_given_schedule(self):
+        src_x, src_y, tgt_x = toy_task(6)
+        given = ScheduleConfig(tau_l=0.5, rho0=0.2, rho1=0.3, stage_e1=1, stage_e2=2,
+                               stage_e3=3, conf1=0.6, conf2=0.7, conf3=0.8)
+        ran = train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP4"], schedule=given))
+        plain = train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP4"]))
+        assert ran.history == plain.history
+        for a, b in zip(ran.params.arrays(), plain.params.arrays()):
+            npt.assert_array_equal(a, b)
+
+
 class TestInertFilterWarning:
     @staticmethod
     def preset_cfg(variant, preset=None):
@@ -296,6 +333,15 @@ class TestInertFilterWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             train(src_x, src_y, tgt_x, self.preset_cfg(variant, preset))
+
+    def test_no_warning_when_a_config_keeps_tau_at_zero(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("preset = short\nconf1 = 0\nconf2 = 0\nconf3 = 0\n"
+                        "hidden1 = 8\nhidden2 = 8\n")
+        src_x, src_y, tgt_x = toy_task(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train(src_x, src_y, tgt_x, build_run_config(read_config_file(path)).train_config())
 
 
 class TestHistoryFile:
