@@ -283,6 +283,10 @@ def load_manifest(path) -> list[ManifestEntry]:
             if len(row) != 3:
                 raise DataFormatError(f"{path}:{lineno}: expected subject,session,path")
             subject = row[0].strip()
+            if not subject or "/" in subject or "\\" in subject:
+                # each fold writes history_<subject>.csv
+                raise DataFormatError(f"{path}:{lineno}: subject {subject!r} must be a "
+                                      f"non-empty name without '/' or '\\'")
             try:
                 session = int(row[1])
             except ValueError:

@@ -81,11 +81,14 @@ class ProtocolSummary:
         }
 
 
-def _check_protocol(protocol: str, session: int | None) -> None:
+def _check_protocol(dataset: SubjectDataset, protocol: str, session: int | None) -> None:
     if protocol not in (PROTOCOL_SINGLE, PROTOCOL_CROSS):
         raise ValidationError(f"unknown protocol {protocol!r}")
     if protocol == PROTOCOL_CROSS and session is not None:
         raise ValidationError("a session applies to single-session, not cross-session")
+    for subject, sessions in dataset.rows.items():
+        if session is not None and session not in sessions:
+            raise ValidationError(f"subject {subject!r} has no session {session}")
 
 
 def loso_split(
@@ -106,16 +109,13 @@ def loso_split(
     """
     if held_out_subject not in dataset.rows:
         raise ValidationError(f"unknown subject {held_out_subject!r}")
-    _check_protocol(protocol, session)
+    _check_protocol(dataset, protocol, session)
 
     def sessions_for(subject: str) -> list[slice]:
         available = dataset.rows[subject]
         if protocol == PROTOCOL_CROSS:
             return [available[k] for k in sorted(available)]
-        sid = min(available) if session is None else session
-        if sid not in available:
-            raise ValidationError(f"subject {subject!r} has no session {sid}")
-        return [available[sid]]
+        return [available[min(available) if session is None else session]]
 
     held = sessions_for(held_out_subject)
     target = slice(held[0].start, held[-1].stop)
@@ -217,7 +217,7 @@ def run_protocol(
     """Train one model per held-out subject and aggregate mean and spread."""
     if len(dataset.subjects) < 2:
         raise ValidationError("protocol needs at least 2 subjects")
-    _check_protocol(protocol, session)  # before _run_folds makes out_dir
+    _check_protocol(dataset, protocol, session)  # before _run_folds makes out_dir
     folds = [(subject, partial(_loso_task, dataset, subject, protocol, session))
              for subject in dataset.subjects]
     return ProtocolSummary(variant=variant, protocol=protocol,

@@ -10,7 +10,6 @@ bit-identical parameter trajectories.
 """
 
 import csv
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -202,19 +201,12 @@ def train(
     flags = cfg.flags
     aligns = flags.use_mmd or flags.use_cmmd  # only the alignment heads read a target batch
     sched = replace(cfg.schedule, **flags.pins)
-    if sched.conf3 > 0 and confidence_threshold(cfg.epochs - 1, sched) == 0:
-        warnings.warn(
-            f"confidence filter is inert: tau is still 0 at the last epoch "
-            f"({sched.conf1:g} from epoch {sched.stage_e1}, {sched.conf2:g} from epoch "
-            f"{sched.stage_e2}) and the run has only {cfg.epochs} epochs",
-            stacklevel=2,
-        )
 
     history: list[StepRecord] = []
     step = 0
     for epoch in range(cfg.epochs):
         alpha = alpha_at(epoch, cfg.epochs, sched)
-        tau = confidence_threshold(epoch, sched)
+        tau = confidence_threshold(epoch, cfg.epochs, sched)
         lr_ext = learning_rate(epoch, cfg.epochs, sched.lr_extractor)
         lr_cls = learning_rate(epoch, cfg.epochs, sched.lr_classifier)
         order = shuffle_rng.permutation(rows.shape[0])

@@ -142,10 +142,10 @@ def test_criterion_2_gradient_correctness():
 
 def test_criterion_3_schedule_tables():
     cfg = ScheduleConfig()
-    tau_ok = (confidence_threshold(5, cfg) == 0.0
-              and confidence_threshold(20, cfg) == 0.5
-              and confidence_threshold(50, cfg) == 0.75
-              and confidence_threshold(90, cfg) == 1.0)
+    tau_ok = (confidence_threshold(5, 100, cfg) == 0.0
+              and confidence_threshold(20, 100, cfg) == 0.5
+              and confidence_threshold(50, 100, cfg) == 0.75
+              and confidence_threshold(90, 100, cfg) == 1.0)
     beta_ok = (beta_of(0.05, cfg) == 1.0
                and beta_of(0.12, cfg) == 0.5
                and beta_of(0.20, cfg) == 0.0)

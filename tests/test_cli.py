@@ -225,6 +225,16 @@ class TestTrain:
         assert f"error: {key} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stage_end_at_the_run_end_exit_3_without_output(self, tmp_path, synth_dir, capsys):
+        # stage ends are percent of the run, so the last must end before 100
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stage_e3 = 100\n")
+        out = tmp_path / "x"
+        assert run_cli("train", "--config", str(cfg), "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 3
+        assert "stage_e3 < 100" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_weight_decay_exit_3_without_output(self, tmp_path, synth_dir, capsys):
         # NaN fails sgd_step's `weight_decay > 0`, so unchecked it would train as weight_decay = 0
         cfg = tmp_path / "c.cfg"
@@ -579,6 +589,25 @@ class TestProtocol:
         assert code == 3
         assert "a session applies to single-session, not cross-session" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a/b", "a\\b", ""], ids=["slash", "backslash", "empty"])
+    def test_subject_unfit_for_a_file_name_exit_3(self, tmp_path, manifest, capsys, name):
+        # each fold writes history_<subject>.csv
+        manifest.write_text(manifest.read_text().replace("sub1,", f"{name},"))
+        out = tmp_path / "run"
+        assert run_cli("protocol", "--data", str(manifest), *SHORT_MANIFEST_RUN,
+                       "--out", str(out)) == 3
+        assert f"manifest.csv:2: subject {name!r} must be a non-empty name" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_session_one_subject_lacks_exit_3_without_output(self, tmp_path, manifest, capsys):
+        manifest.write_text(manifest.read_text() + "sub0,2,s0.csv\nsub1,2,s1.csv\n")
+        out = tmp_path / "run"
+        assert run_cli("protocol", "--data", str(manifest), "--session", "2",
+                       *SHORT_MANIFEST_RUN, "--out", str(out)) == 3
+        assert "subject 'sub2' has no session 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seeds_with_a_manifest_exit_3(self, tmp_path, manifest, capsys):

@@ -202,15 +202,20 @@ class TestRunProtocol:
         npt.assert_array_equal(serial.accuracies, parallel.accuracies)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_fold_warning_shown_once(self, jobs):
-        # both folds' one-epoch runs warn that the filter is inert
+    def test_fold_warning_shown_once(self, jobs, monkeypatch):
+        # both folds give the same warning; forked workers inherit the wrapped train
+        def warning_train(*args):
+            warnings.warn("fold says hello", UserWarning)
+            return train(*args)
+
+        monkeypatch.setattr(evaluation, "train", warning_train)
         synth = SynthShiftConfig(n_per_class=10, domain_shift=2.0, seed=4)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_synth_protocol(synth, fast_cfg(epochs=1), variant="EXP6", n_seeds=2, jobs=jobs)
-        inert = [w for w in caught if "inert" in str(w.message)]
-        assert len(inert) == 1
-        assert inert[0].category is UserWarning
+            summary = run_synth_protocol(synth, fast_cfg(epochs=1), variant="EXP6", n_seeds=2,
+                                         jobs=jobs)
+        assert [w.category for w in caught if "hello" in str(w.message)] == [UserWarning]
+        assert [f.warned for f in summary.folds] == [((UserWarning, "fold says hello"),)] * 2
 
     def test_pool_has_no_more_workers_than_folds(self, monkeypatch):
         workers = []

@@ -1,14 +1,13 @@
 """Training loop: pseudo-label ops, SGD update formulas, determinism, ablations."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.data import build_run_config, read_config_file
+from ddalign.data import build_run_config
 from ddalign.errors import NumericsError, ValidationError
 from ddalign.net import (
     LOG_CLAMP,
@@ -303,7 +302,7 @@ class TestVariantPins:
 
     @pytest.mark.parametrize("variant", UNFILTERED)
     def test_tau_zero_at_every_epoch(self, variant):
-        assert all(confidence_threshold(e, pinned(variant)) == 0.0 for e in range(100))
+        assert all(confidence_threshold(e, 100, pinned(variant)) == 0.0 for e in range(100))
 
     def test_pins_win_over_the_given_schedule(self):
         src_x, src_y, tgt_x = toy_task(6)
@@ -316,32 +315,14 @@ class TestVariantPins:
             npt.assert_array_equal(a, b)
 
 
-class TestInertFilterWarning:
-    @staticmethod
-    def preset_cfg(variant, preset=None):
-        overrides = {"variant": variant, "preset": preset, "hidden1": 8, "hidden2": 8}
-        return build_run_config(overrides=overrides).train_config()
-
-    def test_short_preset_exp6_warns(self):
+class TestPercentStages:
+    def test_short_preset_exp6_filters_at_every_stage(self):
+        # 10 epochs with stages at 10/40/85 percent: tau 0, then 0.5, 0.75 and 1
+        overrides = {"variant": "EXP6", "preset": "short", "hidden1": 8, "hidden2": 8}
         src_x, src_y, tgt_x = toy_task(5)
-        with pytest.warns(UserWarning, match=r"inert.*epoch 10.*only 10 epochs"):
-            train(src_x, src_y, tgt_x, self.preset_cfg("EXP6", "short"))
-
-    @pytest.mark.parametrize("variant, preset", [("EXP5", "short"), ("EXP6", None)])
-    def test_no_warning_when_filter_acts_or_is_off(self, variant, preset):
-        src_x, src_y, tgt_x = toy_task(5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            train(src_x, src_y, tgt_x, self.preset_cfg(variant, preset))
-
-    def test_no_warning_when_a_config_keeps_tau_at_zero(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("preset = short\nconf1 = 0\nconf2 = 0\nconf3 = 0\n"
-                        "hidden1 = 8\nhidden2 = 8\n")
-        src_x, src_y, tgt_x = toy_task(5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            train(src_x, src_y, tgt_x, build_run_config(read_config_file(path)).train_config())
+        res = train(src_x, src_y, tgt_x, build_run_config(overrides=overrides).train_config())
+        taus = {r.epoch: r.tau for r in res.history}
+        assert [taus[e] for e in range(10)] == [0.0, 0.5, 0.5, 0.5] + [0.75] * 5 + [1.0]
 
 
 class TestHistoryFile:
