@@ -20,7 +20,7 @@ from pathlib import Path
 from .data import (
     ACCEPT_SYNTH,
     PRESETS,
-    RUN_KEYS,
+    RUN_DEFAULTS,
     FeatureDataset,
     SynthShiftConfig,
     build_run_config,
@@ -46,25 +46,24 @@ from .features import DEFAULT_BANDS, VARIANCE_FLOOR, BandSpec, build_feature_mat
 from .trainer import VARIANTS, TrainConfig, save_history, train
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+_RUN_CHOICES = {"preset": list(PRESETS), "variant": list(VARIANTS)}
+_RUN_HELP = {"source": "labeled feature file", "target": "target feature file (labels ignored)",
+             "sigma": "kernel bandwidth: 'median' (default) or a positive number"}
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, skip=()) -> None:
+    """--config and one flag per run key but ``skip``, typed as its default."""
     parser.add_argument("--config", help="run config file (key = value lines)")
-    parser.add_argument("--seed", type=int, help=f"random seed (default {TrainConfig.seed})")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--variant", choices=list(VARIANTS))
-    parser.add_argument("--preset", choices=list(PRESETS))
-    parser.add_argument("--sigma", help="kernel bandwidth: 'median' or a positive number")
-    parser.add_argument("--tau-h", type=float, dest="tau_h")
-    parser.add_argument("--tau-l", type=float, dest="tau_l")
-    parser.add_argument("--rho0", type=float)
-    parser.add_argument("--rho1", type=float)
-    parser.add_argument("--conf1", type=float)
-    parser.add_argument("--conf2", type=float)
+    for key, default in RUN_DEFAULTS.items():
+        if key not in skip:
+            parser.add_argument("--" + key.replace("_", "-"), type=type(default),
+                                choices=_RUN_CHOICES.get(key),
+                                help=_RUN_HELP.get(key, f"default {default}"))
 
 
 def _resolve_run_config(args):
     file_values = read_config_file(args.config) if args.config else None
-    overrides = {k: v for k, v in vars(args).items() if k in RUN_KEYS}
+    overrides = {k: v for k, v in vars(args).items() if k in RUN_DEFAULTS}
     return build_run_config(file_values, overrides)
 
 
@@ -268,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth, seed=TrainConfig.seed)
 
     p = sub.add_parser("train", help="train on a labeled source and unlabeled target")
-    p.add_argument("--source", help="labeled feature file")
-    p.add_argument("--target", help="target feature file (labels ignored)")
     p.add_argument("--out", help="output directory")
     _add_run_flags(p)
     p.set_defaults(func=cmd_train)
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, help="folds for --data synth (default 5)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
-    _add_run_flags(p)
+    _add_run_flags(p, skip=("source", "target"))
     p.set_defaults(func=_run_folds_command)
 
     p = sub.add_parser("dump-embeddings", help="write extractor embeddings as CSV")

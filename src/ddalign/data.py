@@ -408,17 +408,21 @@ class SynthShiftConfig:
 
 
 @dataclass
-class SynthTask:
-    """Training-facing view plus evaluation-only target labels; training uses
-    the ``source_rows`` of ``source`` (None: every row)."""
+class Fold:
+    """One training fold: a labeled source, of which training uses the
+    ``source_rows`` (None: every row), and a labeled target, whose features
+    training reads and whose labels only evaluation reads."""
 
     source: FeatureDataset
-    target_features: np.ndarray
     target_eval: FeatureDataset
     source_rows: np.ndarray | None = None
 
+    @property
+    def target_features(self) -> np.ndarray:
+        return self.target_eval.features
 
-def generate_synth_shift(cfg: SynthShiftConfig) -> SynthTask:
+
+def generate_synth_shift(cfg: SynthShiftConfig) -> Fold:
     rng = np.random.default_rng(cfg.seed)
     # orthonormal class directions plus one extra axis for the domain shift
     basis, _ = np.linalg.qr(rng.normal(size=(cfg.dim, min(cfg.n_classes + 1, cfg.dim))))
@@ -444,11 +448,8 @@ def generate_synth_shift(cfg: SynthShiftConfig) -> SynthTask:
 
     src_x, src_y = sample(src_means)
     tgt_x, tgt_y = sample(tgt_means)
-    return SynthTask(
-        source=FeatureDataset(src_x, src_y, cfg.n_classes),
-        target_features=tgt_x,
-        target_eval=FeatureDataset(tgt_x.copy(), tgt_y, cfg.n_classes),
-    )
+    return Fold(FeatureDataset(src_x, src_y, cfg.n_classes),
+                FeatureDataset(tgt_x, tgt_y, cfg.n_classes))
 
 
 # Frozen generator settings for the synthetic benchmark: calibrated so the
@@ -480,8 +481,9 @@ _SCHEDULE_DEFAULTS = asdict(ScheduleConfig())
 
 # every run setting, in config.resolved order, with the dataclasses' defaults;
 # sigma "median" is TrainConfig.sigma None and variant "EXP6" is AblationFlags();
-# a value read from a flag or a file is cast to the type of its default
-_CONFIG_DEFAULTS = {
+# each is a config key and a flag, and a value read from either is cast to the
+# type of its default
+RUN_DEFAULTS = {
     "preset": "long",
     **_TRAIN_DEFAULTS,
     "sigma": "median",
@@ -490,7 +492,6 @@ _CONFIG_DEFAULTS = {
     "source": "",
     "target": "",
 }
-RUN_KEYS = tuple(_CONFIG_DEFAULTS)
 
 
 @dataclass
@@ -512,7 +513,7 @@ class RunConfig:
         )
 
     def to_lines(self) -> str:
-        return "".join(f"{k} = {self.values[k]}\n" for k in _CONFIG_DEFAULTS)
+        return "".join(f"{k} = {self.values[k]}\n" for k in RUN_DEFAULTS)
 
 
 def _coerce(key: str, raw) -> object:
@@ -520,7 +521,7 @@ def _coerce(key: str, raw) -> object:
     it was given but must read as 'median' or a number, and a ``source`` or
     ``target`` path is made absolute against the working directory."""
     try:
-        value = type(_CONFIG_DEFAULTS[key])(raw)
+        value = type(RUN_DEFAULTS[key])(raw)
         if key == "sigma" and value != "median":
             float(value)
     except (TypeError, ValueError):
@@ -545,16 +546,18 @@ def read_config_file(path) -> dict:
         if not sep:
             raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
         key = key.strip()
-        if key not in _CONFIG_DEFAULTS:
+        if key not in RUN_DEFAULTS:
             raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
 
 
 def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then preset, then file keys, then explicit overrides; last,
-    the schedule values the variant pins, which win over any given ones."""
-    merged = dict(_CONFIG_DEFAULTS)
+    """Defaults, then file values, then overrides (the flags), each of the two
+    applying its preset before its keys: a key beats its own source's preset,
+    and an override preset resets the file's batch_size and epochs. Last, the
+    schedule values the variant pins, which win over any given ones."""
+    merged = dict(RUN_DEFAULTS)
     given = set()
 
     def apply(values: dict):
@@ -567,7 +570,7 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
         for key, raw in values.items():
             if key == "preset":
                 continue
-            if key not in _CONFIG_DEFAULTS:
+            if key not in RUN_DEFAULTS:
                 raise ValidationError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, raw)
             given.add(key)

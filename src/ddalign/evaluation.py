@@ -9,7 +9,6 @@ the run seed plus the fold index, so a summary is reproducible fold by fold.
 
 import csv
 import json
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureDataset, SubjectDataset, SynthShiftConfig, SynthTask, generate_synth_shift
+from .data import FeatureDataset, Fold, SubjectDataset, SynthShiftConfig, generate_synth_shift
 from .errors import ValidationError
 from .net import ModelParams, forward_features, forward_logits
 from .trainer import VARIANTS, TrainConfig, save_history, train
@@ -47,7 +46,6 @@ class FoldResult:
     subject: str
     metrics: Metrics
     history_steps: int
-    warned: tuple[tuple[type[Warning], str], ...] = ()  # (category, message) raised in the fold
 
 
 @dataclass
@@ -96,13 +94,14 @@ def loso_split(
     held_out_subject: str,
     protocol: str = PROTOCOL_SINGLE,
     session: int | None = None,
-) -> tuple[np.ndarray, FeatureDataset]:
-    """(source rows, held-out target) for one fold, with no copy of the features.
+) -> Fold:
+    """The fold holding out one subject, with no copy of the features.
 
-    The source is an int64 index into ``dataset.data``: the remaining
-    subjects' rows in dataset order, each subject's sessions ascending, which
-    ``train`` takes as ``src_rows``. The target is a FeatureDataset viewing
-    the held-out subject's rows, which are contiguous in either protocol.
+    Its source is ``dataset.data`` and its ``source_rows`` an int64 index
+    into it: the remaining subjects' rows in dataset order, each subject's
+    sessions ascending, which ``train`` takes as ``src_rows``. Its target is
+    a FeatureDataset viewing the held-out subject's rows, which are
+    contiguous in either protocol.
     single_session uses one session per subject on both sides (the lowest
     session id unless given); cross_session pools every session of the
     remaining subjects against all sessions of the held-out subject.
@@ -126,8 +125,8 @@ def loso_split(
     if not source_parts:
         raise ValidationError("no source subjects left after holding out")
     data = dataset.data
-    return (np.concatenate(source_parts),
-            FeatureDataset(data.features[target], data.labels[target], data.n_classes))
+    return Fold(data, FeatureDataset(data.features[target], data.labels[target], data.n_classes),
+                np.concatenate(source_parts))
 
 
 def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
@@ -157,32 +156,23 @@ def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
     )
 
 
-def _loso_task(
-    dataset: SubjectDataset, subject: str, protocol: str, session: int | None
-) -> SynthTask:
-    rows, tgt = loso_split(dataset, subject, protocol, session)
-    return SynthTask(dataset.data, tgt.features, tgt, source_rows=rows)
-
-
 def _run_fold(args) -> FoldResult:
-    """Train and score one fold; its warnings are recorded, not shown, so the
-    parent can show each once however many processes ran the folds."""
-    name, make_task, cfg, out_dir = args
-    with warnings.catch_warnings(record=True) as caught:
-        task = make_task()
-        result = train(task.source.features, task.source.labels, task.target_features,
-                       replace(cfg, n_classes=task.source.n_classes), task.source_rows)
-        metrics = evaluate(result.params, task.target_eval)
+    """Make, train and score one fold."""
+    name, make_fold, cfg, out_dir = args
+    fold = make_fold()
+    result = train(fold.source.features, fold.source.labels, fold.target_features,
+                   replace(cfg, n_classes=fold.source.n_classes), fold.source_rows)
+    metrics = evaluate(result.params, fold.target_eval)
     if out_dir is not None:
         save_history(result.history, Path(out_dir) / f"history_{name}.csv")
-    return FoldResult(subject=name, metrics=metrics, history_steps=len(result.history),
-                      warned=tuple((w.category, str(w.message)) for w in caught))
+    return FoldResult(subject=name, metrics=metrics, history_steps=len(result.history))
 
 
 def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> list[FoldResult]:
-    """Train and score one model per (name, task maker) fold, fold k with seed
-    cfg.seed + k; tasks are made one at a time, in min(jobs, folds) worker
-    processes when that is above 1."""
+    """Train and score one model per (name, fold maker) pair, fold k with seed
+    cfg.seed + k; folds are made one at a time, in min(jobs, folds) worker
+    processes when that is above 1. A fold's warnings go where its process
+    shows them: to the caller with one process, else to the worker's stderr."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if not folds:
@@ -192,17 +182,13 @@ def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> lis
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     cfg = replace(cfg, flags=VARIANTS[variant])
-    tasks = [(name, make_task, replace(cfg, seed=cfg.seed + k), out_dir)
-             for k, (name, make_task) in enumerate(folds)]
+    tasks = [(name, make_fold, replace(cfg, seed=cfg.seed + k), out_dir)
+             for k, (name, make_fold) in enumerate(folds)]
     workers = min(jobs, len(tasks))  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_fold, tasks))
-    else:
-        results = [_run_fold(t) for t in tasks]
-    for category, message in dict.fromkeys(w for r in results for w in r.warned):
-        warnings.warn(message, category, stacklevel=3)
-    return results
+            return list(pool.map(_run_fold, tasks))
+    return [_run_fold(t) for t in tasks]
 
 
 def run_protocol(
@@ -218,7 +204,7 @@ def run_protocol(
     if len(dataset.subjects) < 2:
         raise ValidationError("protocol needs at least 2 subjects")
     _check_protocol(dataset, protocol, session)  # before _run_folds makes out_dir
-    folds = [(subject, partial(_loso_task, dataset, subject, protocol, session))
+    folds = [(subject, partial(loso_split, dataset, subject, protocol, session))
              for subject in dataset.subjects]
     return ProtocolSummary(variant=variant, protocol=protocol,
                            folds=_run_folds(folds, cfg, variant, jobs, out_dir))

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from ddalign.cli import main
-from ddalign.data import (ACCEPT_SYNTH, FeatureDataset, load_checkpoint, save_checkpoint,
-                          save_features, save_raw_recording)
+from ddalign.data import (ACCEPT_SYNTH, RUN_DEFAULTS, FeatureDataset, load_checkpoint,
+                          save_checkpoint, save_features, save_raw_recording)
 from ddalign.features import RawWindow, build_feature_matrix
 from ddalign.net import init_params
 
@@ -776,6 +776,54 @@ class TestDumpEmbeddings:
         assert (f"error: {narrow}: model expects 16 features, data has 5"
                 in capsys.readouterr().err)
         assert not emb.exists()
+
+
+# a valid value other than the default for every run key; a new key fails
+# test_flag_and_config_key_agree until it is listed here
+RUN_VALUES = {
+    "preset": "short", "batch_size": "8", "epochs": "2", "momentum": "0.5",
+    "weight_decay": "1e-3", "seed": "7", "hidden1": "5", "hidden2": "6", "sigma": "2.5",
+    "tau_h": "0.9", "tau_l": "0.02", "rho0": "0.05", "rho1": "0.2", "stage_e1": "5",
+    "stage_e2": "30", "stage_e3": "80", "conf1": "0.4", "conf2": "0.7", "conf3": "0.9",
+    "lr_extractor": "0.002", "lr_classifier": "0.02", "variant": "EXP2",
+    "source": "task/source.csv", "target": "task/target_eval.csv",
+}
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize("key", list(RUN_DEFAULTS))
+    def test_flag_and_config_key_agree(self, tmp_path, synth_dir, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        base = {"source": "task/source.csv", "target": "task/target.csv", "epochs": "1",
+                "batch_size": "16", "hidden1": "4", "hidden2": "4"}
+        base.pop(key, None)
+        flags = [arg for k, v in base.items() for arg in ("--" + k.replace("_", "-"), v)]
+        value = RUN_VALUES[key]
+        assert run_cli("train", *flags, "--" + key.replace("_", "-"), value,
+                       "--out", "flag") == 0
+        (tmp_path / "c.cfg").write_text(f"{key} = {value}\n")
+        assert run_cli("train", *flags, "--config", "c.cfg", "--out", "file") == 0
+        resolved = (tmp_path / "flag" / "config.resolved").read_bytes()
+        assert resolved == (tmp_path / "file" / "config.resolved").read_bytes()
+        assert f"{key} = {RUN_DEFAULTS[key]}\n".encode() not in resolved
+
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--data", "synth"]],
+                             ids=["train", "ablate"])
+    @pytest.mark.parametrize("flag, value", [("--variant", "EXP9"), ("--preset", "x"),
+                                             ("--stage-e1", "x")])
+    def test_bad_flag_value_exits_2(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["protocol", "ablate"])
+    @pytest.mark.parametrize("flag", ["--source", "--target"])
+    def test_fold_commands_have_no_training_pair_flag(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--data", "synth", flag, "f")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} f" in capsys.readouterr().err
 
 
 class TestExitCodes:

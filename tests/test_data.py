@@ -606,6 +606,22 @@ class TestRunConfig:
         assert cfg.epochs == 25
         assert cfg.batch_size == 32
 
+    @pytest.mark.parametrize("lines, overrides, batch_epochs", [
+        ("epochs = 50\n", {"preset": "short"}, (32, 10)),
+        ("epochs = 50\n", {"preset": "short", "epochs": 20}, (32, 20)),
+        ("epochs = 50\npreset = short\n", {}, (32, 50)),
+        ("preset = short\n", {"epochs": 50}, (32, 50)),
+        ("preset = short\nbatch_size = 16\n", {"preset": "long"}, (128, 100)),
+    ], ids=["flag-preset-resets-file", "flag-key-beats-flag-preset", "file-key-beats-file-preset",
+            "flag-key-beats-file-preset", "flag-preset-resets-file-preset"])
+    def test_preset_applies_before_the_keys_of_its_source(self, tmp_path, lines, overrides,
+                                                          batch_epochs):
+        # the file, then the flags; each applies its preset before its keys
+        path = tmp_path / "c.cfg"
+        path.write_text(lines)
+        cfg = build_run_config(read_config_file(path), overrides).train_config()
+        assert (cfg.batch_size, cfg.epochs) == batch_epochs
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("learning_speed = 9\n")

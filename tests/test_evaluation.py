@@ -13,7 +13,7 @@ import pytest
 from ddalign import evaluation
 from ddalign.data import (FeatureDataset, SubjectDataset, SynthShiftConfig, load_dataset,
                           load_features, save_features)
-from ddalign.errors import ValidationError
+from ddalign.errors import NumericsError, ValidationError
 from ddalign.evaluation import (
     Metrics,
     ProtocolSummary,
@@ -54,14 +54,14 @@ def constant_predictor(d=6, C=3, winner=0):
 class TestLosoSplit:
     def test_source_pools_remaining_subjects(self):
         ds = make_dataset(n_subjects=15, sessions=(1,), n=6)
-        rows, tgt = loso_split(ds, "sub3", "single_session")
-        assert tgt.n_samples == 6
-        assert rows.dtype == np.int64 and rows.shape == (14 * 6,)
+        fold = loso_split(ds, "sub3", "single_session")
+        assert fold.target_eval.n_samples == 6
+        assert fold.source_rows.dtype == np.int64 and fold.source_rows.shape == (14 * 6,)
 
     def test_two_subjects_minimal(self):
         ds = make_dataset(n_subjects=2, sessions=(1,))
-        rows, tgt = loso_split(ds, "sub1", "single_session")
-        assert rows.size == tgt.n_samples == 12
+        fold = loso_split(ds, "sub1", "single_session")
+        assert fold.source_rows.size == fold.target_eval.n_samples == 12
 
     def test_unknown_subject_rejected(self):
         ds = make_dataset()
@@ -70,9 +70,9 @@ class TestLosoSplit:
 
     def test_cross_session_pools_all_sessions(self):
         ds = make_dataset(n_subjects=3, sessions=(1, 2))
-        rows, tgt = loso_split(ds, "sub0", "cross_session")
-        assert tgt.n_samples == 24       # both sessions of the held-out subject
-        assert rows.size == 2 * 24       # both sessions of the other two
+        fold = loso_split(ds, "sub0", "cross_session")
+        assert fold.target_eval.n_samples == 24  # both sessions of the held-out subject
+        assert fold.source_rows.size == 2 * 24   # both sessions of the other two
 
     def test_session_with_cross_session_rejected(self):
         ds = make_dataset()
@@ -81,10 +81,10 @@ class TestLosoSplit:
 
     def test_single_session_defaults_to_lowest(self):
         ds = make_dataset(n_subjects=2, sessions=(2, 5))
-        rows, tgt = loso_split(ds, "sub0", "single_session")
-        assert tgt.n_samples == 12
-        npt.assert_array_equal(rows, np.arange(24, 36))   # sub1's session 2
-        rows5, _ = loso_split(ds, "sub0", "single_session", session=5)
+        fold = loso_split(ds, "sub0", "single_session")
+        assert fold.target_eval.n_samples == 12
+        npt.assert_array_equal(fold.source_rows, np.arange(24, 36))   # sub1's session 2
+        rows5 = loso_split(ds, "sub0", "single_session", session=5).source_rows
         assert rows5.size == 12
         npt.assert_array_equal(rows5, np.arange(36, 48))  # sub1's session 5
 
@@ -95,18 +95,19 @@ class TestLosoSplit:
 
     def test_no_leakage_between_source_and_target(self):
         ds = make_dataset(n_subjects=4, sessions=(1,), seed=5)
-        rows, tgt = loso_split(ds, "sub2", "single_session")
+        fold = loso_split(ds, "sub2", "single_session")
         held = ds.data.features[ds.rows["sub2"][1]]
-        src = ds.data.features[rows]
+        src = fold.source.features[fold.source_rows]
         for row in held:
             assert not (src == row).all(axis=1).any()
 
     @pytest.mark.parametrize("protocol", ["single_session", "cross_session"])
     def test_target_is_a_view_of_the_dataset(self, protocol):
         ds = make_dataset(n_subjects=3, sessions=(1, 2))
-        _, tgt = loso_split(ds, "sub1", protocol)
-        assert np.shares_memory(tgt.features, ds.data.features)
-        assert np.shares_memory(tgt.labels, ds.data.labels)
+        fold = loso_split(ds, "sub1", protocol)
+        assert fold.source is ds.data
+        assert np.shares_memory(fold.target_features, ds.data.features)
+        assert np.shares_memory(fold.target_eval.labels, ds.data.labels)
 
     def test_rows_must_tile_the_data(self):
         ds = make_dataset(n_subjects=2, sessions=(1,))
@@ -201,21 +202,21 @@ class TestRunProtocol:
         assert [f.subject for f in parallel.folds] == ["seed0", "seed1", "seed2"]
         npt.assert_array_equal(serial.accuracies, parallel.accuracies)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_fold_warning_shown_once(self, jobs, monkeypatch):
-        # both folds give the same warning; forked workers inherit the wrapped train
-        def warning_train(*args):
-            warnings.warn("fold says hello", UserWarning)
-            return train(*args)
+    def test_failing_fold_keeps_its_warning(self, monkeypatch):
+        # the caller sees a fold's warning as it is raised, so an error after
+        # it loses nothing
+        def failing_train(*args):
+            warnings.warn("fold says hello", RuntimeWarning)
+            raise NumericsError("step 0 (epoch 0): loss is not finite")
 
-        monkeypatch.setattr(evaluation, "train", warning_train)
+        monkeypatch.setattr(evaluation, "train", failing_train)
         synth = SynthShiftConfig(n_per_class=10, domain_shift=2.0, seed=4)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            summary = run_synth_protocol(synth, fast_cfg(epochs=1), variant="EXP6", n_seeds=2,
-                                         jobs=jobs)
-        assert [w.category for w in caught if "hello" in str(w.message)] == [UserWarning]
-        assert [f.warned for f in summary.folds] == [((UserWarning, "fold says hello"),)] * 2
+            with pytest.raises(NumericsError, match="loss is not finite"):
+                run_synth_protocol(synth, fast_cfg(epochs=1), variant="EXP6", n_seeds=2, jobs=1)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "fold says hello")]
 
     def test_pool_has_no_more_workers_than_folds(self, monkeypatch):
         workers = []
@@ -295,7 +296,8 @@ class TestFoldsFromManifest:
 
         cfg = fast_cfg(epochs=2)
         for held in ("a", "b", "c"):
-            rows, target = loso_split(dataset, held, protocol, session)
+            fold = loso_split(dataset, held, protocol, session)
+            rows, target = fold.source_rows, fold.target_eval
             assert np.shares_memory(target.features, dataset.data.features)
             tgt_x, tgt_y = pooled([held])
             npt.assert_array_equal(target.features, tgt_x)
@@ -319,8 +321,8 @@ class TestFoldsFromManifest:
         dataset = load_dataset(manifest)
         cfg = TrainConfig(batch_size=32, epochs=1, n_classes=2, hidden1=16, hidden2=16,
                           flags=VARIANTS["EXP1"])
-        fold = ("small", partial(evaluation._loso_task, dataset, "small", "single_session",
-                                 None), cfg, None)
+        fold = ("small", partial(loso_split, dataset, "small", "single_session", None),
+                cfg, None)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
