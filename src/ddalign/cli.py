@@ -42,7 +42,8 @@ from .evaluation import (
     run_synth_protocol,
     save_summary,
 )
-from .features import DEFAULT_BANDS, VARIANCE_FLOOR, BandSpec, build_feature_matrix
+from .features import (DEFAULT_BANDS, VARIANCE_FLOOR, BandSpec, _one_second,
+                       build_feature_matrix)
 from .trainer import VARIANTS, TrainConfig, save_history, train
 
 
@@ -65,6 +66,26 @@ def _resolve_run_config(args):
     file_values = read_config_file(args.config) if args.config else None
     overrides = {k: v for k, v in vars(args).items() if k in RUN_DEFAULTS}
     return build_run_config(file_values, overrides)
+
+
+def _check_out(out, is_file: bool) -> None:
+    """Refuse an --out that cannot be written, before any input is read.
+
+    A directory --out is made with its parents, so its nearest existing path
+    must be a directory. A file --out must not be a directory, and the
+    directory it goes in must exist.
+    """
+    path = Path(out)
+    if is_file:
+        if path.is_dir():
+            raise ValidationError(f"--out {out} is a directory, not a file")
+        nearest = path.parent
+    else:
+        nearest = path
+        while not nearest.exists() and nearest != nearest.parent:
+            nearest = nearest.parent
+    if not nearest.is_dir():
+        raise ValidationError(f"--out {out}: {nearest} is not a directory")
 
 
 def _prepare_out(args, run_config) -> Path | None:
@@ -104,7 +125,7 @@ def cmd_extract_features(args) -> int:
         if not math.isfinite(args.window_seconds):
             raise ValidationError(f"--window-seconds must be finite, got {args.window_seconds}")
         step = int(round(args.window_seconds * recording.fs))
-        if step < recording.fs:
+        if step < _one_second(recording.fs):
             raise ValidationError("--window-seconds must cover at least one second")
         if step > recording.n_samples:
             raise ValidationError(
@@ -299,9 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# commands whose --out names one file; every other --out is a directory
+_FILE_OUT = (cmd_extract_features, cmd_dump_embeddings)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out, args.func in _FILE_OUT)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,12 @@ VARIANCE_FLOOR = 1e-12
 _CHUNK_SAMPLES = 2**16
 
 
+def _one_second(fs: float) -> int:
+    """Samples in one second at ``fs``: the length of one spectral segment,
+    round(fs). A window or step of at least this many samples holds one."""
+    return int(round(fs))
+
+
 @dataclass(frozen=True)
 class BandSpec:
     """A named frequency band with edges in Hz."""
@@ -65,7 +71,8 @@ class RawWindow:
                 f"sampling rate {self.fs:g} Hz is below 1 Hz; a 1-second segment "
                 "needs at least one sample"
             )
-        if self.samples.shape[1] < self.fs:
+        # no finite window spans one second at an infinite rate
+        if not math.isfinite(self.fs) or self.samples.shape[1] < _one_second(self.fs):
             raise ValidationError("window must span at least one second")
         if not np.isfinite(self.samples).all():
             raise ValidationError("samples contain non-finite values")
@@ -112,7 +119,7 @@ def _band_variances(x: np.ndarray, fs: float, bands) -> np.ndarray:
     over bins with lo_hz <= f < hi_hz, times df. Rows go through the FFT in
     chunks of at most _CHUNK_SAMPLES samples (at least one row per chunk).
     """
-    nper = int(round(fs))
+    nper = _one_second(fs)
     n_seg = x.shape[-1] // nper
     if n_seg < 1:
         raise ValidationError(

@@ -2,24 +2,37 @@
 
 import hashlib
 import json
+import shlex
 import struct
 import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ddalign.cli import main
 from ddalign.data import (ACCEPT_SYNTH, RUN_DEFAULTS, FeatureDataset, load_checkpoint,
-                          save_checkpoint, save_features, save_raw_recording)
+                          load_features, save_checkpoint, save_features, save_raw_recording)
 from ddalign.features import RawWindow, build_feature_matrix
 from ddalign.net import init_params
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def readme_commands() -> list[list[str]]:
+    """The commands of the bash block under README's "## Command line", one argv each."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
 
 
 @pytest.fixture
@@ -65,9 +78,14 @@ class TestSynth:
         assert f"error: {field} must be finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_target_file_is_unlabeled(self, synth_dir):
-        from ddalign.data import load_features
+    def test_out_that_is_a_file_exit_3(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run_cli("synth", "--out", str(afile)) == 3
+        assert f"error: --out {afile}: {afile} is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
 
+    def test_target_file_is_unlabeled(self, synth_dir):
         target = load_features(synth_dir / "target.csv")
         assert target.labels is None
         eval_set = load_features(synth_dir / "target_eval.csv")
@@ -105,12 +123,14 @@ class TestTrain:
             hashes.append(hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest())
         assert hashes[0] == hashes[1]
 
-    def test_resolved_config_reproduces_the_run(self, tmp_path, synth_dir, monkeypatch):
+    # a fixed bandwidth survives the snapshot round trip as well as the median
+    @pytest.mark.parametrize("extra", [[], ["--sigma", "2"]], ids=["median", "sigma-2"])
+    def test_resolved_config_reproduces_the_run(self, tmp_path, synth_dir, monkeypatch, extra):
         # --source and --target are recorded as absolute paths, so the snapshot
         # reproduces the run from any working directory
         monkeypatch.chdir(tmp_path)
         assert run_cli("train", "--source", "task/source.csv", "--target", "task/target.csv",
-                       "--preset", "short", "--out", "a") == 0
+                       "--preset", "short", *extra, "--out", "a") == 0
         resolved = (tmp_path / "a" / "config.resolved").read_text()
         assert (f"source = {(synth_dir / 'source.csv').resolve()}\n"
                 f"target = {(synth_dir / 'target.csv').resolve()}\n") in resolved
@@ -121,6 +141,32 @@ class TestTrain:
         for rerun in (tmp_path / "b", tmp_path / "sub" / "c"):
             for name in ("model.ckpt", "history.csv", "config.resolved"):
                 assert (tmp_path / "a" / name).read_bytes() == (rerun / name).read_bytes()
+        if extra:
+            assert "sigma = 2\n" in resolved
+
+    def test_short_run_raises_no_warning(self, tmp_path):
+        # EXP6 at --preset short: every stage of the confidence filter is reached
+        task = tmp_path / "task"
+        assert run_cli("synth", "--out", str(task), "--seed", "5") == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("train", "--source", str(task / "source.csv"),
+                           "--target", str(task / "target.csv"), "--preset", "short",
+                           "--out", str(tmp_path / "s")) == 0
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_cannot_be_a_directory_exit_3_before_training(self, tmp_path, synth_dir,
+                                                                  capsys, out):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run_cli("train", "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--preset", "short",
+                       "--out", str(tmp_path / out)) == 3
+        captured = capsys.readouterr()
+        assert f"error: --out {tmp_path / out}: {afile} is not a directory" in captured.err
+        assert captured.out == ""   # no step trained
+        assert afile.read_text() == "kept\n"
 
     def test_snapshot_replays_from_a_path_with_hash(self, tmp_path, monkeypatch):
         # the snapshot's absolute source/target paths hold the '#'
@@ -345,6 +391,18 @@ class TestEvaluate:
         assert (out / "metrics.json").read_text() == printed
         assert json.loads(printed)["n_samples"] == 60
 
+    def test_out_that_is_a_file_exit_3_before_scoring(self, tmp_path, synth_dir, capsys):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(16, 4, 4, 3, np.random.default_rng(0)), model)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run_cli("evaluate", "--model", str(model),
+                       "--data", str(synth_dir / "target_eval.csv"), "--out", str(afile)) == 3
+        captured = capsys.readouterr()
+        assert f"error: --out {afile}: {afile} is not a directory" in captured.err
+        assert captured.out == ""
+        assert afile.read_text() == "kept\n"
+
     def test_nan_checkpoint_exit_3_naming_file(self, tmp_path, synth_dir, capsys):
         model = tmp_path / "model.ckpt"
         params = init_params(16, 4, 4, 3, np.random.default_rng(0))
@@ -474,6 +532,17 @@ class TestAblate:
                        "--config", str(cfg), "--out", str(out)) == 3
         assert "unknown key 'n_classes'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["protocol", "ablate"])
+    def test_out_that_is_a_file_exit_3_before_training(self, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run_cli(command, "--data", "synth", "--seeds", "1", "--preset", "short",
+                       "--out", str(afile)) == 3
+        captured = capsys.readouterr()
+        assert f"error: --out {afile}: {afile} is not a directory" in captured.err
+        assert captured.out == ""
+        assert afile.read_text() == "kept\n"
 
     def test_snapshot_replays_the_folds(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -610,6 +679,30 @@ class TestProtocol:
         assert "subject 'sub2' has no session 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("protocol", ["single-session", "cross-session"])
+    def test_mixed_formats_and_jobs_give_the_same_run(self, tmp_path, monkeypatch, protocol):
+        # a manifest loads into one matrix and each fold indexes its rows: subjects
+        # listed apart, a .bin copy of one session and --jobs 2 all give the same summary
+        monkeypatch.chdir(tmp_path)
+        for seed in (1, 2, 3):
+            assert run_cli("synth", "--out", f"t{seed}", "--seed", str(seed),
+                           "--n-per-class", "20") == 0
+        save_features("t2/target_eval.bin", load_features("t2/target_eval.csv"))
+        mixed = ("a,1,t1/source.csv\nb,1,t2/source.csv\na,2,t1/target_eval.csv\n"
+                 "c,2,t3/target_eval.csv\nc,1,t3/source.csv\nb,2,t2/target_eval.bin\n")
+        Path("mixed.csv").write_text(mixed)
+        Path("plain.csv").write_text(mixed.replace("target_eval.bin", "target_eval.csv"))
+        for data in ("mixed", "plain"):
+            for jobs in ("1", "2"):
+                assert run_cli("protocol", "--data", f"{data}.csv", "--protocol", protocol,
+                               "--preset", "short", "--jobs", jobs,
+                               "--out", f"{data}_j{jobs}") == 0
+        summary = Path("mixed_j1/summary.json").read_bytes()
+        for run in ("mixed_j2", "plain_j1", "plain_j2"):
+            assert Path(run, "summary.json").read_bytes() == summary
+        assert Path("mixed_j1/history_b.csv").read_bytes() == \
+            Path("plain_j1/history_b.csv").read_bytes()
+
     def test_seeds_with_a_manifest_exit_3(self, tmp_path, manifest, capsys):
         out = tmp_path / "run"
         code = run_cli("ablate", "--data", str(manifest), *SHORT_MANIFEST_RUN,
@@ -629,8 +722,6 @@ class TestExtractFeatures:
         code = run_cli("extract-features", "--input", str(rec_path),
                        "--out", str(out), "--window-seconds", "2")
         assert code == 0
-        from ddalign.data import load_features
-
         feats = load_features(out)
         assert feats.n_samples == 3       # 6 s cut into 2 s windows
         assert feats.feature_dim == 20    # 4 channels x 5 bands
@@ -652,8 +743,6 @@ class TestExtractFeatures:
         out = tmp_path / "features.bin"
         assert run_cli("extract-features", "--input", str(rec_path),
                        "--out", str(out), "--window-seconds", "1") == 0
-        from ddalign.data import load_features
-
         want = np.vstack([
             build_feature_matrix(RawWindow(samples[:, w * 125:(w + 1) * 125], fs=125.0), 125)[0]
             for w in range(7)
@@ -706,6 +795,42 @@ class TestExtractFeatures:
         assert "--window-seconds must cover at least one second" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_second_window_at_a_fractional_rate(self, tmp_path):
+        # at 200.4 Hz one second is round(fs) = 200 samples, the spectral segment
+        samples = np.random.default_rng(5).normal(size=(3, 2004))
+        rec_path = tmp_path / "rec.bin"
+        save_raw_recording(rec_path, RawWindow(samples, fs=200.4))
+        out = tmp_path / "features.bin"
+        assert run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(out), "--window-seconds", "1") == 0
+        got = load_features(out).features
+        assert got.shape == (10, 15)
+        np.testing.assert_array_equal(
+            got, build_feature_matrix(RawWindow(samples, fs=200.4), 200)[0])
+
+    def test_csv_and_bin_recordings_give_the_same_features(self, tmp_path):
+        rec = RawWindow(np.random.default_rng(0).normal(size=(4, 600)), fs=200.0)
+        for src in ("csv", "bin"):
+            save_raw_recording(tmp_path / f"rec.{src}", rec)
+            for dst in ("csv", "bin"):
+                assert run_cli("extract-features", "--input", str(tmp_path / f"rec.{src}"),
+                               "--window-seconds", "1",
+                               "--out", str(tmp_path / f"feat_{src}.{dst}")) == 0
+        for dst in ("csv", "bin"):
+            assert (tmp_path / f"feat_csv.{dst}").read_bytes() == \
+                (tmp_path / f"feat_bin.{dst}").read_bytes()
+
+    def test_out_that_is_a_directory_exit_3_before_extracting(self, tmp_path, capsys):
+        rec_path = tmp_path / "rec.csv"
+        save_raw_recording(rec_path, RawWindow(np.ones((2, 200 * 3)), fs=200.0))
+        out = tmp_path / "features.csv"
+        out.mkdir()
+        assert run_cli("extract-features", "--input", str(rec_path), "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert f"error: --out {out} is a directory, not a file" in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("seconds", ["nan", "inf"])
     def test_non_finite_window_seconds_exit_3(self, tmp_path, capsys, seconds):
         rec_path = tmp_path / "rec.csv"
@@ -719,8 +844,6 @@ class TestExtractFeatures:
 class TestCachedParser:
     def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
         from ddalign.cli import build_parser
-        from ddalign.data import load_features
-
         assert build_parser() is build_parser()
         rec_path = tmp_path / "rec.bin"
         samples = np.random.default_rng(3).normal(size=(62, 200 * 3))
@@ -761,6 +884,19 @@ class TestDumpEmbeddings:
         assert code == 0
         rows = emb.read_text().strip().splitlines()
         assert len(rows) == 1 + 60 + 60   # header + 3x20 source + target rows
+
+    def test_out_that_is_a_directory_exit_3(self, tmp_path, synth_dir, capsys):
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(16, 4, 4, 3, np.random.default_rng(0)), model)
+        emb = tmp_path / "emb.csv"
+        emb.mkdir()
+        assert run_cli("dump-embeddings", "--model", str(model),
+                       "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--out", str(emb)) == 3
+        captured = capsys.readouterr()
+        assert f"error: --out {emb} is a directory, not a file" in captured.err
+        assert captured.out == ""
+        assert list(emb.iterdir()) == []
 
     @pytest.mark.parametrize("side", ["--source", "--target"])
     def test_width_mismatch_exit_3_naming_file(self, tmp_path, synth_dir, capsys, side):
@@ -824,6 +960,28 @@ class TestRunFlags:
             run_cli(command, "--data", "synth", flag, "f")
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} f" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_command_line_block_runs_as_written(self, tmp_path, monkeypatch):
+        # the block reads two inputs that no command of it writes: a manifest
+        # (here over small two-session subjects) and a recording of at least 4 s
+        monkeypatch.chdir(tmp_path)
+        lines = []
+        for s in range(3):
+            assert run_cli("synth", "--out", f"sub{s}", "--seed", str(10 + s),
+                           "--n-per-class", "10") == 0
+            lines += [f"sub{s},1,sub{s}/source.csv", f"sub{s},2,sub{s}/target_eval.csv"]
+        Path("manifest.csv").write_text("\n".join(lines) + "\n")
+        save_raw_recording("rec.csv", RawWindow(
+            np.random.default_rng(0).normal(size=(4, 200 * 6)), fs=200.0))
+        commands = readme_commands()
+        assert {argv[1] for argv in commands} == {
+            "synth", "train", "evaluate", "ablate", "protocol", "extract-features",
+            "dump-embeddings"}
+        for argv in commands:
+            assert argv[0] == "ddalign"
+            assert run_cli(*argv[1:]) == 0, shlex.join(argv)
 
 
 class TestExitCodes:

@@ -227,7 +227,8 @@ class TestBatchedMatchesLoopOracle:
         assert got_floored == want_floored
         return got_floored
 
-    @pytest.mark.parametrize("fs", [125.0, 128.0, 200.0])  # 125 Hz: odd segment length
+    # 125 Hz: odd segment length; 200.4 Hz: one second is round(fs) = 200 samples
+    @pytest.mark.parametrize("fs", [125.0, 128.0, 200.0, 200.4])
     def test_one_second_windows(self, fs):
         samples = np.random.default_rng(10).normal(size=(5, int(fs) * 6))
         self.check(samples, fs, int(fs))
@@ -302,6 +303,14 @@ class TestValidation:
             RawWindow(np.full((1, 200), np.inf), fs=100.0)
         with pytest.raises(ValidationError):
             RawWindow(np.ones((1, 200)), fs=-1.0)
+        with pytest.raises(ValidationError):
+            RawWindow(np.ones((1, 8)), fs=math.inf)
+
+    def test_one_second_is_one_segment_at_a_fractional_rate(self):
+        # at 200.4 Hz one second is round(fs) = 200 samples, the segment length
+        RawWindow(np.ones((1, 200)), fs=200.4)
+        with pytest.raises(ValidationError, match="window must span at least one second"):
+            RawWindow(np.ones((1, 199)), fs=200.4)
 
     @pytest.mark.parametrize("fs", [0.4, 0.0, math.nan])
     def test_sampling_rate_below_one_hz_rejected(self, fs):
