@@ -11,7 +11,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -42,8 +41,7 @@ from .evaluation import (
     run_synth_protocol,
     save_summary,
 )
-from .features import (DEFAULT_BANDS, VARIANCE_FLOOR, BandSpec, _one_second,
-                       build_feature_matrix)
+from .features import DEFAULT_BANDS, VARIANCE_FLOOR, BandSpec, build_feature_matrix
 from .trainer import VARIANTS, TrainConfig, save_history, train
 
 
@@ -119,20 +117,8 @@ def _parse_bands(spec: str | None):
 
 def cmd_extract_features(args) -> int:
     recording = load_raw_recording(args.input)
-    bands = _parse_bands(args.bands)
-    step = recording.n_samples
-    if args.window_seconds is not None:
-        if not math.isfinite(args.window_seconds):
-            raise ValidationError(f"--window-seconds must be finite, got {args.window_seconds}")
-        step = int(round(args.window_seconds * recording.fs))
-        if step < _one_second(recording.fs):
-            raise ValidationError("--window-seconds must cover at least one second")
-        if step > recording.n_samples:
-            raise ValidationError(
-                f"--window-seconds {args.window_seconds:g} is longer than the recording "
-                f"({recording.n_samples / recording.fs:g} s)"
-            )
-    values, floored = build_feature_matrix(recording, step, bands)
+    values, floored = build_feature_matrix(recording, args.window_seconds,
+                                            _parse_bands(args.bands))
     if floored:
         warnings.warn(
             f"{len(floored)} (window, channel, band) values fell below the variance floor "

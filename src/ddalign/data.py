@@ -533,9 +533,10 @@ def _coerce(key: str, raw) -> object:
 
 def read_config_file(path) -> dict:
     """key = value lines; a line whose first non-blank character is '#' is a
-    comment, so a value may hold '#'; unknown keys are rejected."""
+    comment, so a value may hold '#'; unknown keys and a key set twice are
+    rejected."""
     path = _regular_file(path, "config")
-    out = {}
+    out, line_of = {}, {}
     with _open(path) as f:
         lines = f.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
@@ -548,6 +549,10 @@ def read_config_file(path) -> dict:
         key = key.strip()
         if key not in RUN_DEFAULTS:
             raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise DataFormatError(
+                f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -118,13 +118,11 @@ def _band_variances(x: np.ndarray, fs: float, bands) -> np.ndarray:
     variance, is averaged over segments. A band's variance is the PSD summed
     over bins with lo_hz <= f < hi_hz, times df. Rows go through the FFT in
     chunks of at most _CHUNK_SAMPLES samples (at least one row per chunk).
+    Every row must hold at least one segment, _one_second(fs) samples: a
+    RawWindow holds one, and build_feature_matrix refuses a shorter window.
     """
     nper = _one_second(fs)
     n_seg = x.shape[-1] // nper
-    if n_seg < 1:
-        raise ValidationError(
-            f"window has {x.shape[-1]} samples, shorter than one {nper}-sample segment"
-        )
     freqs = np.fft.rfftfreq(nper, d=1.0 / fs)
     lo = np.array([b.lo_hz for b in bands])
     hi = np.array([b.hi_hz for b in bands])
@@ -167,26 +165,39 @@ def differential_entropy(variance: float) -> float:
 
 
 def build_feature_matrix(
-    recording: RawWindow, step: int, bands: tuple[BandSpec, ...] | list[BandSpec] = DEFAULT_BANDS
+    recording: RawWindow,
+    window_seconds: float | None = None,
+    bands: tuple[BandSpec, ...] | list[BandSpec] = DEFAULT_BANDS,
 ) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
     """Differential entropy of every (window, channel, band) in one batched pass.
 
-    The recording is cut into consecutive windows of ``step`` samples; a tail
-    shorter than ``step`` is dropped. Returns the [n_windows, n_channels *
-    n_bands] matrix, channel-major within a row, and the (window, channel,
-    band name) triples whose variance fell below VARIANCE_FLOOR and was
-    clamped before the log. A negative or non-finite power estimate raises a
-    ValidationError naming its window, channel and band.
+    The recording is cut into consecutive windows of round(window_seconds *
+    fs) samples (None: the whole recording is one window); a tail shorter
+    than a window is dropped. A non-finite window_seconds, or a window
+    shorter than one second or longer than the recording, raises a
+    ValidationError. Returns the [n_windows, n_channels * n_bands] matrix,
+    channel-major within a row, and the (window, channel, band name) triples
+    whose variance fell below VARIANCE_FLOOR and was clamped before the log.
+    A negative or non-finite power estimate raises a ValidationError naming
+    its window, channel and band.
     """
-    validate_bands(bands, recording.fs)
-    if not 1 <= step <= recording.n_samples:
-        raise ValidationError(
-            f"window step {step} outside [1, {recording.n_samples}] samples"
-        )
-    n_win = recording.n_samples // step
+    n, fs = recording.n_samples, recording.fs
+    step = n
+    if window_seconds is not None:
+        if not math.isfinite(window_seconds):
+            raise ValidationError(f"window_seconds must be finite, got {window_seconds}")
+        # clamped before rounding, so a finite value of any size cannot overflow int
+        step = int(round(min(max(window_seconds * fs, 0.0), n + 1)))
+        if step < _one_second(fs):
+            raise ValidationError("window_seconds must cover at least one second")
+        if step > n:
+            raise ValidationError(f"window_seconds {window_seconds:g} is longer than the "
+                                  f"recording ({n / fs:g} s)")
+    validate_bands(bands, fs)
+    n_win = n // step
     # channel-major rows keep the whole-recording case (one window) a view
     x = recording.samples[:, : n_win * step].reshape(recording.n_channels, n_win, step)
-    var = _band_variances(x, recording.fs, bands).transpose(1, 0, 2)
+    var = _band_variances(x, fs, bands).transpose(1, 0, 2)
     bad = ~np.isfinite(var) | (var < 0)
     if bad.any():
         w, ch, b = np.argwhere(bad)[0]

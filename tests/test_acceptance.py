@@ -188,14 +188,14 @@ def test_criterion_4_feature_extraction():
 
     # closed form of the measured band variance, every default band, against
     # the independent per-channel loop
-    de = build_feature_matrix(win, win.n_samples, DEFAULT_BANDS)[0][0]
+    de = build_feature_matrix(win)[0][0]
     consistency = float(np.abs(de - de_loop_oracle(win.samples, fs, DEFAULT_BANDS)).max())
 
-    full = build_feature_matrix(win, win.n_samples, [BandSpec("full", 1.0, 100.0)])[0][0, 0]
+    full = build_feature_matrix(win, bands=[BandSpec("full", 1.0, 100.0)])[0][0, 0]
     full_ok = abs(full - 1.419) < 0.05
 
     win62 = RawWindow(rng.normal(size=(62, 400)), fs=fs)
-    dim = build_feature_matrix(win62, win62.n_samples, DEFAULT_BANDS)[0].shape[1]
+    dim = build_feature_matrix(win62)[0].shape[1]
 
     report(4, consistency <= 1e-12 and full_ok and dim == 310,
            f"loop-oracle consistency {consistency:.1e} (<= 1e-12), "

@@ -311,6 +311,16 @@ class TestTrain:
         assert f"error: {cfg}:1: unknown key 'n_classes'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_key_set_twice_exit_3_without_output(self, tmp_path, synth_dir, capsys):
+        # the second value would silently win over the first
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 5\n# shorter\nepochs = 1\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(cfg), "--source", str(synth_dir / "source.csv"),
+                       "--target", str(synth_dir / "target.csv"), "--out", str(out)) == 3
+        assert f"error: {cfg}:3: key 'epochs' already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_flag_exit_3_without_output(self, tmp_path, synth_dir, capsys):
         out = tmp_path / "x"
         assert run_cli("train", "--seed", "-1", "--source", str(synth_dir / "source.csv"),
@@ -733,7 +743,7 @@ class TestExtractFeatures:
                        "--out", str(tmp_path / "features.csv"), "--window-seconds", "4")
         assert code == 3
         err = capsys.readouterr().err
-        assert "--window-seconds 4 is longer than the recording (3 s)" in err
+        assert "window_seconds 4 is longer than the recording (3 s)" in err
 
     def test_output_matches_per_window_vectors(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -744,7 +754,7 @@ class TestExtractFeatures:
         assert run_cli("extract-features", "--input", str(rec_path),
                        "--out", str(out), "--window-seconds", "1") == 0
         want = np.vstack([
-            build_feature_matrix(RawWindow(samples[:, w * 125:(w + 1) * 125], fs=125.0), 125)[0]
+            build_feature_matrix(RawWindow(samples[:, w * 125:(w + 1) * 125], fs=125.0))[0]
             for w in range(7)
         ])
         np.testing.assert_allclose(load_features(out).features, want, rtol=0, atol=1e-12)
@@ -792,7 +802,7 @@ class TestExtractFeatures:
         code = run_cli("extract-features", "--input", str(rec_path),
                        "--out", str(out), "--window-seconds", "0.5")
         assert code == 3
-        assert "--window-seconds must cover at least one second" in capsys.readouterr().err
+        assert "window_seconds must cover at least one second" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_second_window_at_a_fractional_rate(self, tmp_path):
@@ -806,7 +816,7 @@ class TestExtractFeatures:
         got = load_features(out).features
         assert got.shape == (10, 15)
         np.testing.assert_array_equal(
-            got, build_feature_matrix(RawWindow(samples, fs=200.4), 200)[0])
+            got, build_feature_matrix(RawWindow(samples, fs=200.4), 200 / 200.4)[0])
 
     def test_csv_and_bin_recordings_give_the_same_features(self, tmp_path):
         rec = RawWindow(np.random.default_rng(0).normal(size=(4, 600)), fs=200.0)
@@ -838,7 +848,22 @@ class TestExtractFeatures:
         code = run_cli("extract-features", "--input", str(rec_path),
                        "--out", str(tmp_path / "features.csv"), "--window-seconds", seconds)
         assert code == 3
-        assert f"--window-seconds must be finite, got {seconds}" in capsys.readouterr().err
+        assert f"window_seconds must be finite, got {seconds}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds, message", [
+        ("1e307", "window_seconds 1e+307 is longer than the recording (3 s)"),
+        ("-1e307", "window_seconds must cover at least one second")], ids=["long", "negative"])
+    def test_window_seconds_beyond_any_recording_exit_3(self, tmp_path, capsys, seconds,
+                                                         message):
+        # seconds x fs overflows to an infinite sample count
+        rec_path = tmp_path / "rec.bin"
+        save_raw_recording(rec_path, RawWindow(np.ones((2, 200 * 3)), fs=200.0))
+        out = tmp_path / "features.csv"
+        code = run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(out), f"--window-seconds={seconds}")
+        assert code == 3
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCachedParser:
@@ -984,7 +1009,75 @@ class TestReadme:
             assert run_cli(*argv[1:]) == 0, shlex.join(argv)
 
 
+def _bin_version_2():
+    save_features("f.bin", FeatureDataset(np.zeros((2, 3))))
+    data = bytearray(Path("f.bin").read_bytes())
+    struct.pack_into("<I", data, 4, 2)  # version field after the 4-byte magic
+    Path("f.bin").write_bytes(bytes(data))
+    return "train", "--source", "f.bin", "--target", "f.bin"
+
+
+def _raw_as_features():
+    save_raw_recording("f.csv", RawWindow(np.zeros((1, 8)), fs=8.0))
+    return "train", "--source", "f.csv", "--target", "f.csv"
+
+
+def _feature_header(header):
+    def write():
+        Path("f.csv").write_text(header + "\n0,0,0\n")
+        return "train", "--source", "f.csv", "--target", "f.csv"
+    return write
+
+
+def _manifest(lines):
+    def write():
+        save_features("s.csv", FeatureDataset(np.zeros((3, 2)), np.arange(3), 3))
+        Path("m.csv").write_text(lines)
+        return "protocol", "--data", "m.csv", "--epochs", "1"
+    return write
+
+
+def _config(line):
+    def write():
+        Path("c.cfg").write_text(line + "\n")
+        return "train", "--config", "c.cfg"
+    return write
+
+
+def _labels_beyond_the_model():
+    save_checkpoint(init_params(4, 2, 2, 2, np.random.default_rng(0)), "m.ckpt")
+    save_features("d.csv", FeatureDataset(np.zeros((3, 4)), np.arange(3), 3))
+    return "evaluate", "--model", "m.ckpt", "--data", "d.csv"
+
+
+# one input check per case: (writes the inputs and returns the argv, error)
+INPUT_CHECKS = {
+    "bin-version": (_bin_version_2, "f.bin: unsupported version 2"),
+    "raw-header": (_raw_as_features, "f.csv: expected a '# features ...' header line"),
+    "header-count": (
+        _feature_header("# features n_samples=abc feature_dim=3 has_labels=0 n_classes=0"),
+        "f.csv: malformed header (invalid literal for int()"),
+    "no-classes": (
+        _feature_header("# features n_samples=1 feature_dim=2 has_labels=1 n_classes=0"),
+        "labeled dataset needs n_classes >= 1"),
+    "session": (_manifest("a,x,s.csv\n"), "m.csv:1: session must be an integer"),
+    "one-subject": (_manifest("a,1,s.csv\n"), "protocol needs at least 2 subjects"),
+    "variant": (_config("variant = EXP9"), "unknown variant 'EXP9'"),
+    "config-line": (_config("epochs 5"), "c.cfg:1: expected 'key = value'"),
+    "synth-rows": (lambda: ("synth", "--out", "t", "--n-per-class", "0"),
+                   "need n_per_class >= 1"),
+    "label-range": (_labels_beyond_the_model, "label outside [0, 2)"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", INPUT_CHECKS)
+    def test_input_check_exits_3(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        write, message = INPUT_CHECKS[case]
+        assert run_cli(*write()) == 3
+        assert message in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ddalign", "synth", "--no-such-flag"],

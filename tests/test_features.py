@@ -1,6 +1,7 @@
 """Band variance against ideal band-pass oracles; differential entropy closed forms."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -102,7 +103,7 @@ class TestDifferentialEntropy:
 
 def whole_window(win, bands=DEFAULT_BANDS):
     """DE row and floored (channel, band) pairs of a recording taken as one window."""
-    values, floored = build_feature_matrix(win, win.n_samples, bands)
+    values, floored = build_feature_matrix(win, bands=bands)
     return values[0], [(ch, name) for _, ch, name in floored]
 
 
@@ -220,7 +221,7 @@ def loop_oracle(samples, fs, step, bands=DEFAULT_BANDS):
 
 class TestBatchedMatchesLoopOracle:
     def check(self, samples, fs, step):
-        got, got_floored = build_feature_matrix(RawWindow(samples, fs), step, DEFAULT_BANDS)
+        got, got_floored = build_feature_matrix(RawWindow(samples, fs), step / fs, DEFAULT_BANDS)
         want, want_floored = loop_oracle(samples, fs, step)
         assert got.shape == want.shape
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -240,7 +241,7 @@ class TestBatchedMatchesLoopOracle:
 
     def test_tail_shorter_than_a_window_dropped(self):
         samples = np.random.default_rng(12).normal(size=(3, 128 * 7 + 50))
-        got, _ = build_feature_matrix(RawWindow(samples, 128.0), 256, DEFAULT_BANDS)
+        got, _ = build_feature_matrix(RawWindow(samples, 128.0), 2.0, DEFAULT_BANDS)
         assert got.shape == (3, 15)
         self.check(samples, 128.0, 256)
 
@@ -268,19 +269,33 @@ class TestBatchedMatchesLoopOracle:
     def test_output_independent_of_chunk_budget(self, monkeypatch):
         samples = np.random.default_rng(16).normal(size=(9, 128 * 4))
         rec = RawWindow(samples, 128.0)
-        want, _ = build_feature_matrix(rec, 128, DEFAULT_BANDS)
+        want, _ = build_feature_matrix(rec, 1.0, DEFAULT_BANDS)
         for chunk in (1, 2 * 128, 5 * 128, 2**22):
             monkeypatch.setattr(features, "_CHUNK_SAMPLES", chunk)
-            got, _ = build_feature_matrix(rec, 128, DEFAULT_BANDS)
+            got, _ = build_feature_matrix(rec, 1.0, DEFAULT_BANDS)
             npt.assert_array_equal(got, want)
 
 
 class TestBuildFeatureMatrix:
     def test_step_outside_recording_rejected(self):
+        # a finite product of any size or sign is compared before it is rounded
         win = RawWindow(np.ones((1, 400)), fs=200.0)
-        for step in (0, 401):
-            with pytest.raises(ValidationError, match=f"window step {step}"):
-                build_feature_matrix(win, step)
+        short = "window_seconds must cover at least one second"
+        for seconds, message in [(0.0, short), (199.4 / 200, short), (-1e307, short),
+                                 (401 / 200, "window_seconds 2.005 is longer than the "
+                                             "recording (2 s)"),
+                                 (1e307, "window_seconds 1e+307 is longer than the "),
+                                 (math.nan, "window_seconds must be finite, got nan")]:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                build_feature_matrix(win, seconds)
+
+    def test_seconds_round_to_samples(self):
+        # round(window_seconds * fs) samples, neither floor nor ceiling
+        samples = np.random.default_rng(17).normal(size=(2, 200 * 6))
+        rec = RawWindow(samples, 200.0)
+        for seconds, step in [(199.6 / 200, 200), (400.4 / 200, 400), (None, 1200)]:
+            got, _ = build_feature_matrix(rec, seconds)
+            npt.assert_allclose(got, loop_oracle(samples, 200.0, step)[0], rtol=0, atol=1e-12)
 
     def test_invalid_variance_names_window(self):
         samples = np.random.default_rng(16).normal(size=(2, 200 * 3))
@@ -288,7 +303,7 @@ class TestBuildFeatureMatrix:
         with np.errstate(all="ignore"):
             with pytest.raises(ValidationError,
                                match=r"window 2, channel 1, band 'delta': invalid band variance"):
-                build_feature_matrix(RawWindow(samples, 200.0), 200)
+                build_feature_matrix(RawWindow(samples, 200.0), 1.0)
 
 
 class TestValidation:
