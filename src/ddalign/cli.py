@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .data import (
@@ -23,6 +23,7 @@ from .data import (
     FeatureDataset,
     SynthShiftConfig,
     build_run_config,
+    config_lines,
     generate_synth_shift,
     load_checkpoint,
     load_dataset,
@@ -32,6 +33,7 @@ from .data import (
     read_config_file,
     save_checkpoint,
     save_features,
+    train_config,
 )
 from .errors import ValidationError
 from .evaluation import (
@@ -86,19 +88,19 @@ def _check_out(out, is_file: bool) -> None:
         raise ValidationError(f"--out {out}: {nearest} is not a directory")
 
 
-def _prepare_out(args, run_config) -> Path | None:
+def _prepare_out(args, values: dict) -> Path | None:
     """The output directory with config.resolved; called once the run succeeded."""
     out = getattr(args, "out", None)
     if out is None:
         return None
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(run_config.to_lines())
+    (out_dir / "config.resolved").write_text(config_lines(values))
     return out_dir
 
 
-def _config_hash(run_config) -> str:
-    return hashlib.sha256(run_config.to_lines().encode()).hexdigest()[:16]
+def _config_hash(values: dict) -> str:
+    return hashlib.sha256(config_lines(values).encode()).hexdigest()[:16]
 
 
 def _parse_bands(spec: str | None):
@@ -145,15 +147,14 @@ def cmd_synth(args) -> int:
     save_features(out_dir / "source.csv", task.source)
     save_features(out_dir / "target.csv", FeatureDataset(task.target_features))
     save_features(out_dir / "target_eval.csv", task.target_eval)
-    (out_dir / "config.resolved").write_text(
-        "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg)))
+    (out_dir / "config.resolved").write_text(config_lines(asdict(cfg)))
     print(f"seed: {cfg.seed}")
     print(f"wrote source/target/target_eval under {out_dir}")
     return 0
 
 
-def _load_training_pair(run_config):
-    source_path, target_path = run_config.values["source"], run_config.values["target"]
+def _load_training_pair(values: dict):
+    source_path, target_path = values["source"], values["target"]
     if not source_path or not target_path:
         raise ValidationError("train needs --source and --target (flags or config keys)")
     source = load_features(source_path)
@@ -169,16 +170,16 @@ def _load_training_pair(run_config):
 
 
 def cmd_train(args) -> int:
-    run_config = _resolve_run_config(args)
-    source, target_features = _load_training_pair(run_config)
+    values = _resolve_run_config(args)
+    source, target_features = _load_training_pair(values)
     # the model has as many classes as the source header names
-    cfg = replace(run_config.train_config(), n_classes=source.n_classes)
+    cfg = replace(train_config(values), n_classes=source.n_classes)
     result = train(source.features, source.labels, target_features, cfg)
     print(f"seed: {cfg.seed}")
     last = result.history[-1]
     print(f"steps: {len(result.history)}")
     print(f"final: l_ds={last.l_ds:.6f} l_mmd={last.l_mmd:.6f} l_cmmd={last.l_cmmd:.6f}")
-    out_dir = _prepare_out(args, run_config)
+    out_dir = _prepare_out(args, values)
     if out_dir is not None:
         save_checkpoint(result.params, out_dir / "model.ckpt")
         save_history(result.history, out_dir / "history.csv")
@@ -202,8 +203,7 @@ def cmd_evaluate(args) -> int:
 def _run_folds_command(args) -> int:
     """``protocol`` and ``ablate``: one fold per held-out subject of a manifest,
     or per generated ACCEPT_SYNTH task with ``--data synth``."""
-    run_config = _resolve_run_config(args)
-    values = run_config.values
+    values = _resolve_run_config(args)
     if values["source"] or values["target"]:
         raise ValidationError("source and target apply to train; protocol and ablate "
                               "read --data")
@@ -212,7 +212,7 @@ def _run_folds_command(args) -> int:
             raise ValidationError("--protocol and --session apply to a manifest, not --data synth")
         # the tasks are always generator seeds 0..n-1; --seed moves only training
         n_seeds = 5 if args.seeds is None else args.seeds
-        summary = run_synth_protocol(ACCEPT_SYNTH, run_config.train_config(),
+        summary = run_synth_protocol(ACCEPT_SYNTH, train_config(values),
                                      variant=values["variant"], n_seeds=n_seeds,
                                      jobs=args.jobs, out_dir=args.out)
     else:
@@ -220,16 +220,16 @@ def _run_folds_command(args) -> int:
             raise ValidationError("--seeds applies to --data synth, not a manifest")
         summary = run_protocol(
             load_dataset(args.data), (args.protocol or "single-session").replace("-", "_"),
-            run_config.train_config(), variant=values["variant"],
+            train_config(values), variant=values["variant"],
             session=args.session, jobs=args.jobs, out_dir=args.out,
         )
     print(f"seed: {values['seed']}")
     print(f"{summary.variant} {summary.protocol.replace('_', '-')}: "
           f"{100 * summary.mean_accuracy:.2f} +- {100 * summary.std_accuracy:.2f} "
           f"over {len(summary.folds)} folds")
-    out_dir = _prepare_out(args, run_config)
+    out_dir = _prepare_out(args, values)
     if out_dir is not None:
-        save_summary(summary, out_dir, _config_hash(run_config))
+        save_summary(summary, out_dir, _config_hash(values))
     return 0
 
 

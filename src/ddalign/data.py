@@ -16,7 +16,7 @@ import struct
 import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DataFormatError, ValidationError, require_finite
 from .features import RawWindow
 from .net import ModelParams
-from .schedules import ScheduleConfig
 from .trainer import VARIANTS, TrainConfig
 
 
@@ -473,11 +472,10 @@ PRESETS = {
     "short": {"batch_size": 32, "epochs": 10},
 }
 
-# TrainConfig's scalar settings; schedule and flags are nested configs, and
-# each command takes n_classes from its data
+# TrainConfig's settings but flags, which the variant selects, and n_classes,
+# which each command takes from its data
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)
                    if f.default is not MISSING and f.name != "n_classes"}
-_SCHEDULE_DEFAULTS = asdict(ScheduleConfig())
 
 # every run setting, in config.resolved order, with the dataclasses' defaults;
 # sigma "median" is TrainConfig.sigma None and variant "EXP6" is AblationFlags();
@@ -487,33 +485,22 @@ RUN_DEFAULTS = {
     "preset": "long",
     **_TRAIN_DEFAULTS,
     "sigma": "median",
-    **_SCHEDULE_DEFAULTS,
     "variant": "EXP6",
     "source": "",
     "target": "",
 }
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run settings, buildable into a TrainConfig."""
+def train_config(values: dict) -> TrainConfig:
+    """The TrainConfig of a resolved run (``build_run_config``'s table)."""
+    scalars = {name: values[name] for name in _TRAIN_DEFAULTS}
+    scalars["sigma"] = None if values["sigma"] == "median" else float(values["sigma"])
+    return TrainConfig(**scalars, flags=VARIANTS[values["variant"]])
 
-    values: dict
 
-    def train_config(self) -> TrainConfig:
-        v = self.values
-        if v["variant"] not in VARIANTS:
-            raise ValidationError(f"unknown variant {v['variant']!r}")
-        scalars = {name: v[name] for name in _TRAIN_DEFAULTS}
-        scalars["sigma"] = None if v["sigma"] == "median" else float(v["sigma"])
-        return TrainConfig(
-            **scalars,
-            schedule=ScheduleConfig(**{name: v[name] for name in _SCHEDULE_DEFAULTS}),
-            flags=VARIANTS[v["variant"]],
-        )
-
-    def to_lines(self) -> str:
-        return "".join(f"{k} = {self.values[k]}\n" for k in RUN_DEFAULTS)
+def config_lines(values: dict) -> str:
+    """``key = value`` lines, in the table's order, that read_config_file reads."""
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
 def _coerce(key: str, raw) -> object:
@@ -557,11 +544,12 @@ def read_config_file(path) -> dict:
     return out
 
 
-def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then file values, then overrides (the flags), each of the two
-    applying its preset before its keys: a key beats its own source's preset,
-    and an override preset resets the file's batch_size and epochs. Last, the
-    schedule values the variant pins, which win over any given ones."""
+def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> dict:
+    """The resolved run table, in RUN_DEFAULTS order: defaults, then file
+    values, then overrides (the flags), each of the two applying its preset
+    before its keys: a key beats its own source's preset, and an override
+    preset resets the file's batch_size and epochs. Last, the TrainConfig
+    values the variant pins, which win over any given ones."""
     merged = dict(RUN_DEFAULTS)
     given = set()
 
@@ -585,12 +573,14 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
     if overrides:
         apply({k: v for k, v in overrides.items() if v is not None})
     variant = merged["variant"]
-    pins = VARIANTS[variant].pins if variant in VARIANTS else {}
-    cfg = RunConfig(values={**merged, **pins})
-    cfg.train_config()  # validate eagerly so errors name the offending key or variant
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}")
+    pins = VARIANTS[variant].pins
+    values = {**merged, **pins}
+    train_config(values)  # validate eagerly so errors name the offending key
     clashes = [f"{key} = {pin} (given {merged[key]})" for key, pin in pins.items()
                if key in given and merged[key] != pin]
     if clashes:
         warnings.warn(f"variant {variant} pins {', '.join(clashes)}; "
                       f"the run uses the pinned values", stacklevel=2)
-    return cfg
+    return values

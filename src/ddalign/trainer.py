@@ -23,19 +23,13 @@ from .net import (
     init_params,
     zeros_like_params,
 )
-from .schedules import (
-    ScheduleConfig,
-    alpha_at,
-    beta_of,
-    confidence_threshold,
-    learning_rate,
-)
+from .schedules import alpha_at, beta_of, confidence_threshold, learning_rate
 
 @dataclass(frozen=True)
 class AblationFlags:
     use_mmd: bool = True
     use_cmmd: bool = True
-    pins: dict = field(default_factory=dict)  # schedule values that win over given ones
+    pins: dict = field(default_factory=dict)  # TrainConfig values that win over given ones
 
 
 # static weights: alpha is 1.0 at every epoch, and beta is 1.0 as rho0 lies above
@@ -65,7 +59,18 @@ class TrainConfig:
     hidden1: int = 64
     hidden2: int = 64
     sigma: float | None = None  # kernel bandwidth; None: median heuristic per step
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    tau_h: float = 1.0        # alpha at epoch 0
+    tau_l: float = 0.01       # alpha at the final epoch
+    rho0: float = 0.1         # beta breakpoints on the source loss
+    rho1: float = 0.15
+    stage_e1: int = 10        # confidence-threshold stage ends, in percent of the run
+    stage_e2: int = 40
+    stage_e3: int = 85
+    conf1: float = 0.5        # tau over [stage_e1, stage_e2)
+    conf2: float = 0.75       # tau over [stage_e2, stage_e3]
+    conf3: float = 1.0        # tau after stage_e3
+    lr_extractor: float = 0.001
+    lr_classifier: float = 0.01
     flags: AblationFlags = field(default_factory=AblationFlags)
 
     def __post_init__(self):
@@ -86,6 +91,17 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be >= 1")
         if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not (self.tau_h >= self.tau_l > 0):
+            raise ValidationError("need tau_h >= tau_l > 0")
+        if not (0 < self.rho0 < self.rho1):
+            raise ValidationError("need 0 < rho0 < rho1")
+        if not (0 <= self.stage_e1 < self.stage_e2 < self.stage_e3 < 100):
+            raise ValidationError("need 0 <= stage_e1 < stage_e2 < stage_e3 < 100")
+        if not (0 <= self.conf1 <= self.conf2 <= self.conf3 <= 1):
+            raise ValidationError("need 0 <= conf1 <= conf2 <= conf3 <= 1")
+        for name in ("lr_extractor", "lr_classifier"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be > 0")
         require_finite(self)
 
 
@@ -200,15 +216,15 @@ def train(
     buffers = KernelBuffers()  # one set for every step: no fresh [N, N] memory per step
     flags = cfg.flags
     aligns = flags.use_mmd or flags.use_cmmd  # only the alignment heads read a target batch
-    sched = replace(cfg.schedule, **flags.pins)
+    cfg = replace(cfg, **flags.pins)
 
     history: list[StepRecord] = []
     step = 0
     for epoch in range(cfg.epochs):
-        alpha = alpha_at(epoch, cfg.epochs, sched)
-        tau = confidence_threshold(epoch, cfg.epochs, sched)
-        lr_ext = learning_rate(epoch, cfg.epochs, sched.lr_extractor)
-        lr_cls = learning_rate(epoch, cfg.epochs, sched.lr_classifier)
+        alpha = alpha_at(epoch, cfg.epochs, cfg)
+        tau = confidence_threshold(epoch, cfg.epochs, cfg)
+        lr_ext = learning_rate(epoch, cfg.epochs, cfg.lr_extractor)
+        lr_cls = learning_rate(epoch, cfg.epochs, cfg.lr_classifier)
         order = shuffle_rng.permutation(rows.shape[0])
         for start in range(0, order.shape[0], cfg.batch_size):
             batch = rows[order[start:start + cfg.batch_size]]
@@ -219,7 +235,7 @@ def train(
                     dropout_rng, use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
                     buffers=buffers,
                 )
-                beta = beta_of(trace.l_ds, sched)
+                beta = beta_of(trace.l_ds, cfg)
                 if not np.isfinite(trace.total(alpha, beta)):
                     raise NumericsError("non-finite loss")
                 grads = backward(trace, alpha, beta)

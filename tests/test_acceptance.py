@@ -29,7 +29,7 @@ from ddalign.net import (
     forward_features,
     init_params,
 )
-from ddalign.schedules import ScheduleConfig, alpha_at, beta_of, confidence_threshold
+from ddalign.schedules import alpha_at, beta_of, confidence_threshold
 from ddalign.trainer import TrainConfig
 
 
@@ -141,7 +141,7 @@ def test_criterion_2_gradient_correctness():
 # --- criterion 3: schedule tables --------------------------------------------
 
 def test_criterion_3_schedule_tables():
-    cfg = ScheduleConfig()
+    cfg = TrainConfig()
     tau_ok = (confidence_threshold(5, 100, cfg) == 0.0
               and confidence_threshold(20, 100, cfg) == 0.5
               and confidence_threshold(50, 100, cfg) == 0.75

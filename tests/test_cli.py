@@ -566,6 +566,21 @@ class TestAblate:
         assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("command, result", [("train", "final: l_ds="),
+                                             ("ablate", "EXP6 synthetic: ")])
+def test_run_without_out_writes_nothing(tmp_path, synth_dir, monkeypatch, capsys, command,
+                                        result):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    data = (["--source", str(synth_dir / "source.csv"), "--target", str(synth_dir / "target.csv")]
+            if command == "train" else ["--data", "synth", "--seeds", "2"])
+    assert run_cli(command, "--preset", "short", *data) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seed: 3" and lines[-1].startswith(result)
+    assert list(work.iterdir()) == []
+
+
 @pytest.fixture
 def manifest(tmp_path):
     """Three labeled one-session subjects, 12 rows of 6 features each."""

@@ -18,6 +18,7 @@ from ddalign.data import (
     FeatureDataset,
     SynthShiftConfig,
     build_run_config,
+    config_lines,
     generate_synth_shift,
     load_checkpoint,
     load_dataset,
@@ -28,12 +29,12 @@ from ddalign.data import (
     save_checkpoint,
     save_features,
     save_raw_recording,
+    train_config,
 )
 from ddalign.errors import DataFormatError, ValidationError
 from ddalign.features import RawWindow
 from ddalign.kernels import KernelBuffers, discrepancies, pooled_gram, signed_weights
 from ddalign.net import ModelParams, init_params
-from ddalign.schedules import ScheduleConfig
 from ddalign.trainer import VARIANTS, TrainConfig
 
 
@@ -579,12 +580,12 @@ class TestSynthShift:
             SynthShiftConfig(noise=-1.0)
 
 
-class TestRunConfig:
+class TestRunSettings:
     def test_empty_config_gives_defaults(self, tmp_path):
         # every default held both in the config table and in the dataclasses
         path = tmp_path / "c.cfg"
         path.write_text("# all defaults\n")
-        assert build_run_config(read_config_file(path)).train_config() == TrainConfig()
+        assert train_config(build_run_config(read_config_file(path))) == TrainConfig()
 
     def test_momentum_out_of_range_names_key(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -595,14 +596,14 @@ class TestRunConfig:
     def test_short_preset(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("preset = short\n")
-        cfg = build_run_config(read_config_file(path)).train_config()
+        cfg = train_config(build_run_config(read_config_file(path)))
         assert cfg.batch_size == 32
         assert cfg.epochs == 10
 
     def test_explicit_key_beats_preset(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("preset = short\nepochs = 25\n")
-        cfg = build_run_config(read_config_file(path)).train_config()
+        cfg = train_config(build_run_config(read_config_file(path)))
         assert cfg.epochs == 25
         assert cfg.batch_size == 32
 
@@ -619,7 +620,7 @@ class TestRunConfig:
         # the file, then the flags; each applies its preset before its keys
         path = tmp_path / "c.cfg"
         path.write_text(lines)
-        cfg = build_run_config(read_config_file(path), overrides).train_config()
+        cfg = train_config(build_run_config(read_config_file(path), overrides))
         assert (cfg.batch_size, cfg.epochs) == batch_epochs
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -631,16 +632,15 @@ class TestRunConfig:
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("epochs = 50\nseed = 1\n")
-        rc = build_run_config(read_config_file(path), {"seed": 9, "epochs": None})
-        assert rc.values["seed"] == 9
-        assert rc.values["epochs"] == 50
+        values = build_run_config(read_config_file(path), {"seed": 9, "epochs": None})
+        assert values["seed"] == 9
+        assert values["epochs"] == 50
 
     def test_resolved_snapshot_round_trips(self, tmp_path):
-        rc = build_run_config(None, {"epochs": 12, "variant": "EXP2"})
+        values = build_run_config(None, {"epochs": 12, "variant": "EXP2"})
         snap = tmp_path / "config.resolved"
-        snap.write_text(rc.to_lines())
-        again = build_run_config(read_config_file(snap))
-        assert again.values == rc.values
+        snap.write_text(config_lines(values))
+        assert build_run_config(read_config_file(snap)) == values
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         # only a line whose first non-blank character is '#' is a comment
@@ -656,13 +656,12 @@ class TestRunConfig:
             build_run_config(read_config_file(path))
 
     def test_fixed_sigma_config(self):
-        rc = build_run_config(None, {"sigma": "2.5"})
-        assert rc.train_config().sigma == 2.5
-        assert build_run_config().train_config().sigma is None
+        assert train_config(build_run_config(None, {"sigma": "2.5"})).sigma == 2.5
+        assert train_config(build_run_config()).sigma is None
 
     def test_default_snapshot_lines(self):
         # the key order and the defaults are read off the dataclasses; pin both
-        assert build_run_config().to_lines() == (
+        assert config_lines(build_run_config()) == (
             "preset = long\n"
             "batch_size = 128\n"
             "epochs = 100\n"
@@ -692,20 +691,20 @@ class TestRunConfig:
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_variant_pins_recorded_and_built(self, variant):
         pins = VARIANTS[variant].pins
-        rc = build_run_config(None, {"variant": variant})
-        assert {key: rc.values[key] for key in pins} == pins
-        assert rc.train_config().schedule == replace(ScheduleConfig(), **pins)
+        values = build_run_config(None, {"variant": variant})
+        assert {key: values[key] for key in pins} == pins
+        assert train_config(values) == replace(TrainConfig(flags=VARIANTS[variant]), **pins)
 
     def test_key_clashing_with_a_pin_warns_once_and_is_not_used(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("variant = EXP4\ntau_l = 0.5\nconf1 = 0.2\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = build_run_config(read_config_file(path), {"rho0": 0.1})
+            values = build_run_config(read_config_file(path), {"rho0": 0.1})
         assert [str(w.message) for w in caught] == [
             "variant EXP4 pins tau_l = 1.0 (given 0.5), rho0 = 28.0 (given 0.1), "
             "conf1 = 0.0 (given 0.2); the run uses the pinned values"]
-        assert rc.values == build_run_config(None, {"variant": "EXP4"}).values
+        assert values == build_run_config(None, {"variant": "EXP4"})
 
     @pytest.mark.parametrize("overrides", [{"variant": "EXP6", "tau_l": 0.5},
                                            {"variant": "EXP5", "tau_l": 0.5},
@@ -713,25 +712,25 @@ class TestRunConfig:
     def test_no_warning_without_a_clash(self, overrides):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = build_run_config(None, overrides)
-        assert rc.values["tau_l"] == overrides["tau_l"]
+            values = build_run_config(None, overrides)
+        assert values["tau_l"] == overrides["tau_l"]
 
     def test_pinned_value_replaces_an_invalid_one(self):
         # tau_l above tau_h is refused, but EXP4 reads its pinned tau_l instead
         with pytest.raises(ValidationError, match="tau_h >= tau_l"):
             build_run_config(None, {"variant": "EXP6", "tau_l": 2.0})
         with pytest.warns(UserWarning, match=r"pins tau_l = 1\.0 \(given 2\.0\)"):
-            assert build_run_config(None, {"variant": "EXP4", "tau_l": 2.0}).values["tau_l"] == 1.0
+            assert build_run_config(None, {"variant": "EXP4", "tau_l": 2.0})["tau_l"] == 1.0
 
     def test_relative_paths_resolved_against_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        values = build_run_config(None, {"source": "task/s.csv", "target": ""}).values
+        values = build_run_config(None, {"source": "task/s.csv", "target": ""})
         assert values["source"] == str((tmp_path / "task" / "s.csv").resolve())
         assert values["target"] == ""
 
 
-# every float setting of the three configs (TrainConfig.sigma may also be None)
-FLOAT_FIELDS = [(cls, f.name) for cls in (TrainConfig, ScheduleConfig, SynthShiftConfig)
+# every float setting of the two configs (TrainConfig.sigma may also be None)
+FLOAT_FIELDS = [(cls, f.name) for cls in (TrainConfig, SynthShiftConfig)
                 for f in fields(cls) if f.type in (float, float | None)]
 
 

@@ -3,15 +3,10 @@
 import pytest
 
 from ddalign.errors import ValidationError
-from ddalign.schedules import (
-    ScheduleConfig,
-    alpha_at,
-    beta_of,
-    confidence_threshold,
-    learning_rate,
-)
+from ddalign.schedules import alpha_at, beta_of, confidence_threshold, learning_rate
+from ddalign.trainer import TrainConfig
 
-CFG = ScheduleConfig()
+CFG = TrainConfig()
 
 
 class TestAlpha:
@@ -93,12 +88,12 @@ class TestConfidenceThreshold:
             confidence_threshold(epoch, 10, CFG)
 
     def test_custom_mid_stage_values(self):
-        cfg = ScheduleConfig(conf1=0.4, conf2=0.95)
+        cfg = TrainConfig(conf1=0.4, conf2=0.95)
         assert confidence_threshold(20, 100, cfg) == 0.4
         assert confidence_threshold(60, 100, cfg) == 0.95
 
     def test_last_stage_is_conf3(self):
-        cfg = ScheduleConfig(conf3=0.9)
+        cfg = TrainConfig(conf3=0.9)
         assert confidence_threshold(85, 100, cfg) == 0.75
         assert confidence_threshold(86, 100, cfg) == 0.9
 
@@ -143,16 +138,16 @@ class TestConfigAndState:
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ValidationError):
-            ScheduleConfig(tau_h=0.01, tau_l=1.0)
+            TrainConfig(tau_h=0.01, tau_l=1.0)
         with pytest.raises(ValidationError):
-            ScheduleConfig(rho0=0.2, rho1=0.1)
+            TrainConfig(rho0=0.2, rho1=0.1)
         with pytest.raises(ValidationError):
-            ScheduleConfig(stage_e1=40, stage_e2=10, stage_e3=85)
+            TrainConfig(stage_e1=40, stage_e2=10, stage_e3=85)
         with pytest.raises(ValidationError, match="stage_e3 < 100"):
-            ScheduleConfig(stage_e3=100)
+            TrainConfig(stage_e3=100)
         with pytest.raises(ValidationError):
-            ScheduleConfig(conf1=0.8, conf2=0.5)
+            TrainConfig(conf1=0.8, conf2=0.5)
         with pytest.raises(ValidationError, match="conf2 <= conf3"):
-            ScheduleConfig(conf2=0.75, conf3=0.7)
+            TrainConfig(conf2=0.75, conf3=0.7)
         with pytest.raises(ValidationError, match="conf3 <= 1"):
-            ScheduleConfig(conf3=1.5)
+            TrainConfig(conf3=1.5)

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddalign.data import build_run_config
+from ddalign.data import build_run_config, train_config
 from ddalign.errors import NumericsError, ValidationError
 from ddalign.net import (
     LOG_CLAMP,
@@ -19,7 +19,7 @@ from ddalign.net import (
     init_params,
     zeros_like_params,
 )
-from ddalign.schedules import ScheduleConfig, alpha_at, beta_of, confidence_threshold
+from ddalign.schedules import alpha_at, beta_of, confidence_threshold
 from ddalign.trainer import (
     VARIANTS,
     AblationFlags,
@@ -47,7 +47,7 @@ def pseudo_labels(x, params):
 def small_cfg(**kw):
     defaults = dict(
         batch_size=16, epochs=3, seed=3, n_classes=3, hidden1=8, hidden2=8,
-        schedule=ScheduleConfig(stage_e1=1, stage_e2=2, stage_e3=3),
+        stage_e1=1, stage_e2=2, stage_e3=3,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -179,7 +179,7 @@ class TestTrain:
     def test_source_loss_decreases(self):
         src_x, src_y, tgt_x = toy_task(3)
         res = train(src_x, src_y, tgt_x, small_cfg(epochs=10, flags=VARIANTS["EXP1"],
-                                                   schedule=ScheduleConfig()))
+                                                   stage_e1=10, stage_e2=40, stage_e3=85))
         first = np.mean([r.l_ds for r in res.history[:4]])
         last = np.mean([r.l_ds for r in res.history[-4:]])
         assert last < first
@@ -230,6 +230,16 @@ class TestTrain:
                 NumericsError, match=r"^step 0 \(epoch 0\): .*extractor layer 1"):
             train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP6"]))
 
+    def test_non_finite_second_layer_names_step(self):
+        # the first step's update blows the weights up; the second step's layer 2 overflows
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(40, 4)) * 1e150, rng.integers(0, 3, 40)
+        cfg = TrainConfig(epochs=1, batch_size=8, hidden1=8, hidden2=8, flags=VARIANTS["EXP1"])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericsError,
+                match=r"^step 1 \(epoch 0\): non-finite activations in extractor layer 2$"):
+            train(x, y, x, cfg)
+
     def test_non_finite_kernel_distances_name_step_and_layer(self):
         src_x, src_y, tgt_x = toy_task(8)
         # finite activations whose squared norms overflow the kernel's Gram product
@@ -239,9 +249,7 @@ class TestTrain:
 
     def test_diverging_update_names_step(self):
         src_x, src_y, tgt_x = toy_task(9)
-        sched = ScheduleConfig(stage_e1=1, stage_e2=2, stage_e3=3,
-                               lr_extractor=1e300, lr_classifier=1e300)
-        cfg = small_cfg(flags=VARIANTS["EXP1"], schedule=sched)
+        cfg = small_cfg(flags=VARIANTS["EXP1"], lr_extractor=1e300, lr_classifier=1e300)
         with np.errstate(over="ignore"), pytest.raises(
                 NumericsError, match=r"^step 0 \(epoch 0\): update diverged: W1 "):
             train(src_x * 1e100, src_y, tgt_x * 1e100, cfg)
@@ -287,7 +295,7 @@ UNFILTERED = STATIC_WEIGHTS + ["EXP5"]
 
 
 def pinned(variant):
-    return replace(ScheduleConfig(), **VARIANTS[variant].pins)
+    return replace(TrainConfig(), **VARIANTS[variant].pins)
 
 
 class TestVariantPins:
@@ -306,9 +314,8 @@ class TestVariantPins:
 
     def test_pins_win_over_the_given_schedule(self):
         src_x, src_y, tgt_x = toy_task(6)
-        given = ScheduleConfig(tau_l=0.5, rho0=0.2, rho1=0.3, stage_e1=1, stage_e2=2,
-                               stage_e3=3, conf1=0.6, conf2=0.7, conf3=0.8)
-        ran = train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP4"], schedule=given))
+        given = dict(tau_l=0.5, rho0=0.2, rho1=0.3, conf1=0.6, conf2=0.7, conf3=0.8)
+        ran = train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP4"], **given))
         plain = train(src_x, src_y, tgt_x, small_cfg(flags=VARIANTS["EXP4"]))
         assert ran.history == plain.history
         for a, b in zip(ran.params.arrays(), plain.params.arrays()):
@@ -320,7 +327,7 @@ class TestPercentStages:
         # 10 epochs with stages at 10/40/85 percent: tau 0, then 0.5, 0.75 and 1
         overrides = {"variant": "EXP6", "preset": "short", "hidden1": 8, "hidden2": 8}
         src_x, src_y, tgt_x = toy_task(5)
-        res = train(src_x, src_y, tgt_x, build_run_config(overrides=overrides).train_config())
+        res = train(src_x, src_y, tgt_x, train_config(build_run_config(overrides=overrides)))
         taus = {r.epoch: r.tau for r in res.history}
         assert [taus[e] for e in range(10)] == [0.0, 0.5, 0.5, 0.5] + [0.75] * 5 + [1.0]
 
