@@ -142,12 +142,10 @@ def cmd_synth(args) -> int:
     cfg = replace(ACCEPT_SYNTH,
                   **{f.name: getattr(args, f.name) for f in fields(SynthShiftConfig)})
     task = generate_synth_shift(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _prepare_out(args, asdict(cfg))
     save_features(out_dir / "source.csv", task.source)
     save_features(out_dir / "target.csv", FeatureDataset(task.target_features))
     save_features(out_dir / "target_eval.csv", task.target_eval)
-    (out_dir / "config.resolved").write_text(config_lines(asdict(cfg)))
     print(f"seed: {cfg.seed}")
     print(f"wrote source/target/target_eval under {out_dir}")
     return 0
@@ -310,8 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 _FILE_OUT = (cmd_extract_features, cmd_dump_embeddings)
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a shown warning reads like an error line; library callers keep Python's format
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         if args.out is not None:
             _check_out(args.out, args.func in _FILE_OUT)
@@ -322,6 +326,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -575,7 +575,8 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
     variant = merged["variant"]
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
-    pins = VARIANTS[variant].pins
+    flags = VARIANTS[variant]
+    pins = flags.pins
     values = {**merged, **pins}
     train_config(values)  # validate eagerly so errors name the offending key
     clashes = [f"{key} = {pin} (given {merged[key]})" for key, pin in pins.items()
@@ -583,4 +584,14 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
     if clashes:
         warnings.warn(f"variant {variant} pins {', '.join(clashes)}; "
                       f"the run uses the pinned values", stacklevel=2)
+    # the stage ends only move tau, which is 0 at every stage when conf1..3 are
+    # pinned to 0, and sigma is only read by an MMD or CMMD head
+    no_filter = all(pins.get(f"conf{i}") == 0 for i in (1, 2, 3))
+    inert = [f"{key} = {merged[key]}" for key in RUN_DEFAULTS
+             if key in given and merged[key] != RUN_DEFAULTS[key]
+             and (key.startswith("stage_e") and no_filter
+                  or key == "sigma" and not (flags.use_mmd or flags.use_cmmd))]
+    if inert:
+        warnings.warn(f"variant {variant} does not use {', '.join(inert)}; "
+                      f"the given values have no effect", stacklevel=2)
     return values

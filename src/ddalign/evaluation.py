@@ -11,7 +11,6 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -157,9 +156,8 @@ def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
 
 
 def _run_fold(args) -> FoldResult:
-    """Make, train and score one fold."""
-    name, make_fold, cfg, out_dir = args
-    fold = make_fold()
+    """Train and score one fold."""
+    name, fold, cfg, out_dir = args
     result = train(fold.source.features, fold.source.labels, fold.target_features,
                    replace(cfg, n_classes=fold.source.n_classes), fold.source_rows)
     metrics = evaluate(result.params, fold.target_eval)
@@ -169,10 +167,10 @@ def _run_fold(args) -> FoldResult:
 
 
 def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> list[FoldResult]:
-    """Train and score one model per (name, fold maker) pair, fold k with seed
-    cfg.seed + k; folds are made one at a time, in min(jobs, folds) worker
-    processes when that is above 1. A fold's warnings go where its process
-    shows them: to the caller with one process, else to the worker's stderr."""
+    """Train and score one model per (name, Fold) pair, fold k with seed
+    cfg.seed + k, in min(jobs, folds) worker processes when that is above 1.
+    A fold's warnings go where its process shows them: to the caller with one
+    process, else to the worker's stderr."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if not folds:
@@ -182,8 +180,8 @@ def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> lis
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     cfg = replace(cfg, flags=VARIANTS[variant])
-    tasks = [(name, make_fold, replace(cfg, seed=cfg.seed + k), out_dir)
-             for k, (name, make_fold) in enumerate(folds)]
+    tasks = [(name, fold, replace(cfg, seed=cfg.seed + k), out_dir)
+             for k, (name, fold) in enumerate(folds)]
     workers = min(jobs, len(tasks))  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -203,8 +201,7 @@ def run_protocol(
     """Train one model per held-out subject and aggregate mean and spread."""
     if len(dataset.subjects) < 2:
         raise ValidationError("protocol needs at least 2 subjects")
-    _check_protocol(dataset, protocol, session)  # before _run_folds makes out_dir
-    folds = [(subject, partial(loso_split, dataset, subject, protocol, session))
+    folds = [(subject, loso_split(dataset, subject, protocol, session))
              for subject in dataset.subjects]
     return ProtocolSummary(variant=variant, protocol=protocol,
                            folds=_run_folds(folds, cfg, variant, jobs, out_dir))
@@ -219,10 +216,8 @@ def run_synth_protocol(
     out_dir=None,
 ) -> ProtocolSummary:
     """Ablation runs on generated shift tasks, one fold per generator seed."""
-    folds = [
-        (f"seed{k}", partial(generate_synth_shift, replace(synth_cfg, seed=synth_cfg.seed + k)))
-        for k in range(n_seeds)
-    ]
+    folds = [(f"seed{k}", generate_synth_shift(replace(synth_cfg, seed=synth_cfg.seed + k)))
+             for k in range(n_seeds)]
     return ProtocolSummary(variant=variant, protocol="synthetic",
                            folds=_run_folds(folds, cfg, variant, jobs, out_dir))
 

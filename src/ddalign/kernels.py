@@ -18,17 +18,16 @@ respect to Z reuse the same K and the centered rows it was built from
 (discrepancy_grad). The bandwidth is a constant of the evaluation even when
 it was chosen by the median heuristic.
 
-The large intermediates (the [N, N] Gram and weight matrices, the pair
-distances the median selects from, the [N, d] rows and products) are written
-into a KernelBuffers that the caller passes; a training run keeps one for all
-its steps, so that memory is not handed back and faulted in again per step.
+The large intermediates (the [N, N] Gram, norm-pair sums and weight
+matrices, the pair distances the median selects from, the [N, d] rows and
+products) are written into a KernelBuffers that the caller passes; a training
+run keeps one for all its steps, so that memory is not handed back and
+faulted in again per step.
 """
 
 import numpy as np
 
 from .errors import NumericsError
-
-_BLOCK_ROWS = 64  # rows of the distance matrix assembled per pass
 
 
 class KernelBuffers:
@@ -71,23 +70,19 @@ def pooled_sq_dists(Zc: np.ndarray, buffers: KernelBuffers) -> np.ndarray:
     sit far from the origin, and centering leaves only their spread. The
     squared norms are read off the Gram diagonal, so identical rows are exactly
     0 apart. The result is exactly symmetric, clamped at 0, with an exact zero
-    diagonal, and is assembled in the Gram buffer in row blocks, so no second
-    [N, N] array is made. Non-finite distances raise NumericsError.
+    diagonal, and is assembled in the Gram buffer from one [N, N] "sums"
+    buffer of norm pairs. Non-finite distances raise NumericsError.
     """
     n = Zc.shape[0]
     D = np.matmul(Zc, Zc.T, out=buffers.get("D", (n, n)))
     sq = D.diagonal().copy()
-    sums = buffers.get("sums", (min(_BLOCK_ROWS, n), n))
-    for start in range(0, sq.size, _BLOCK_ROWS):
-        block = D[start:start + _BLOCK_ROWS]
-        pair = sums[:block.shape[0]]
-        np.add(sq[start:start + _BLOCK_ROWS, None], sq, out=pair)
-        block *= 2.0
-        np.subtract(pair, block, out=block)
-        # before the clamp, which would turn -inf into 0
-        if not np.isfinite(block).all():
-            raise NumericsError("non-finite pooled distances in the kernel layer")
-        np.maximum(block, 0.0, out=block)
+    sums = np.add(sq[:, None], sq, out=buffers.get("sums", (n, n)))
+    D *= 2.0
+    np.subtract(sums, D, out=D)
+    # before the clamp, which would turn -inf into 0
+    if not np.isfinite(D).all():
+        raise NumericsError("non-finite pooled distances in the kernel layer")
+    np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D, 0.0)
     return D
 

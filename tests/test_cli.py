@@ -722,11 +722,10 @@ class TestProtocol:
                 assert run_cli("protocol", "--data", f"{data}.csv", "--protocol", protocol,
                                "--preset", "short", "--jobs", jobs,
                                "--out", f"{data}_j{jobs}") == 0
-        summary = Path("mixed_j1/summary.json").read_bytes()
-        for run in ("mixed_j2", "plain_j1", "plain_j2"):
-            assert Path(run, "summary.json").read_bytes() == summary
-        assert Path("mixed_j1/history_b.csv").read_bytes() == \
-            Path("plain_j1/history_b.csv").read_bytes()
+        for name in ("summary.json", "history_a.csv", "history_b.csv", "history_c.csv"):
+            written = Path("mixed_j1", name).read_bytes()
+            for run in ("mixed_j2", "plain_j1", "plain_j2"):
+                assert Path(run, name).read_bytes() == written
 
     def test_seeds_with_a_manifest_exit_3(self, tmp_path, manifest, capsys):
         out = tmp_path / "run"
@@ -1099,6 +1098,22 @@ class TestExitCodes:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_warning_prints_as_one_line(self):
+        # the pin clash is found while the run keys resolve, before the missing pair
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddalign", "train", "--variant", "EXP4", "--tau-l", "0.5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "warning: variant EXP4 pins tau_l = 1.0 (given 0.5); the run uses the pinned values\n"
+            "error: train needs --source and --target (flags or config keys)\n")
+
+    def test_main_restores_the_warning_format(self, capsys):
+        shown = warnings.formatwarning
+        assert run_cli("train") == 3
+        assert warnings.formatwarning is shown
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         source = tmp_path / "huge.csv"  # 32 columns of 1e308: x @ W1 overflows

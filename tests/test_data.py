@@ -715,6 +715,32 @@ class TestRunSettings:
             values = build_run_config(None, overrides)
         assert values["tau_l"] == overrides["tau_l"]
 
+    def test_inert_keys_warn_once_naming_them(self):
+        overrides = {"preset": "short", "variant": "EXP1", "sigma": "2", "stage_e1": 20,
+                     "stage_e3": 85}  # stage_e3 at its default says nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = build_run_config(None, overrides)
+        assert [str(w.message) for w in caught] == [
+            "variant EXP1 does not use sigma = 2, stage_e1 = 20; "
+            "the given values have no effect"]
+        assert values["sigma"] == "2" and values["stage_e1"] == 20
+        # EXP2 has a kernel head, so only the stage end is inert; EXP6 uses both
+        with pytest.warns(UserWarning, match=r"EXP2 does not use stage_e1 = 20; "):
+            build_run_config(None, {**overrides, "variant": "EXP2"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_run_config(None, {**overrides, "variant": "EXP6"})
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_replayed_snapshot_does_not_warn(self, tmp_path, variant):
+        path = tmp_path / "config.resolved"
+        path.write_text(config_lines(build_run_config(None, {"variant": variant})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = build_run_config(read_config_file(path))
+        assert values == build_run_config(None, {"variant": variant})
+
     def test_pinned_value_replaces_an_invalid_one(self):
         # tau_l above tau_h is refused, but EXP4 reads its pinned tau_l instead
         with pytest.raises(ValidationError, match="tau_h >= tau_l"):

@@ -4,7 +4,6 @@ import json
 import math
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -320,12 +319,11 @@ class TestFoldsFromManifest:
         dataset = load_dataset(manifest)
         cfg = TrainConfig(batch_size=32, epochs=1, n_classes=2, hidden1=16, hidden2=16,
                           flags=VARIANTS["EXP1"])
-        fold = ("small", partial(loso_split, dataset, "small", "single_session", None),
-                cfg, None)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            result = evaluation._run_fold(fold)
+            fold = loso_split(dataset, "small", "single_session", None)
+            result = evaluation._run_fold(("small", fold, cfg, None))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
