@@ -809,6 +809,21 @@ class TestExtractFeatures:
         assert "; expected name:lo-hi" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_band_without_a_frequency_bin_exit_3(self, tmp_path, capsys):
+        # 200 Hz bins lie 1 Hz apart, so 1.2-1.8 Hz would hold none and read
+        # as the floored log in every window
+        rec_path = tmp_path / "rec.bin"
+        samples = np.random.default_rng(6).normal(size=(2, 200 * 3))
+        save_raw_recording(rec_path, RawWindow(samples, fs=200.0))
+        out = tmp_path / "features.csv"
+        code = run_cli("extract-features", "--input", str(rec_path),
+                       "--out", str(out), "--bands", "thin:1.2-1.8,alpha:8-14")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: band 'thin' (1.2-1.8 Hz) holds no frequency bin at 200 Hz, "
+            "where bins are 1 Hz apart\n")
+        assert not out.exists()
+
     def test_window_below_one_second_exit_3(self, tmp_path, capsys):
         rec_path = tmp_path / "rec.csv"
         save_raw_recording(rec_path, RawWindow(np.ones((2, 200 * 3)), fs=200.0))

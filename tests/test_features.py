@@ -219,37 +219,78 @@ def loop_oracle(samples, fs, step, bands=DEFAULT_BANDS):
     return values, floored
 
 
+def wide_bands(fs):
+    """Bands over every bin from 1 Hz to Nyquist: at every rate tested here more
+    bins than _band_variances computes by its basis, so it runs the FFT."""
+    return (BandSpec("low", 1.0, 8.0), BandSpec("wide", 8.0, fs / 2))
+
+
+# one band set per path of _band_variances, as a function of the sampling rate;
+# delta to beta cover 30 bins, which take the basis from 125 Hz up
+BAND_SETS = {"basis": lambda fs: DEFAULT_BANDS[:4], "fft": wide_bands}
+
+
 class TestBatchedMatchesLoopOracle:
-    def check(self, samples, fs, step):
-        got, got_floored = build_feature_matrix(RawWindow(samples, fs), step / fs, DEFAULT_BANDS)
-        want, want_floored = loop_oracle(samples, fs, step)
+    @pytest.fixture(params=BAND_SETS.values(), ids=BAND_SETS.keys())
+    def bands_at(self, request):
+        return request.param
+
+    def check(self, samples, fs, step, bands):
+        got, got_floored = build_feature_matrix(RawWindow(samples, fs), step / fs, bands)
+        want, want_floored = loop_oracle(samples, fs, step, bands)
         assert got.shape == want.shape
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert got_floored == want_floored
         return got_floored
 
+    def test_band_sets_take_both_paths(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("np.fft.rfft called")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        samples = np.random.default_rng(19).normal(size=(2, 3000))
+        # the default bands at SEED's 200 Hz and at 1 kHz never reach the FFT;
+        # at DEAP's 128 Hz their 49 bins are most of the 65 and they do
+        for fs in (200.0, 200.4, 1000.0):
+            build_feature_matrix(RawWindow(samples, fs), 1.0, DEFAULT_BANDS)
+        with pytest.raises(AssertionError, match="np.fft.rfft called"):
+            build_feature_matrix(RawWindow(samples, 128.0), 1.0, DEFAULT_BANDS)
+        for fs in (125.0, 128.0, 200.0, 200.4):
+            build_feature_matrix(RawWindow(samples, fs), 1.0, BAND_SETS["basis"](fs))
+            with pytest.raises(AssertionError, match="np.fft.rfft called"):
+                build_feature_matrix(RawWindow(samples, fs), 1.0, wide_bands(fs))
+
     # 125 Hz: odd segment length; 200.4 Hz: one second is round(fs) = 200 samples
     @pytest.mark.parametrize("fs", [125.0, 128.0, 200.0, 200.4])
-    def test_one_second_windows(self, fs):
+    def test_one_second_windows(self, fs, bands_at):
         samples = np.random.default_rng(10).normal(size=(5, int(fs) * 6))
-        self.check(samples, fs, int(fs))
+        self.check(samples, fs, int(fs), bands_at(fs))
 
-    def test_windows_ending_in_partial_segment(self):
+    def test_windows_ending_in_partial_segment(self, bands_at):
         # 2.5 s windows hold two full 1-second segments and a dropped half
         samples = np.random.default_rng(11).normal(size=(4, 200 * 10))
-        self.check(samples, 200.0, int(round(2.5 * 200.0)))
+        self.check(samples, 200.0, int(round(2.5 * 200.0)), bands_at(200.0))
 
-    def test_tail_shorter_than_a_window_dropped(self):
+    def test_tail_shorter_than_a_window_dropped(self, bands_at):
         samples = np.random.default_rng(12).normal(size=(3, 128 * 7 + 50))
-        got, _ = build_feature_matrix(RawWindow(samples, 128.0), 2.0, DEFAULT_BANDS)
-        assert got.shape == (3, 15)
-        self.check(samples, 128.0, 256)
+        bands = bands_at(128.0)
+        got, _ = build_feature_matrix(RawWindow(samples, 128.0), 2.0, bands)
+        assert got.shape == (3, 3 * len(bands))
+        self.check(samples, 128.0, 256, bands)
 
-    def test_flat_channel_floored_like_the_loop(self):
+    def test_flat_channel_floored_like_the_loop(self, bands_at):
         samples = np.random.default_rng(13).normal(size=(3, 200 * 4))
         samples[1] = 3.7
-        floored = self.check(samples, 200.0, 200)
-        assert floored == [(w, 1, b.name) for w in range(4) for b in DEFAULT_BANDS]
+        bands = bands_at(200.0)
+        floored = self.check(samples, 200.0, 200, bands)
+        assert floored == [(w, 1, b.name) for w in range(4) for b in bands]
+
+    # a large DC offset cancels catastrophically unless each segment is
+    # centered before its spectrum is taken
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_dc_offset_removed_to_the_loop_precision(self, offset, bands_at):
+        samples = offset + np.random.default_rng(18).normal(size=(4, 200 * 5))
+        self.check(samples, 200.0, 200, bands_at(200.0))
 
     @pytest.mark.parametrize("chunk", [1, 3 * 125, 7 * 125])
     def test_chunked_rows_match(self, monkeypatch, chunk):
@@ -257,22 +298,22 @@ class TestBatchedMatchesLoopOracle:
         monkeypatch.setattr(features, "_CHUNK_SAMPLES", chunk)
         samples = np.random.default_rng(14).normal(size=(6, 125 * 5))
         samples[4] = 0.0
-        self.check(samples, 125.0, 125)
+        self.check(samples, 125.0, 125, wide_bands(125.0))
 
     def test_recording_spanning_production_chunks(self):
         # 62 x 30 1-second windows at 200 Hz fill several default-sized chunks
         assert 62 * 30 * 200 > 2 * features._CHUNK_SAMPLES
         samples = np.random.default_rng(15).normal(size=(62, 200 * 30))
         samples[7] = 0.0
-        self.check(samples, 200.0, 200)
+        self.check(samples, 200.0, 200, wide_bands(200.0))
 
     def test_output_independent_of_chunk_budget(self, monkeypatch):
         samples = np.random.default_rng(16).normal(size=(9, 128 * 4))
         rec = RawWindow(samples, 128.0)
-        want, _ = build_feature_matrix(rec, 1.0, DEFAULT_BANDS)
+        want, _ = build_feature_matrix(rec, 1.0, wide_bands(128.0))
         for chunk in (1, 2 * 128, 5 * 128, 2**22):
             monkeypatch.setattr(features, "_CHUNK_SAMPLES", chunk)
-            got, _ = build_feature_matrix(rec, 1.0, DEFAULT_BANDS)
+            got, _ = build_feature_matrix(rec, 1.0, wide_bands(128.0))
             npt.assert_array_equal(got, want)
 
 
@@ -335,3 +376,14 @@ class TestValidation:
     def test_band_edge_order_enforced(self):
         with pytest.raises(ValidationError):
             BandSpec("bad", 10.0, 5.0)
+
+    def test_band_without_a_frequency_bin_rejected(self):
+        # at 200 Hz the bins lie 1 Hz apart, so 1.2-1.8 Hz holds none
+        bands = [BandSpec("thin", 1.2, 1.8), ALPHA]
+        message = ("band 'thin' (1.2-1.8 Hz) holds no frequency bin at 200 Hz, "
+                   "where bins are 1 Hz apart")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate_bands(bands, 200.0)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build_feature_matrix(RawWindow(np.ones((1, 400)), 200.0), 1.0, bands)
+        validate_bands([BandSpec("one", 1.0, 1.5)], 200.0)  # bin 1 Hz: lo_hz <= f < hi_hz
