@@ -407,21 +407,18 @@ class SynthShiftConfig:
 
 
 @dataclass
-class Fold:
-    """One training fold: a labeled source, of which training uses the
-    ``source_rows`` (None: every row), and a labeled target, whose features
-    training reads and whose labels only evaluation reads."""
+class SynthTask:
+    """A labeled source and a labeled target whose labels only evaluation reads."""
 
     source: FeatureDataset
     target_eval: FeatureDataset
-    source_rows: np.ndarray | None = None
 
     @property
     def target_features(self) -> np.ndarray:
         return self.target_eval.features
 
 
-def generate_synth_shift(cfg: SynthShiftConfig) -> Fold:
+def generate_synth_shift(cfg: SynthShiftConfig) -> SynthTask:
     rng = np.random.default_rng(cfg.seed)
     # orthonormal class directions plus one extra axis for the domain shift
     basis, _ = np.linalg.qr(rng.normal(size=(cfg.dim, min(cfg.n_classes + 1, cfg.dim))))
@@ -447,8 +444,8 @@ def generate_synth_shift(cfg: SynthShiftConfig) -> Fold:
 
     src_x, src_y = sample(src_means)
     tgt_x, tgt_y = sample(tgt_means)
-    return Fold(FeatureDataset(src_x, src_y, cfg.n_classes),
-                FeatureDataset(tgt_x, tgt_y, cfg.n_classes))
+    return SynthTask(FeatureDataset(src_x, src_y, cfg.n_classes),
+                     FeatureDataset(tgt_x, tgt_y, cfg.n_classes))
 
 
 # Frozen generator settings for the synthetic benchmark: calibrated so the

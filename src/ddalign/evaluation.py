@@ -2,20 +2,21 @@
 runner over EXP1..EXP6, and embedding dumps for external projection tools.
 
 Both protocols, leave-one-subject-out and the generated shift tasks, run one
-fold loop. Folds are independent; it optionally fans them out over worker
-processes and gathers results in fold order either way. Per-fold seeds are
-the run seed plus the fold index, so a summary is reproducible fold by fold.
+fold loop over (name, labeled matrix, source row index, held-out row slice)
+folds. It optionally fans them out over worker processes and gathers results
+in fold order; fold k trains with the run seed plus k, so runs are repeatable.
 """
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureDataset, Fold, SubjectDataset, SynthShiftConfig, generate_synth_shift
+from .data import FeatureDataset, SubjectDataset, SynthShiftConfig, generate_synth_shift
 from .errors import ValidationError
 from .net import ModelParams, forward_features, forward_logits
 from .trainer import VARIANTS, TrainConfig, save_history, train
@@ -93,14 +94,12 @@ def loso_split(
     held_out_subject: str,
     protocol: str = PROTOCOL_SINGLE,
     session: int | None = None,
-) -> Fold:
-    """The fold holding out one subject, with no copy of the features.
-
-    Its source is ``dataset.data`` and its ``source_rows`` an int64 index
-    into it: the remaining subjects' rows in dataset order, each subject's
-    sessions ascending, which ``train`` takes as ``src_rows``. Its target is
-    a FeatureDataset viewing the held-out subject's rows, which are
-    contiguous in either protocol.
+) -> tuple[np.ndarray, slice]:
+    """The rows of ``dataset.data`` that hold out one subject, as an int64
+    source index and the slice of the held-out rows, with no copy of the
+    features. The source rows are the remaining subjects' rows in dataset
+    order, each subject's sessions ascending, which ``train`` takes as
+    ``src_rows``; the held-out rows are contiguous in either protocol.
     single_session uses one session per subject on both sides (the lowest
     session id unless given); cross_session pools every session of the
     remaining subjects against all sessions of the held-out subject.
@@ -116,16 +115,13 @@ def loso_split(
         return [available[min(available) if session is None else session]]
 
     held = sessions_for(held_out_subject)
-    target = slice(held[0].start, held[-1].stop)
     source_parts = [
         np.arange(part.start, part.stop) for subject in dataset.subjects
         if subject != held_out_subject for part in sessions_for(subject)
     ]
     if not source_parts:
         raise ValidationError("no source subjects left after holding out")
-    data = dataset.data
-    return Fold(data, FeatureDataset(data.features[target], data.labels[target], data.n_classes),
-                np.concatenate(source_parts))
+    return np.concatenate(source_parts), slice(held[0].start, held[-1].stop)
 
 
 def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
@@ -156,21 +152,22 @@ def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
 
 
 def _run_fold(args) -> FoldResult:
-    """Train and score one fold."""
-    name, fold, cfg, out_dir = args
-    result = train(fold.source.features, fold.source.labels, fold.target_features,
-                   replace(cfg, n_classes=fold.source.n_classes), fold.source_rows)
-    metrics = evaluate(result.params, fold.target_eval)
+    """Train on one fold's source rows and score its held-out rows."""
+    name, data, source_rows, target_rows, cfg, out_dir = args
+    target = FeatureDataset(data.features[target_rows], data.labels[target_rows], data.n_classes)
+    result = train(data.features, data.labels, target.features,
+                   replace(cfg, n_classes=data.n_classes), source_rows)
+    metrics = evaluate(result.params, target)
     if out_dir is not None:
         save_history(result.history, Path(out_dir) / f"history_{name}.csv")
     return FoldResult(subject=name, metrics=metrics, history_steps=len(result.history))
 
 
 def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> list[FoldResult]:
-    """Train and score one model per (name, Fold) pair, fold k with seed
-    cfg.seed + k, in min(jobs, folds) worker processes when that is above 1.
-    A fold's warnings go where its process shows them: to the caller with one
-    process, else to the worker's stderr."""
+    """Train and score one model per fold, fold k with seed cfg.seed + k. Above
+    one job, each worker process gets one run of ceil(folds / jobs) consecutive
+    folds, pickled together so that a matrix they share is sent once. A fold's
+    warnings go to the caller with one process, else to the worker's stderr."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if not folds:
@@ -180,12 +177,12 @@ def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> lis
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     cfg = replace(cfg, flags=VARIANTS[variant])
-    tasks = [(name, fold, replace(cfg, seed=cfg.seed + k), out_dir)
-             for k, (name, fold) in enumerate(folds)]
-    workers = min(jobs, len(tasks))  # a pool forks all its workers up front
+    tasks = [(*fold, replace(cfg, seed=cfg.seed + k), out_dir) for k, fold in enumerate(folds)]
+    chunk = math.ceil(len(tasks) / jobs)
+    workers = math.ceil(len(tasks) / chunk)  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_fold, tasks))
+            return list(pool.map(_run_fold, tasks, chunksize=chunk))
     return [_run_fold(t) for t in tasks]
 
 
@@ -201,7 +198,7 @@ def run_protocol(
     """Train one model per held-out subject and aggregate mean and spread."""
     if len(dataset.subjects) < 2:
         raise ValidationError("protocol needs at least 2 subjects")
-    folds = [(subject, loso_split(dataset, subject, protocol, session))
+    folds = [(subject, dataset.data, *loso_split(dataset, subject, protocol, session))
              for subject in dataset.subjects]
     return ProtocolSummary(variant=variant, protocol=protocol,
                            folds=_run_folds(folds, cfg, variant, jobs, out_dir))
@@ -215,9 +212,14 @@ def run_synth_protocol(
     jobs: int = 1,
     out_dir=None,
 ) -> ProtocolSummary:
-    """Ablation runs on generated shift tasks, one fold per generator seed."""
-    folds = [(f"seed{k}", generate_synth_shift(replace(synth_cfg, seed=synth_cfg.seed + k)))
-             for k in range(n_seeds)]
+    """One fold per generator seed, its task's source rows stacked over its target's."""
+    folds = []
+    for k in range(n_seeds):
+        task = generate_synth_shift(replace(synth_cfg, seed=synth_cfg.seed + k))
+        n, tgt = task.source.n_samples, task.target_eval
+        data = FeatureDataset(np.vstack([task.source.features, tgt.features]),
+                              np.concatenate([task.source.labels, tgt.labels]), tgt.n_classes)
+        folds.append((f"seed{k}", data, np.arange(n), slice(n, 2 * n)))
     return ProtocolSummary(variant=variant, protocol="synthetic",
                            folds=_run_folds(folds, cfg, variant, jobs, out_dir))
 

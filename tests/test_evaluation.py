@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -52,14 +53,14 @@ def constant_predictor(d=6, C=3, winner=0):
 class TestLosoSplit:
     def test_source_pools_remaining_subjects(self):
         ds = make_dataset(n_subjects=15, sessions=(1,), n=6)
-        fold = loso_split(ds, "sub3", "single_session")
-        assert fold.target_eval.n_samples == 6
-        assert fold.source_rows.dtype == np.int64 and fold.source_rows.shape == (14 * 6,)
+        rows, target = loso_split(ds, "sub3", "single_session")
+        assert target.stop - target.start == 6
+        assert rows.dtype == np.int64 and rows.shape == (14 * 6,)
 
     def test_two_subjects_minimal(self):
         ds = make_dataset(n_subjects=2, sessions=(1,))
-        fold = loso_split(ds, "sub1", "single_session")
-        assert fold.source_rows.size == fold.target_eval.n_samples == 12
+        rows, target = loso_split(ds, "sub1", "single_session")
+        assert rows.size == target.stop - target.start == 12
 
     def test_unknown_subject_rejected(self):
         ds = make_dataset()
@@ -68,9 +69,9 @@ class TestLosoSplit:
 
     def test_cross_session_pools_all_sessions(self):
         ds = make_dataset(n_subjects=3, sessions=(1, 2))
-        fold = loso_split(ds, "sub0", "cross_session")
-        assert fold.target_eval.n_samples == 24  # both sessions of the held-out subject
-        assert fold.source_rows.size == 2 * 24   # both sessions of the other two
+        rows, target = loso_split(ds, "sub0", "cross_session")
+        assert target.stop - target.start == 24  # both sessions of the held-out subject
+        assert rows.size == 2 * 24               # both sessions of the other two
 
     def test_session_with_cross_session_rejected(self):
         ds = make_dataset()
@@ -79,10 +80,10 @@ class TestLosoSplit:
 
     def test_single_session_defaults_to_lowest(self):
         ds = make_dataset(n_subjects=2, sessions=(2, 5))
-        fold = loso_split(ds, "sub0", "single_session")
-        assert fold.target_eval.n_samples == 12
-        npt.assert_array_equal(fold.source_rows, np.arange(24, 36))   # sub1's session 2
-        rows5 = loso_split(ds, "sub0", "single_session", session=5).source_rows
+        rows, target = loso_split(ds, "sub0", "single_session")
+        assert target.stop - target.start == 12
+        npt.assert_array_equal(rows, np.arange(24, 36))   # sub1's session 2
+        rows5, _ = loso_split(ds, "sub0", "single_session", session=5)
         assert rows5.size == 12
         npt.assert_array_equal(rows5, np.arange(36, 48))  # sub1's session 5
 
@@ -93,19 +94,19 @@ class TestLosoSplit:
 
     def test_no_leakage_between_source_and_target(self):
         ds = make_dataset(n_subjects=4, sessions=(1,), seed=5)
-        fold = loso_split(ds, "sub2", "single_session")
+        rows, _ = loso_split(ds, "sub2", "single_session")
         held = ds.data.features[ds.rows["sub2"][1]]
-        src = fold.source.features[fold.source_rows]
+        src = ds.data.features[rows]
         for row in held:
             assert not (src == row).all(axis=1).any()
 
-    @pytest.mark.parametrize("protocol", ["single_session", "cross_session"])
-    def test_target_is_a_view_of_the_dataset(self, protocol):
+    @pytest.mark.parametrize("protocol, sessions", [
+        ("single_session", (1,)), ("cross_session", (1, 2))], ids=["single", "cross"])
+    def test_target_slice_covers_the_held_out_subject(self, protocol, sessions):
         ds = make_dataset(n_subjects=3, sessions=(1, 2))
-        fold = loso_split(ds, "sub1", protocol)
-        assert fold.source is ds.data
-        assert np.shares_memory(fold.target_features, ds.data.features)
-        assert np.shares_memory(fold.target_eval.labels, ds.data.labels)
+        _, target = loso_split(ds, "sub1", protocol)
+        held = [np.arange(ds.rows["sub1"][k].start, ds.rows["sub1"][k].stop) for k in sessions]
+        npt.assert_array_equal(np.arange(ds.data.n_samples)[target], np.concatenate(held))
 
     def test_rows_must_tile_the_data(self):
         ds = make_dataset(n_subjects=2, sessions=(1,))
@@ -162,6 +163,35 @@ def fast_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Runs a pool's map in the calling process and records, per pool, its
+    worker count, its chunk size and the pickled bytes of each chunk: a real
+    pool pickles a chunk of tasks as one object, so a matrix its folds share
+    is written once per chunk."""
+    calls = []
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            calls.append((self.workers, chunksize, [
+                len(pickle.dumps(tuple(tasks[k:k + chunksize])))
+                for k in range(0, len(tasks), chunksize)]))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", PicklingPool)
+    return calls
+
+
 class TestRunProtocol:
     def test_every_subject_held_out_once(self, tmp_path):
         ds = make_dataset(n_subjects=3, sessions=(1,), n=12)
@@ -193,12 +223,18 @@ class TestRunProtocol:
         parallel = run_protocol(ds, "single_session", fast_cfg(), variant="EXP2", jobs=2)
         npt.assert_array_equal(serial.accuracies, parallel.accuracies)
 
-    def test_synthetic_parallel_jobs_match_serial(self):
+    def test_synthetic_parallel_jobs_match_serial(self, tmp_path):
+        # three folds over two workers: chunks of two folds and one
         synth = SynthShiftConfig(n_per_class=10, domain_shift=2.0, seed=4)
-        serial = run_synth_protocol(synth, fast_cfg(), variant="EXP6", n_seeds=3)
-        parallel = run_synth_protocol(synth, fast_cfg(), variant="EXP6", n_seeds=3, jobs=2)
+        serial = run_synth_protocol(synth, fast_cfg(), variant="EXP6", n_seeds=3,
+                                    out_dir=tmp_path / "j1")
+        parallel = run_synth_protocol(synth, fast_cfg(), variant="EXP6", n_seeds=3, jobs=2,
+                                      out_dir=tmp_path / "j2")
         assert [f.subject for f in parallel.folds] == ["seed0", "seed1", "seed2"]
         npt.assert_array_equal(serial.accuracies, parallel.accuracies)
+        for k in range(3):
+            name = f"history_seed{k}.csv"
+            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
 
     def test_failing_fold_keeps_its_warning(self, monkeypatch):
         # the caller sees a fold's warning as it is raised, so an error after
@@ -216,25 +252,22 @@ class TestRunProtocol:
         assert [(w.category, str(w.message)) for w in caught] == [
             (RuntimeWarning, "fold says hello")]
 
-    def test_pool_has_no_more_workers_than_folds(self, monkeypatch):
-        workers = []
+    @pytest.mark.parametrize("subjects, jobs, workers, chunksize", [
+        (2, 16, 2, 1), (5, 4, 3, 2), (3, 2, 2, 2)],
+        ids=["2-folds-16-jobs", "5-folds-4-jobs", "3-folds-2-jobs"])
+    def test_pool_has_no_more_workers_than_folds(self, fake_pool, subjects, jobs, workers,
+                                                 chunksize):
+        # 5 folds at 4 jobs make chunks of 2, 2 and 1: no worker is forked idle
+        ds = make_dataset(n_subjects=subjects, sessions=(1,))
+        run_protocol(ds, "single_session", fast_cfg(), variant="EXP1", jobs=jobs)
+        assert [call[:2] for call in fake_pool] == [(workers, chunksize)]
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
-        ds = make_dataset(n_subjects=2, sessions=(1,))
-        run_protocol(ds, "single_session", fast_cfg(), variant="EXP1", jobs=16)
-        assert workers == [2]
+    def test_each_worker_is_sent_the_matrix_once(self, fake_pool):
+        ds = make_dataset(n_subjects=4, sessions=(1,), n=300, d=20)
+        run_protocol(ds, "single_session", fast_cfg(epochs=1), variant="EXP1", jobs=2)
+        [(workers, _, sent)] = fake_pool
+        assert sum(sent) < (workers + 0.5) * ds.data.features.nbytes
+        assert workers == len(sent) == 2
 
     def test_save_summary_files(self, tmp_path):
         ds = make_dataset(n_subjects=2, sessions=(1,))
@@ -294,15 +327,15 @@ class TestFoldsFromManifest:
 
         cfg = fast_cfg(epochs=2)
         for held in ("a", "b", "c"):
-            fold = loso_split(dataset, held, protocol, session)
-            rows, target = fold.source_rows, fold.target_eval
-            assert np.shares_memory(target.features, dataset.data.features)
+            rows, target = loso_split(dataset, held, protocol, session)
+            target_x = dataset.data.features[target]
+            assert np.shares_memory(target_x, dataset.data.features)
             tgt_x, tgt_y = pooled([held])
-            npt.assert_array_equal(target.features, tgt_x)
-            npt.assert_array_equal(target.labels, tgt_y)
+            npt.assert_array_equal(target_x, tgt_x)
+            npt.assert_array_equal(dataset.data.labels[target], tgt_y)
             src_x, src_y = pooled([s for s in ("a", "b", "c") if s != held])
             npt.assert_array_equal(dataset.data.features[rows], src_x)
-            new = train(dataset.data.features, dataset.data.labels, target.features, cfg, rows)
+            new = train(dataset.data.features, dataset.data.labels, target_x, cfg, rows)
             old = train(src_x, src_y, tgt_x, cfg)
             assert param_bytes(new.params) == param_bytes(old.params)
             assert new.history == old.history
@@ -322,8 +355,8 @@ class TestFoldsFromManifest:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            fold = loso_split(dataset, "small", "single_session", None)
-            result = evaluation._run_fold(("small", fold, cfg, None))
+            rows, target = loso_split(dataset, "small", "single_session", None)
+            result = evaluation._run_fold(("small", dataset.data, rows, target, cfg, None))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
