@@ -244,6 +244,8 @@ def load_features(path) -> FeatureDataset:
 
 
 def save_raw_recording(path, window: RawWindow) -> None:
+    """The writer a converter of SEED or DEAP recordings calls: one
+    ``extract-features`` input, binary for a .bin path, else CSV."""
     _write(path, _RAW, (window.n_channels, window.fs, window.n_samples), [window.samples])
 
 
@@ -465,7 +467,7 @@ ACCEPT_SYNTH = SynthShiftConfig(
 
 
 PRESETS = {
-    "long": {"batch_size": 128, "epochs": 100},
+    "long": {"batch_size": TrainConfig.batch_size, "epochs": TrainConfig.epochs},
     "short": {"batch_size": 32, "epochs": 10},
 }
 

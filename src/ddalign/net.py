@@ -116,10 +116,6 @@ def init_params(
     )
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return params.like(np.zeros(params.flat.size))
-
-
 @dataclass
 class FeatureTrace:
     """Intermediates of one extractor pass, kept for the backward sweep."""

@@ -16,14 +16,8 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError, require_finite
 from .kernels import KernelBuffers
-from .net import (
-    ModelParams,
-    backward,
-    compute_losses,
-    init_params,
-    zeros_like_params,
-)
-from .schedules import alpha_at, beta_of, confidence_threshold, learning_rate
+from .net import ModelParams, backward, compute_losses, init_params
+from .schedules import alpha_at, beta_of, confidence_threshold, learning_rates
 
 @dataclass(frozen=True)
 class AblationFlags:
@@ -128,23 +122,24 @@ class TrainResult:
 def sgd_step(
     params: ModelParams,
     grads: ModelParams,
-    velocity: ModelParams,
+    velocity: np.ndarray,
     lr_extractor: float,
     lr_classifier: float,
     momentum: float,
     weight_decay: float,
-) -> tuple[ModelParams, ModelParams]:
+) -> tuple[ModelParams, np.ndarray]:
     """v <- momentum v + (grad + wd * param); param <- param - lr v.
 
-    Decay applies to weight matrices only, never biases, and is added into
-    grads in place; the extractor and classifier groups carry their own
-    learning rates. Returns the new parameters and the new velocity; an update
-    that overflows raises a NumericsError naming the parameter.
+    The velocity is a float64 vector laid out like ``params.flat``. Decay
+    applies to weight matrices only, never biases, and is added into grads in
+    place; the extractor and classifier groups carry their own learning rates.
+    Returns the new parameters and the new velocity; an update that overflows
+    raises a NumericsError naming the parameter.
     """
     if weight_decay > 0:
         for g, p in ((grads.W1, params.W1), (grads.W2, params.W2), (grads.Wc, params.Wc)):
             g += weight_decay * p
-    v = momentum * velocity.flat
+    v = momentum * velocity
     v += grads.flat
     step = np.empty_like(v)
     n = params.extractor_size
@@ -155,7 +150,7 @@ def sgd_step(
     bad = new_params.nonfinite_field()
     if bad:
         raise NumericsError(f"update diverged: {bad} contains non-finite values")
-    return new_params, params.like(v)
+    return new_params, v
 
 
 class _TargetCycle:
@@ -211,7 +206,7 @@ def train(
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)
     )
     params = init_params(src_x.shape[1], cfg.hidden1, cfg.hidden2, cfg.n_classes, init_rng)
-    velocity = zeros_like_params(params)
+    velocity = np.zeros_like(params.flat)
     targets = _TargetCycle(tgt_x.shape[0], target_rng)
     buffers = KernelBuffers()  # one set for every step: no fresh [N, N] memory per step
     flags = cfg.flags
@@ -221,10 +216,9 @@ def train(
     history: list[StepRecord] = []
     step = 0
     for epoch in range(cfg.epochs):
-        alpha = alpha_at(epoch, cfg.epochs, cfg)
-        tau = confidence_threshold(epoch, cfg.epochs, cfg)
-        lr_ext = learning_rate(epoch, cfg.epochs, cfg.lr_extractor)
-        lr_cls = learning_rate(epoch, cfg.epochs, cfg.lr_classifier)
+        alpha = alpha_at(epoch, cfg)
+        tau = confidence_threshold(epoch, cfg)
+        lr_ext, lr_cls = learning_rates(epoch, cfg)
         order = shuffle_rng.permutation(rows.shape[0])
         for start in range(0, order.shape[0], cfg.batch_size):
             batch = rows[order[start:start + cfg.batch_size]]

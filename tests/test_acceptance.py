@@ -142,14 +142,14 @@ def test_criterion_2_gradient_correctness():
 
 def test_criterion_3_schedule_tables():
     cfg = TrainConfig()
-    tau_ok = (confidence_threshold(5, 100, cfg) == 0.0
-              and confidence_threshold(20, 100, cfg) == 0.5
-              and confidence_threshold(50, 100, cfg) == 0.75
-              and confidence_threshold(90, 100, cfg) == 1.0)
+    tau_ok = (confidence_threshold(5, cfg) == 0.0
+              and confidence_threshold(20, cfg) == 0.5
+              and confidence_threshold(50, cfg) == 0.75
+              and confidence_threshold(90, cfg) == 1.0)
     beta_ok = (beta_of(0.05, cfg) == 1.0
                and beta_of(0.12, cfg) == 0.5
                and beta_of(0.20, cfg) == 0.0)
-    alpha_ok = alpha_at(0, 100, cfg) == 1.0 and abs(alpha_at(99, 100, cfg) - 0.01) < 1e-15
+    alpha_ok = alpha_at(0, cfg) == 1.0 and abs(alpha_at(99, cfg) - 0.01) < 1e-15
     report(3, tau_ok and beta_ok and alpha_ok,
            "threshold stages (0/0.5/0.75/1), beta steps (1/0.5/0), alpha endpoints (1, 0.01)")
 

@@ -2,11 +2,13 @@
 
 ``golden_params.json`` holds, for EXP1..EXP6 x seeds 0 and 1 x 12 epochs on
 ACCEPT_SYNTH plus one short EXP1 run at 310 dims and one EXP6 run at the fixed
-bandwidth sigma = 2, the sha256 of the trained parameter bytes and each array's
-sum at 17 significant digits. The sums are compared everywhere within SUM_RTOL;
-the sha256 only where numpy, the BLAS and a probe of the float kernels training
-uses (GEMM, exp, sums) give the same bytes as where the file was made, since
-another BLAS or SIMD path rounds differently.
+bandwidth sigma = 2, the sha256 of the trained parameter bytes, each array's
+sum at 17 significant digits, the final accuracy on the task's target_eval and
+the source loss l_ds at the first and the last step. The accuracy is compared
+exactly and the sums and losses everywhere within SUM_RTOL; the sha256 only
+where numpy, the BLAS and a probe of the float kernels training uses (GEMM,
+exp, sums) give the same bytes as where the file was made, since another BLAS
+or SIMD path rounds differently.
 
 Regenerate (only when outputs are meant to change):
 
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from ddalign.data import ACCEPT_SYNTH, generate_synth_shift
+from ddalign.evaluation import evaluate
 from ddalign.trainer import VARIANTS, TrainConfig, train
 
 GOLDEN = Path(__file__).with_name("golden_params.json")
@@ -33,24 +36,25 @@ SUM_RTOL = 1e-9
 
 
 def runs():
-    """(name, source features, labels, target features, config) per run."""
+    """(name, synthetic task, config) per run."""
     for seed in (0, 1):
         task = generate_synth_shift(replace(ACCEPT_SYNTH, seed=seed))
         for variant in VARIANTS:
-            cfg = TrainConfig(seed=seed, epochs=12, flags=VARIANTS[variant])
-            yield (f"{variant}-seed{seed}", task.source.features, task.source.labels,
-                   task.target_features, cfg)
-    task = generate_synth_shift(replace(ACCEPT_SYNTH, dim=310))
-    yield ("EXP1-310d", task.source.features, task.source.labels, task.target_features,
+            yield (f"{variant}-seed{seed}", task,
+                   TrainConfig(seed=seed, epochs=12, flags=VARIANTS[variant]))
+    yield ("EXP1-310d", generate_synth_shift(replace(ACCEPT_SYNTH, dim=310)),
            TrainConfig(seed=0, epochs=4, flags=VARIANTS["EXP1"]))
-    task = generate_synth_shift(replace(ACCEPT_SYNTH, seed=0))
-    yield ("EXP6-seed0-sigma2", task.source.features, task.source.labels,
-           task.target_features, TrainConfig(seed=0, epochs=12, sigma=2.0))
+    yield ("EXP6-seed0-sigma2", generate_synth_shift(replace(ACCEPT_SYNTH, seed=0)),
+           TrainConfig(seed=0, epochs=12, sigma=2.0))
 
 
-def record(params) -> dict:
-    arrays = params.arrays()
+def record(task, cfg) -> dict:
+    result = train(task.source.features, task.source.labels, task.target_features, cfg)
+    arrays = result.params.arrays()
     return {
+        "target_accuracy": evaluate(result.params, task.target_eval).accuracy,
+        "l_ds_first": f"{result.history[0].l_ds:.17g}",
+        "l_ds_last": f"{result.history[-1].l_ds:.17g}",
         "sha256": hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest(),
         "sums": {f: f"{a.sum():.17g}" for f, a in zip(FIELDS, arrays)},
         "abs_sums": {f: f"{np.abs(a).sum():.17g}" for f, a in zip(FIELDS, arrays)},
@@ -75,7 +79,7 @@ def environment() -> dict:
 
 
 def compute() -> dict:
-    return {name: record(train(x, y, t, cfg).params) for name, x, y, t, cfg in runs()}
+    return {name: record(task, cfg) for name, task, cfg in runs()}
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +103,14 @@ def test_sums_match_golden(golden, current):
             want = float(rec["sums"][f])
             scale = float(rec["abs_sums"][f])
             assert abs(got - want) <= SUM_RTOL * scale, (name, f, got, want)
+
+
+def test_results_match_golden(golden, current):
+    for name, rec in golden["runs"].items():
+        assert current[name]["target_accuracy"] == rec["target_accuracy"], name
+        for key in ("l_ds_first", "l_ds_last"):
+            got, want = float(current[name][key]), float(rec[key])
+            assert abs(got - want) <= SUM_RTOL * want, (name, key, got, want)
 
 
 def test_sha256_matches_golden_on_same_numerics(golden, current):

@@ -17,7 +17,6 @@ from ddalign.net import (
     compute_losses,
     confidence_mask,
     init_params,
-    zeros_like_params,
 )
 from ddalign.schedules import alpha_at, beta_of, confidence_threshold
 from ddalign.trainer import (
@@ -95,7 +94,7 @@ class TestPseudoLabels:
 class TestSgdStep:
     def setup_method(self):
         self.params = init_params(4, 3, 3, 2, np.random.default_rng(5))
-        self.velocity = zeros_like_params(self.params)
+        self.velocity = np.zeros_like(self.params.flat)
 
     def grads(self, value=0.1):
         return ModelParams(*(np.full_like(a, value) for a in self.params.arrays()))
@@ -107,13 +106,21 @@ class TestSgdStep:
             npt.assert_allclose(p_new, p_old - 0.5 * g_a, rtol=1e-12)
 
     def test_velocity_carries_with_zero_grad(self):
-        v = self.grads(0.2)
+        v = np.full(self.params.flat.size, 0.2)
         new, new_v = sgd_step(self.params, self.grads(0.0), v, 0.1, 0.1,
                               momentum=0.9, weight_decay=0.0)
-        for p_new, p_old, v_a in zip(new.arrays(), self.params.arrays(), v.arrays()):
-            npt.assert_allclose(p_new, p_old - 0.1 * 0.9 * v_a, rtol=1e-12)
-        for v_new, v_a in zip(new_v.arrays(), v.arrays()):
-            npt.assert_allclose(v_new, 0.9 * v_a, rtol=1e-12)
+        npt.assert_allclose(new.flat, self.params.flat - 0.1 * 0.9 * v, rtol=1e-12)
+        assert new_v.shape == v.shape and new_v.dtype == np.float64
+        npt.assert_allclose(new_v, 0.9 * v, rtol=1e-12)
+
+    def test_velocity_is_the_flat_gradient_sum(self):
+        # one step from rest: v = g + wd * W, in params.flat's layout
+        g = self.grads(0.1)
+        _, v = sgd_step(self.params, g, self.velocity, 0.1, 0.1,
+                        momentum=0.9, weight_decay=0.01)
+        npt.assert_array_equal(v, g.flat)
+        npt.assert_allclose(v[:self.params.W1.size], 0.1 + 0.01 * self.params.W1.ravel(),
+                            rtol=1e-12)
 
     def test_weight_decay_shrinks_weights_only(self):
         lam = 0.01
@@ -302,7 +309,8 @@ class TestVariantPins:
     @pytest.mark.parametrize("epochs", [1, 2, 12, 100])
     @pytest.mark.parametrize("variant", STATIC_WEIGHTS)
     def test_alpha_exactly_one(self, variant, epochs):
-        assert all(alpha_at(e, epochs, pinned(variant)) == 1.0 for e in range(epochs))
+        cfg = replace(pinned(variant), epochs=epochs)
+        assert all(alpha_at(e, cfg) == 1.0 for e in range(epochs))
 
     @pytest.mark.parametrize("variant", STATIC_WEIGHTS)
     def test_beta_one_above_any_clamped_cross_entropy(self, variant):
@@ -310,7 +318,7 @@ class TestVariantPins:
 
     @pytest.mark.parametrize("variant", UNFILTERED)
     def test_tau_zero_at_every_epoch(self, variant):
-        assert all(confidence_threshold(e, 100, pinned(variant)) == 0.0 for e in range(100))
+        assert all(confidence_threshold(e, pinned(variant)) == 0.0 for e in range(100))
 
     def test_pins_win_over_the_given_schedule(self):
         src_x, src_y, tgt_x = toy_task(6)
