@@ -79,49 +79,43 @@ class ProtocolSummary:
         }
 
 
-def _check_protocol(dataset: SubjectDataset, protocol: str, session: int | None) -> None:
+def loso_split(
+    dataset: SubjectDataset, protocol: str = PROTOCOL_SINGLE, session: int | None = None
+) -> list[tuple]:
+    """One leave-one-subject-out fold per subject, ``(subject, matrix,
+    source_rows, target_rows)``, all over one labeled matrix of the rows the
+    protocol reads: ``dataset.data`` itself when that is every row, else one
+    copy of them in the same order. single_session reads one session per
+    subject (the lowest session id unless given), cross_session every session.
+    Each subject's rows are one block of the matrix; its fold holds the block
+    out as a slice and trains on every other row, in order, through an int64
+    index that ``train`` takes as ``src_rows``."""
     if protocol not in (PROTOCOL_SINGLE, PROTOCOL_CROSS):
         raise ValidationError(f"unknown protocol {protocol!r}")
     if protocol == PROTOCOL_CROSS and session is not None:
         raise ValidationError("a session applies to single-session, not cross-session")
+    if len(dataset.subjects) < 2:
+        raise ValidationError("protocol needs at least 2 subjects")
+    parts = {}
     for subject, sessions in dataset.rows.items():
         if session is not None and session not in sessions:
             raise ValidationError(f"subject {subject!r} has no session {session}")
-
-
-def loso_split(
-    dataset: SubjectDataset,
-    held_out_subject: str,
-    protocol: str = PROTOCOL_SINGLE,
-    session: int | None = None,
-) -> tuple[np.ndarray, slice]:
-    """The rows of ``dataset.data`` that hold out one subject, as an int64
-    source index and the slice of the held-out rows, with no copy of the
-    features. The source rows are the remaining subjects' rows in dataset
-    order, each subject's sessions ascending, which ``train`` takes as
-    ``src_rows``; the held-out rows are contiguous in either protocol.
-    single_session uses one session per subject on both sides (the lowest
-    session id unless given); cross_session pools every session of the
-    remaining subjects against all sessions of the held-out subject.
-    """
-    if held_out_subject not in dataset.rows:
-        raise ValidationError(f"unknown subject {held_out_subject!r}")
-    _check_protocol(dataset, protocol, session)
-
-    def sessions_for(subject: str) -> list[slice]:
-        available = dataset.rows[subject]
-        if protocol == PROTOCOL_CROSS:
-            return [available[k] for k in sorted(available)]
-        return [available[min(available) if session is None else session]]
-
-    held = sessions_for(held_out_subject)
-    source_parts = [
-        np.arange(part.start, part.stop) for subject in dataset.subjects
-        if subject != held_out_subject for part in sessions_for(subject)
-    ]
-    if not source_parts:
-        raise ValidationError("no source subjects left after holding out")
-    return np.concatenate(source_parts), slice(held[0].start, held[-1].stop)
+        ids = sorted(sessions) if protocol == PROTOCOL_CROSS else [
+            min(sessions) if session is None else session]
+        parts[subject] = [sessions[k] for k in ids]
+    sizes = [sum(part.stop - part.start for part in ps) for ps in parts.values()]
+    chosen = [part for ps in parts.values() for part in ps]
+    matrix = data = dataset.data
+    if sum(sizes) < data.n_samples:
+        matrix = FeatureDataset(np.concatenate([data.features[part] for part in chosen]),
+                                np.concatenate([data.labels[part] for part in chosen]),
+                                data.n_classes)
+    folds, stop = [], 0
+    for subject, size in zip(parts, sizes):
+        start, stop = stop, stop + size
+        source = np.concatenate([np.arange(start), np.arange(stop, matrix.n_samples)])
+        folds.append((subject, matrix, source, slice(start, stop)))
+    return folds
 
 
 def evaluate(params: ModelParams, target: FeatureDataset) -> Metrics:
@@ -196,12 +190,8 @@ def run_protocol(
     out_dir=None,
 ) -> ProtocolSummary:
     """Train one model per held-out subject and aggregate mean and spread."""
-    if len(dataset.subjects) < 2:
-        raise ValidationError("protocol needs at least 2 subjects")
-    folds = [(subject, dataset.data, *loso_split(dataset, subject, protocol, session))
-             for subject in dataset.subjects]
-    return ProtocolSummary(variant=variant, protocol=protocol,
-                           folds=_run_folds(folds, cfg, variant, jobs, out_dir))
+    return ProtocolSummary(variant=variant, protocol=protocol, folds=_run_folds(
+        loso_split(dataset, protocol, session), cfg, variant, jobs, out_dir))
 
 
 def run_synth_protocol(

@@ -35,10 +35,10 @@ LABELS = np.zeros(10, dtype=np.int64)
 
 CHECKS = {
     "run-key": (lambda: build_run_config(None, {"bogus": 1}), "unknown config key 'bogus'"),
-    "protocol": (lambda: loso_split(subjects("a", "b"), "a", "bogus"),
+    "protocol": (lambda: loso_split(subjects("a", "b"), "bogus"),
                  "unknown protocol 'bogus'"),
-    "lone-subject": (lambda: loso_split(subjects("a"), "a"),
-                     "no source subjects left after holding out"),
+    "lone-subject": (lambda: loso_split(subjects("a")),
+                     "protocol needs at least 2 subjects"),
     "variant": (lambda: run_protocol(subjects("a", "b"), "single_session", TrainConfig(),
                                      variant="EXP9"),
                 "unknown variant 'EXP9'"),

@@ -50,51 +50,53 @@ def constant_predictor(d=6, C=3, winner=0):
                        params.Wc * 0, bc)
 
 
+def fold_of(folds, subject):
+    """The (matrix, source rows, target slice) of the fold holding out ``subject``."""
+    return {name: rest for name, *rest in folds}[subject]
+
+
 class TestLosoSplit:
     def test_source_pools_remaining_subjects(self):
         ds = make_dataset(n_subjects=15, sessions=(1,), n=6)
-        rows, target = loso_split(ds, "sub3", "single_session")
+        folds = loso_split(ds, "single_session")
+        assert [name for name, *_ in folds] == ds.subjects
+        _, rows, target = fold_of(folds, "sub3")
         assert target.stop - target.start == 6
         assert rows.dtype == np.int64 and rows.shape == (14 * 6,)
 
     def test_two_subjects_minimal(self):
         ds = make_dataset(n_subjects=2, sessions=(1,))
-        rows, target = loso_split(ds, "sub1", "single_session")
+        _, rows, target = fold_of(loso_split(ds, "single_session"), "sub1")
         assert rows.size == target.stop - target.start == 12
-
-    def test_unknown_subject_rejected(self):
-        ds = make_dataset()
-        with pytest.raises(ValidationError, match="unknown subject"):
-            loso_split(ds, "ghost", "single_session")
 
     def test_cross_session_pools_all_sessions(self):
         ds = make_dataset(n_subjects=3, sessions=(1, 2))
-        rows, target = loso_split(ds, "sub0", "cross_session")
+        _, rows, target = fold_of(loso_split(ds, "cross_session"), "sub0")
         assert target.stop - target.start == 24  # both sessions of the held-out subject
         assert rows.size == 2 * 24               # both sessions of the other two
 
     def test_session_with_cross_session_rejected(self):
         ds = make_dataset()
         with pytest.raises(ValidationError, match="not cross-session"):
-            loso_split(ds, "sub0", "cross_session", session=7)
+            loso_split(ds, "cross_session", session=7)
 
     def test_single_session_defaults_to_lowest(self):
         ds = make_dataset(n_subjects=2, sessions=(2, 5))
-        rows, target = loso_split(ds, "sub0", "single_session")
+        matrix, rows, target = fold_of(loso_split(ds, "single_session"), "sub0")
         assert target.stop - target.start == 12
-        npt.assert_array_equal(rows, np.arange(24, 36))   # sub1's session 2
-        rows5, _ = loso_split(ds, "sub0", "single_session", session=5)
+        npt.assert_array_equal(matrix.features[rows], ds.data.features[24:36])  # sub1's session 2
+        matrix5, rows5, _ = fold_of(loso_split(ds, "single_session", session=5), "sub0")
         assert rows5.size == 12
-        npt.assert_array_equal(rows5, np.arange(36, 48))  # sub1's session 5
+        npt.assert_array_equal(matrix5.features[rows5], ds.data.features[36:48])  # session 5
 
     def test_missing_session_named(self):
         ds = make_dataset(sessions=(1,))
         with pytest.raises(ValidationError, match="session 9"):
-            loso_split(ds, "sub0", "single_session", session=9)
+            loso_split(ds, "single_session", session=9)
 
     def test_no_leakage_between_source_and_target(self):
         ds = make_dataset(n_subjects=4, sessions=(1,), seed=5)
-        rows, _ = loso_split(ds, "sub2", "single_session")
+        _, rows, _ = fold_of(loso_split(ds, "single_session"), "sub2")
         held = ds.data.features[ds.rows["sub2"][1]]
         src = ds.data.features[rows]
         for row in held:
@@ -104,9 +106,22 @@ class TestLosoSplit:
         ("single_session", (1,)), ("cross_session", (1, 2))], ids=["single", "cross"])
     def test_target_slice_covers_the_held_out_subject(self, protocol, sessions):
         ds = make_dataset(n_subjects=3, sessions=(1, 2))
-        _, target = loso_split(ds, "sub1", protocol)
-        held = [np.arange(ds.rows["sub1"][k].start, ds.rows["sub1"][k].stop) for k in sessions]
-        npt.assert_array_equal(np.arange(ds.data.n_samples)[target], np.concatenate(held))
+        matrix, _, target = fold_of(loso_split(ds, protocol), "sub1")
+        held = [ds.data.features[ds.rows["sub1"][k]] for k in sessions]
+        npt.assert_array_equal(matrix.features[target], np.concatenate(held))
+
+    @pytest.mark.parametrize("protocol, session, every_row", [
+        ("single_session", None, False), ("single_session", 2, False),
+        ("cross_session", None, True)], ids=["single", "session-2", "cross"])
+    def test_every_fold_shares_one_matrix(self, protocol, session, every_row):
+        # the class count is the manifest's, even where the rows read hold fewer
+        base = make_dataset(n_subjects=3, sessions=(1, 2), C=3)
+        ds = SubjectDataset(FeatureDataset(base.data.features, base.data.labels, 5), base.rows)
+        folds = loso_split(ds, protocol, session)
+        matrix = folds[0][1]
+        assert all(fold[1] is matrix for fold in folds)
+        assert (matrix is ds.data) == every_row
+        assert matrix.n_classes == 5
 
     def test_rows_must_tile_the_data(self):
         ds = make_dataset(n_subjects=2, sessions=(1,))
@@ -217,8 +232,10 @@ class TestRunProtocol:
         assert summary.mean_accuracy == pytest.approx(accs.mean(), abs=1e-12)
         assert summary.std_accuracy == pytest.approx(accs.std(), abs=1e-12)
 
-    def test_parallel_jobs_match_serial(self):
-        ds = make_dataset(n_subjects=3, sessions=(1,))
+    @pytest.mark.parametrize("sessions", [(1,), (1, 2)], ids=["all-rows", "copied"])
+    def test_parallel_jobs_match_serial(self, sessions):
+        # with two sessions a single-session run trains on a copy of session 1
+        ds = make_dataset(n_subjects=3, sessions=sessions)
         serial = run_protocol(ds, "single_session", fast_cfg(), variant="EXP2")
         parallel = run_protocol(ds, "single_session", fast_cfg(), variant="EXP2", jobs=2)
         npt.assert_array_equal(serial.accuracies, parallel.accuracies)
@@ -262,11 +279,13 @@ class TestRunProtocol:
         run_protocol(ds, "single_session", fast_cfg(), variant="EXP1", jobs=jobs)
         assert [call[:2] for call in fake_pool] == [(workers, chunksize)]
 
-    def test_each_worker_is_sent_the_matrix_once(self, fake_pool):
-        ds = make_dataset(n_subjects=4, sessions=(1,), n=300, d=20)
+    @pytest.mark.parametrize("sessions", [(1,), (1, 2, 3)], ids=["all-rows", "one-of-three"])
+    def test_each_worker_is_sent_the_matrix_once(self, fake_pool, sessions):
+        # a single-session run reads one session per subject, and sends only those rows
+        ds = make_dataset(n_subjects=4, sessions=sessions, n=300, d=20)
         run_protocol(ds, "single_session", fast_cfg(epochs=1), variant="EXP1", jobs=2)
         [(workers, _, sent)] = fake_pool
-        assert sum(sent) < (workers + 0.5) * ds.data.features.nbytes
+        assert sum(sent) < (workers + 0.5) * ds.data.features.nbytes / len(sessions)
         assert workers == len(sent) == 2
 
     def test_save_summary_files(self, tmp_path):
@@ -326,16 +345,19 @@ class TestFoldsFromManifest:
                     np.concatenate([p.labels for p in parts]))
 
         cfg = fast_cfg(epochs=2)
-        for held in ("a", "b", "c"):
-            rows, target = loso_split(dataset, held, protocol, session)
-            target_x = dataset.data.features[target]
-            assert np.shares_memory(target_x, dataset.data.features)
+        folds = loso_split(dataset, protocol, session)
+        assert [held for held, *_ in folds] == ["a", "b", "c"]
+        for held, matrix, rows, target in folds:
+            # only cross-session reads every row of this manifest
+            assert (matrix is dataset.data) == (protocol == "cross_session")
+            target_x = matrix.features[target]
+            assert np.shares_memory(target_x, matrix.features)
             tgt_x, tgt_y = pooled([held])
             npt.assert_array_equal(target_x, tgt_x)
-            npt.assert_array_equal(dataset.data.labels[target], tgt_y)
+            npt.assert_array_equal(matrix.labels[target], tgt_y)
             src_x, src_y = pooled([s for s in ("a", "b", "c") if s != held])
-            npt.assert_array_equal(dataset.data.features[rows], src_x)
-            new = train(dataset.data.features, dataset.data.labels, target_x, cfg, rows)
+            npt.assert_array_equal(matrix.features[rows], src_x)
+            new = train(matrix.features, matrix.labels, target_x, cfg, rows)
             old = train(src_x, src_y, tgt_x, cfg)
             assert param_bytes(new.params) == param_bytes(old.params)
             assert new.history == old.history
@@ -355,8 +377,8 @@ class TestFoldsFromManifest:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            rows, target = loso_split(dataset, "small", "single_session", None)
-            result = evaluation._run_fold(("small", dataset.data, rows, target, cfg, None))
+            fold = ("small", *fold_of(loso_split(dataset), "small"))
+            result = evaluation._run_fold((*fold, cfg, None))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
