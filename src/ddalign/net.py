@@ -8,10 +8,14 @@ statistics act on the embeddings of both batches. Pseudo-label choices, the
 confidence mask, and the kernel bandwidth are constants of a step: no
 gradient flows through them. Both kernel statistics share one pooled Gram
 matrix per step, which the backward pass reuses with the centered embeddings
-it was built from; both live in the kernel buffers the step was given. The
-pseudo-labels reuse the target pass's layer-1 product, which dropout does
-not touch. Everything is float64 numpy; dropout is the inverted kind so
-evaluation applies no scaling.
+it was built from; both live in the kernel buffers the step was given.
+
+A step makes one extractor pass over the pooled rows [source; target]: each
+layer is one product over both batches, and the dropout-free pseudo-label
+rows of the target share layer 2's product and the head's softmax with the
+source rows. Every row gets the bytes that a pass of its own batch would give
+it. Everything is float64 numpy; dropout is the inverted kind so evaluation
+applies no scaling.
 """
 
 from dataclasses import dataclass, field
@@ -118,54 +122,128 @@ def init_params(
 
 @dataclass
 class FeatureTrace:
-    """Intermediates of one extractor pass, kept for the backward sweep."""
+    """Intermediates of one extractor pass, kept for the backward sweep.
+
+    The pass runs over the pooled rows of a step: rows [0, n_src) are the
+    source batch, the rest the target batch.
+    """
 
     x: np.ndarray
-    z1: np.ndarray
-    d1: np.ndarray       # ReLU(z1) with dropout mask applied
-    z2: np.ndarray
-    h: np.ndarray        # ReLU(z2) with dropout mask applied
-    m1: np.ndarray | None  # scaled masks, None without dropout
-    m2: np.ndarray | None
+    d1: np.ndarray       # ReLU(x W1 + b1) with dropout applied
+    h: np.ndarray        # ReLU(d1 W2 + b2) with dropout applied
+    keep1: np.ndarray | None  # boolean dropout masks, True where a unit is kept;
+    keep2: np.ndarray | None  # None without dropout
+    n_src: int
+    head_rows: np.ndarray  # [dropout-free target embeddings, if asked for; h's source rows]
 
 
-def _layer1(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 batch and its pre-activations x W1 + b1."""
+def _check_input(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The batch as float64, refused unless it is [B, input_dim]."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValidationError(
             f"input batch has shape {x.shape}, expected [B, {params.input_dim}]"
         )
-    z1 = x @ params.W1 + params.b1
-    if not np.isfinite(z1).all():
-        raise NumericsError("non-finite activations in extractor layer 1")
-    return x, z1
+    return x
 
 
-def _layer2(d1: np.ndarray, params: ModelParams) -> np.ndarray:
-    z2 = d1 @ params.W2 + params.b2
-    if not np.isfinite(z2).all():
-        raise NumericsError("non-finite activations in extractor layer 2")
-    return z2
+def _blockwise_matmul(
+    a: np.ndarray, b: np.ndarray, blocks: tuple[int, ...], pooled: bool = True, out=None
+) -> np.ndarray:
+    """a @ b for a whose rows stack blocks of the given sizes, each row with
+    the bytes a product of its own block gives it.
+
+    ``pooled`` makes it one product unless a block has a single row: numpy
+    sends a one-row product to gemv, which rounds differently from gemm. The
+    BLAS picks its kernel by the shape of the whole product, so a row's bytes
+    can depend on the rows it shares a product with; pooling is for the
+    layer products, where they did not (OpenBLAS 0.3.31, 2 to 300 rows per
+    block at 6 to 310 inputs and 4 to 64 outputs). The head's 3-column
+    product and d_z2 W2^T at 10 to 18 rows per side did, so they stay one
+    product per block.
+    """
+    blocks = tuple(k for k in blocks if k)
+    if len(blocks) < 2 or (pooled and min(blocks) > 1):
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    start = 0
+    for k in blocks:
+        np.matmul(a[start:start + k], b, out=out[start:start + k])
+        start += k
+    return out
+
+
+def _dense(a, W, b, blocks, layer: int, out: np.ndarray) -> np.ndarray:
+    z = _blockwise_matmul(a, W, blocks, out=out)
+    z += b
+    if not np.isfinite(z).all():
+        raise NumericsError(f"non-finite activations in extractor layer {layer}")
+    return z
+
+
+def _draw_keep_masks(rng, sides, u1: np.ndarray, u2: np.ndarray):
+    """Boolean keep-masks of inverted dropout from uniforms drawn into u1 and
+    u2 (one row per pooled row). Each side draws its layer-1 then its layer-2
+    uniforms before the next side draws, the order of one pass per side."""
+    start = 0
+    for k in sides:
+        rng.random(out=u1[start:start + k])
+        rng.random(out=u2[start:start + k])
+        start += k
+    return u1 >= DROPOUT_P, u2 >= DROPOUT_P
+
+
+def _drop(a: np.ndarray, keep: np.ndarray) -> None:
+    """a *= keep * (1 / (1 - p)) in place, the bytes of the float mask's product:
+    multiplying by 1 or 0 first is exact, so only the scaling rounds."""
+    a *= keep
+    a *= _DROPOUT_SCALE
 
 
 def forward_features(
-    x: np.ndarray, params: ModelParams, rng: np.random.Generator | None = None
+    x: np.ndarray,
+    params: ModelParams,
+    rng: np.random.Generator | None = None,
+    *,
+    n_src: int | None = None,
+    pseudo: bool = False,
 ) -> tuple[np.ndarray, FeatureTrace]:
-    """Embed a batch; given an rng, apply inverted dropout after each layer."""
-    x, z1 = _layer1(x, params)
+    """Embed a batch; given an rng, apply inverted dropout after each layer.
 
-    def mask(shape):
-        return None if rng is None else (rng.random(shape) >= DROPOUT_P) * _DROPOUT_SCALE
+    With ``n_src`` the rows after the first n_src are a second batch, the
+    target, with dropout masks of its own. ``pseudo`` also runs the target
+    rows through layer 2 without dropout, in the same product, and puts their
+    embeddings just above the source rows of h in ``head_rows``, so that one
+    head call scores both.
+    """
+    x = _check_input(x, params)
+    n = x.shape[0]
+    n_src = n if n_src is None else n_src
+    sides = (n_src, n - n_src)
+    k = sides[1] if pseudo else 0
+    h1, h2 = params.W2.shape
+    # each layer's output rows, [pseudo-label rows; source rows; target rows],
+    # share one allocation: a step's largest arrays come and go as one block
+    block = np.empty((k + n) * (h1 + h2))
+    a1 = block[:(k + n) * h1].reshape(k + n, h1)
+    a2 = block[(k + n) * h1:].reshape(k + n, h2)
+    # the uniforms go where the layers write next
+    keep1, keep2 = (None, None) if rng is None else _draw_keep_masks(rng, sides, a1[k:], a2[k:])
 
-    a1 = np.maximum(z1, 0.0)
-    m1 = mask(a1.shape)
-    d1 = a1 if m1 is None else a1 * m1
-    z2 = _layer2(d1, params)
-    a2 = np.maximum(z2, 0.0)
-    m2 = mask(a2.shape)
-    h = a2 if m2 is None else a2 * m2
-    return h, FeatureTrace(x=x, z1=z1, d1=d1, z2=z2, h=h, m1=m1, m2=m2)
+    z1 = _dense(x, params.W1, params.b1, sides, 1, out=a1[k:])
+    if k:
+        np.maximum(z1[n_src:], 0.0, out=a1[:k])
+    d1 = np.maximum(z1, 0.0, out=z1)
+    if keep1 is not None:
+        _drop(d1, keep1)
+    z2 = _dense(a1, params.W2, params.b2, (k,) + sides, 2, out=a2)
+    np.maximum(z2, 0.0, out=a2)
+    h = a2[k:]
+    if keep2 is not None:
+        _drop(h, keep2)
+    return h, FeatureTrace(x=x, d1=d1, h=h, keep1=keep1, keep2=keep2, n_src=n_src,
+                           head_rows=a2[:k + n_src])
 
 
 def forward_logits(h: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -173,7 +251,13 @@ def forward_logits(h: np.ndarray, params: ModelParams) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.Wc.shape[0]:
         raise ValidationError(f"embedding batch has shape {h.shape}, expected [B, {params.Wc.shape[0]}]")
-    logits = h @ params.Wc + params.bc
+    return _head(h, params, (h.shape[0],))
+
+
+def _head(h: np.ndarray, params: ModelParams, blocks: tuple[int, ...]) -> np.ndarray:
+    """Softmax probabilities of the rows of h, one product per row block."""
+    logits = _blockwise_matmul(h, params.Wc, blocks, pooled=False)
+    logits += params.bc
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
@@ -206,8 +290,7 @@ class StepTrace:
     """
 
     params: ModelParams
-    src: FeatureTrace
-    tgt: FeatureTrace | None
+    features: FeatureTrace         # one pass over [source; target], or the source alone
     probs_src: np.ndarray
     y_src: np.ndarray              # one-hot
     l_ds: float
@@ -234,12 +317,9 @@ class StepTrace:
         return self.l_ds + alpha * self.l_mmd + beta * self.l_cmmd
 
 
-def _scores_from_z1(z1: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Dropout-free pseudo-labels (argmax, ties to the lowest class id) and
-    their confidences (max probability) from layer-1 pre-activations, which
-    dropout does not touch, so a dropout pass's z1 serves as well as any."""
-    h = np.maximum(_layer2(np.maximum(z1, 0.0), params), 0.0)
-    probs = forward_logits(h, params)
+def _pseudo_labels(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (argmax, ties to the lowest class id) and their confidences (max
+    probability) of rows of class probabilities."""
     return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)
 
 
@@ -269,7 +349,9 @@ def compute_losses(
     """Run both batches through the extractor and evaluate every loss head.
 
     ``sigma`` None selects the median heuristic; ``rng`` None turns dropout off;
-    ``buffers`` None gives the step a set of kernel buffers of its own.
+    ``buffers`` None gives the step a set of kernel buffers of its own. The
+    pass reads src_x and tgt_x in place when they are the two row blocks of
+    one matrix, as the trainer gathers them, and stacks them otherwise.
     """
     buffers = kernels.KernelBuffers() if buffers is None else buffers
     src_x = np.asarray(src_x, dtype=np.float64)
@@ -277,28 +359,31 @@ def compute_losses(
     if src_x.shape[0] == 0:
         raise ValidationError("source batch must be non-empty")
     y_onehot = _one_hot(src_y, params.n_classes)
-    if y_onehot.shape[0] != src_x.shape[0]:
+    n = src_x.shape[0]
+    if y_onehot.shape[0] != n:
         raise ValidationError("source labels and features disagree on batch size")
 
-    h_src, src_trace = forward_features(src_x, params, rng)
-    probs_src = forward_logits(h_src, params)
+    x = _check_input(src_x, params)
+    aligns = tgt_x.shape[0] > 0 and (use_mmd or use_cmmd)
+    if aligns:
+        x = _stacked(x, _check_input(tgt_x, params))
+    h, features = forward_features(x, params, rng, n_src=n, pseudo=aligns and use_cmmd)
+    n_pseudo = features.head_rows.shape[0] - n
+    probs = _head(features.head_rows, params, (n_pseudo, n))  # [pseudo-label rows; source rows]
+    probs_src = probs[n_pseudo:]
     l_ds = cross_entropy(probs_src, y_onehot)
 
-    tgt_trace = None
     raw_l_mmd = 0.0
     raw_l_cmmd = 0.0
     used_sigma = K = Zc = W = w_scale = None
     kept_idx = np.empty(0, dtype=np.int64)
 
-    if tgt_x.shape[0] > 0 and (use_mmd or use_cmmd):
-        h_tgt, tgt_trace = forward_features(tgt_x, params, rng)
-        Z = buffers.get("Z", (h_src.shape[0] + h_tgt.shape[0], h_src.shape[1]))
-        np.concatenate([h_src, h_tgt], out=Z)
-        K, used_sigma, Zc = kernels.pooled_gram(Z, sigma, buffers)
+    if aligns:
+        K, used_sigma, Zc = kernels.pooled_gram(h, sigma, buffers)
         # no class column unless the conditional head is on
-        tgt_labels = np.full(h_tgt.shape[0], -1)
+        tgt_labels = np.full(h.shape[0] - n, -1)
         if use_cmmd:
-            labels, conf = _scores_from_z1(tgt_trace.z1, params)
+            labels, conf = _pseudo_labels(probs[:n_pseudo])
             keep = confidence_mask(conf, tau)
             kept_idx = np.flatnonzero(keep)
             tgt_labels = np.where(keep, labels, -1)
@@ -311,8 +396,7 @@ def compute_losses(
 
     return StepTrace(
         params=params,
-        src=src_trace,
-        tgt=tgt_trace,
+        features=features,
         probs_src=probs_src,
         y_src=y_onehot,
         l_ds=l_ds,
@@ -328,23 +412,55 @@ def compute_losses(
     )
 
 
+def _stacked(src_x: np.ndarray, tgt_x: np.ndarray) -> np.ndarray:
+    """[src_x; tgt_x]: the matrix they are consecutive row blocks of, else a copy."""
+    base = src_x.base
+    if (base is not None and tgt_x.base is base and base.ndim == 2
+            and base.flags.c_contiguous and base.shape[0] == src_x.shape[0] + tgt_x.shape[0]
+            and src_x.ctypes.data == base.ctypes.data
+            and tgt_x.ctypes.data == base.ctypes.data + src_x.nbytes):
+        return base
+    return np.concatenate([src_x, tgt_x])
+
+
 def _extractor_backward(trace: FeatureTrace, d_h: np.ndarray, params: ModelParams, out):
-    """Gradients of the extractor weights given dL/dh, written into out's W1..b2."""
-    if trace.m2 is not None:
-        d_h = d_h * trace.m2
-    d_z2 = d_h * (trace.z2 > 0)
-    np.matmul(trace.d1.T, d_z2, out=out.W2)
-    d_z2.sum(axis=0, out=out.b2)
-    d_d1 = d_z2 @ params.W2.T
-    if trace.m1 is not None:
-        d_d1 = d_d1 * trace.m1
-    d_z1 = d_d1 * (trace.z1 > 0)
-    np.matmul(trace.x.T, d_z1, out=out.W1)
-    d_z1.sum(axis=0, out=out.b1)
+    """Gradients of the extractor weights given dL/dh over the pass's first
+    d_h.shape[0] rows, written into out's W1..b2; d_h is overwritten.
+
+    The element-wise work runs once over those rows. d_z2 W2^T, the weight
+    and the bias gradients are one product or row sum per side, the target's
+    gradients added to the source's, as separate passes per side gave them.
+    The ReLU indicators are read off the layer outputs: h > 0 where the
+    pre-activation is positive and dropout kept the unit. Where dropout
+    dropped it, the mask has already made the gradient a zero that the
+    pre-activation's indicator would leave as it is, so the bytes agree.
+    """
+    n, rows = trace.n_src, d_h.shape[0]
+    if trace.keep2 is not None:
+        _drop(d_h, trace.keep2[:rows])
+    d_z2 = d_h
+    d_z2 *= trace.h[:rows] > 0
+    d_z1 = _blockwise_matmul(d_z2, params.W2.T, (n, rows - n), pooled=False)
+    if trace.keep1 is not None:
+        _drop(d_z1, trace.keep1[:rows])
+    d_z1 *= trace.d1[:rows] > 0
+
+    def weight_grads(part: slice, grads: ModelParams):
+        np.matmul(trace.d1[part].T, d_z2[part], out=grads.W2)
+        d_z2[part].sum(axis=0, out=grads.b2)
+        np.matmul(trace.x[part].T, d_z1[part], out=grads.W1)
+        d_z1[part].sum(axis=0, out=grads.b1)
+
+    weight_grads(slice(0, n), out)
+    if rows > n:
+        tgt = params.like(np.empty_like(params.flat))
+        weight_grads(slice(n, rows), tgt)
+        e = out.extractor_size
+        out.flat[:e] += tgt.flat[:e]
 
 
 def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
-    """(dL/dh_src, dL/dh_tgt) of alpha*l_mmd + beta*l_cmmd, or None if zero.
+    """dL/dZ of alpha*l_mmd + beta*l_cmmd over the pooled rows, or None if zero.
 
     A head contributes nothing when its raw value was clamped to zero; an
     inactive head's raw value stays 0.0.
@@ -358,28 +474,29 @@ def _alignment_grads(trace: StepTrace, alpha: float, beta: float):
         coef[1:] = beta / (coef.size - 1)
     if not coef.any():
         return None
-    d_z = kernels.discrepancy_grad(trace.K, trace.W, coef * trace.w_scale, trace.Zc,
-                                   trace.sigma, trace.buffers)
-    n = trace.src.h.shape[0]
-    return d_z[:n], d_z[n:]
+    return kernels.discrepancy_grad(trace.K, trace.W, coef * trace.w_scale, trace.Zc,
+                                    trace.sigma, trace.buffers)
 
 
 def backward(trace: StepTrace, alpha: float, beta: float) -> ModelParams:
-    """Exact gradient of trace.total(alpha, beta) w.r.t. every parameter."""
+    """Exact gradient of trace.total(alpha, beta) w.r.t. every parameter.
+
+    The target rows join the extractor sweep only when their alignment
+    gradient is not all zero.
+    """
     params = trace.params
-    d_logits = (trace.probs_src - trace.y_src) / trace.probs_src.shape[0]
-    d_h_src = d_logits @ params.Wc.T
+    features = trace.features
+    n = features.n_src
+    d_logits = (trace.probs_src - trace.y_src) / n
     align = _alignment_grads(trace, alpha, beta)
-    if align is not None:
-        d_h_src = d_h_src + align[0]
+    if align is None:
+        d_h = d_logits @ params.Wc.T
+    else:  # worked on in place: the kernel buffers' gradient rows are this call's
+        d_h = align if np.any(align[n:]) else align[:n]
+        d_h[:n] += d_logits @ params.Wc.T
     grads = params.like(np.empty_like(params.flat))
-    _extractor_backward(trace.src, d_h_src, params, grads)
-    if align is not None and np.any(align[1]):
-        tgt = params.like(np.empty_like(params.flat))
-        _extractor_backward(trace.tgt, align[1], params, tgt)
-        n = grads.extractor_size
-        grads.flat[:n] += tgt.flat[:n]
-    np.matmul(trace.src.h.T, d_logits, out=grads.Wc)
+    _extractor_backward(features, d_h, params, grads)
+    np.matmul(features.h[:n].T, d_logits, out=grads.Wc)
     d_logits.sum(axis=0, out=grads.bc)
     bad = grads.nonfinite_field()
     if bad:

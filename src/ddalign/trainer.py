@@ -209,6 +209,7 @@ def train(
     velocity = np.zeros_like(params.flat)
     targets = _TargetCycle(tgt_x.shape[0], target_rng)
     buffers = KernelBuffers()  # one set for every step: no fresh [N, N] memory per step
+    gathered: dict[int, np.ndarray] = {}  # pooled [source; target] batch rows, per row count
     flags = cfg.flags
     aligns = flags.use_mmd or flags.use_cmmd  # only the alignment heads read a target batch
     cfg = replace(cfg, **flags.pins)
@@ -222,10 +223,19 @@ def train(
         order = shuffle_rng.permutation(rows.shape[0])
         for start in range(0, order.shape[0], cfg.batch_size):
             batch = rows[order[start:start + cfg.batch_size]]
-            tgt_batch = tgt_x[targets.take(batch.shape[0])] if aligns else tgt_x[:0]
+            n = batch.shape[0]
+            x = gathered.get(n)
+            if x is None:
+                x = gathered[n] = np.empty((2 * n if aligns else n, src_x.shape[1]))
+            # both batches side by side in one matrix, which the extractor reads
+            # in place; the indices are in range, and "clip" lets take write
+            # straight into x
+            src_x.take(batch, axis=0, out=x[:n], mode="clip")
+            if aligns:
+                tgt_x.take(targets.take(n), axis=0, out=x[n:], mode="clip")
             try:
                 trace = compute_losses(
-                    src_x[batch], src_y[batch], tgt_batch, params, tau, cfg.sigma,
+                    x[:n], src_y[batch], x[n:], params, tau, cfg.sigma,
                     dropout_rng, use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
                     buffers=buffers,
                 )
@@ -245,6 +255,10 @@ def train(
                 n_pseudo_retained=int(trace.kept_idx.size),
             ))
             step += 1
+            # gone before the next step allocates its pass, which then reuses
+            # this step's memory: with two traces alive, glibc grew and trimmed
+            # the heap around them, about 40 minor page faults a step
+            del trace
     return TrainResult(params=params, history=history)
 
 

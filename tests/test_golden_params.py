@@ -1,10 +1,11 @@
 """Same-numbers check: trained parameters against a committed golden file.
 
 ``golden_params.json`` holds, for EXP1..EXP6 x seeds 0 and 1 x 12 epochs on
-ACCEPT_SYNTH plus one short EXP1 run at 310 dims and one EXP6 run at the fixed
-bandwidth sigma = 2, the sha256 of the trained parameter bytes, each array's
-sum at 17 significant digits, the final accuracy on the task's target_eval and
-the source loss l_ds at the first and the last step. The accuracy is compared
+ACCEPT_SYNTH plus short EXP1 and EXP6 runs at 310 dims, one EXP6 run at the
+fixed bandwidth sigma = 2 and one EXP6 run whose epochs end on a one-row batch,
+the sha256 of the trained parameter bytes, each array's sum at 17 significant
+digits, the final accuracy on the task's target_eval and the source loss l_ds
+at the first and the last step. The accuracy is compared
 exactly and the sums and losses everywhere within SUM_RTOL; the sha256 only
 where numpy, the BLAS and a probe of the float kernels training uses (GEMM,
 exp, sums) give the same bytes as where the file was made, since another BLAS
@@ -46,6 +47,11 @@ def runs():
            TrainConfig(seed=0, epochs=4, flags=VARIANTS["EXP1"]))
     yield ("EXP6-seed0-sigma2", generate_synth_shift(replace(ACCEPT_SYNTH, seed=0)),
            TrainConfig(seed=0, epochs=12, sigma=2.0))
+    yield ("EXP6-310d", generate_synth_shift(replace(ACCEPT_SYNTH, dim=310)),
+           TrainConfig(seed=0, epochs=4, flags=VARIANTS["EXP6"]))
+    # 129 source rows at batch 128: every epoch ends on a one-row batch
+    yield ("EXP6-last1", generate_synth_shift(replace(ACCEPT_SYNTH, n_per_class=43)),
+           TrainConfig(seed=0, epochs=12, flags=VARIANTS["EXP6"]))
 
 
 def record(task, cfg) -> dict:

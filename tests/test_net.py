@@ -1,8 +1,12 @@
-"""Model forward/backward against closed forms and central finite differences."""
+"""Model forward/backward against closed forms, central finite differences
+and a step made of separate passes per batch."""
 
 import copy
+import json
 import math
 import pickle
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,11 +14,16 @@ import pytest
 
 from ddalign.data import load_checkpoint, save_checkpoint
 from ddalign.errors import DataFormatError, NumericsError, ValidationError
-from ddalign.kernels import signed_weights
+from ddalign.kernels import (
+    KernelBuffers,
+    discrepancies,
+    discrepancy_grad,
+    pooled_gram,
+    signed_weights,
+)
 from ddalign.net import (
+    DROPOUT_P,
     ModelParams,
-    _layer1,
-    _scores_from_z1,
     backward,
     compute_losses,
     confidence_mask,
@@ -23,6 +32,7 @@ from ddalign.net import (
     forward_logits,
     init_params,
 )
+from test_golden_params import GOLDEN, environment
 
 FIXED = 2.0  # kernel bandwidth
 
@@ -43,6 +53,96 @@ def tiny_setup(seed=0, d=6, h1=4, h2=4, C=3, B=5):
     return params, src_x, src_y, tgt_x
 
 
+# --- the step as separate passes per batch, the reference for the pooled one --
+
+def scores_from_z1(z1, params):
+    """Dropout-free pseudo-labels (argmax) and confidences (max probability)
+    from layer-1 pre-activations, which dropout does not touch."""
+    h = np.maximum(np.maximum(z1, 0.0) @ params.W2 + params.b2, 0.0)
+    probs = forward_logits(h, params)
+    return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)
+
+
+def side_pass(x, params, rng):
+    """One batch's own extractor pass: its embedding and the intermediates
+    the backward sweep reads, float dropout masks drawn layer by layer."""
+
+    def mask(shape):
+        if rng is None:
+            return None
+        return (rng.random(shape) >= DROPOUT_P) * (1.0 / (1.0 - DROPOUT_P))
+
+    z1 = x @ params.W1 + params.b1
+    a1 = np.maximum(z1, 0.0)
+    m1 = mask(a1.shape)
+    d1 = a1 if m1 is None else a1 * m1
+    z2 = d1 @ params.W2 + params.b2
+    a2 = np.maximum(z2, 0.0)
+    m2 = mask(a2.shape)
+    h = a2 if m2 is None else a2 * m2
+    return h, SimpleNamespace(x=x, z1=z1, d1=d1, z2=z2, m1=m1, m2=m2)
+
+
+def extractor_backward(trace, d_h, params, out):
+    """Gradients of the extractor weights of one pass given dL/dh, into out's W1..b2."""
+    if trace.m2 is not None:
+        d_h = d_h * trace.m2
+    d_z2 = d_h * (trace.z2 > 0)
+    np.matmul(trace.d1.T, d_z2, out=out.W2)
+    d_z2.sum(axis=0, out=out.b2)
+    d_d1 = d_z2 @ params.W2.T
+    if trace.m1 is not None:
+        d_d1 = d_d1 * trace.m1
+    d_z1 = d_d1 * (trace.z1 > 0)
+    np.matmul(trace.x.T, d_z1, out=out.W1)
+    d_z1.sum(axis=0, out=out.b1)
+
+
+def two_pass_step(src_x, src_y, tgt_x, params, tau, rng, use_mmd, use_cmmd, alpha, beta):
+    """compute_losses and backward with the median bandwidth, made of one
+    extractor pass per batch: the losses, the kept target rows, the weight
+    columns and the gradient."""
+    h_src, src = side_pass(src_x, params, rng)
+    probs_src = forward_logits(h_src, params)
+    y = np.eye(params.n_classes)[src_y]
+    l_ds = cross_entropy(probs_src, y)
+    raw_mmd = raw_cmmd = 0.0
+    kept, W, d_z = np.empty(0, dtype=np.int64), None, None
+    if use_mmd or use_cmmd:
+        h_tgt, tgt = side_pass(tgt_x, params, rng)
+        K, sigma, Zc = pooled_gram(np.concatenate([h_src, h_tgt]), None, KernelBuffers())
+        tgt_labels = np.full(tgt_x.shape[0], -1)
+        if use_cmmd:
+            labels, conf = scores_from_z1(tgt.z1, params)
+            keep = confidence_mask(conf, tau)
+            kept = np.flatnonzero(keep)
+            tgt_labels = np.where(keep, labels, -1)
+        W, scale = signed_weights(src_y, tgt_labels, params.n_classes)
+        values = discrepancies(K, W, scale)
+        raw_mmd = float(values[0]) if use_mmd else 0.0
+        raw_cmmd = float(values[1:].mean()) if values.size > 1 else 0.0
+        coef = np.zeros(W.shape[1])
+        coef[0] = alpha if raw_mmd > 0.0 else 0.0
+        coef[1:] = beta / (coef.size - 1) if raw_cmmd > 0.0 else 0.0
+        if coef.any():
+            d_z = discrepancy_grad(K, W, coef * scale, Zc, sigma, KernelBuffers())
+    n = src_x.shape[0]
+    d_logits = (probs_src - y) / n
+    d_h_src = d_logits @ params.Wc.T
+    if d_z is not None:
+        d_h_src = d_h_src + d_z[:n]
+    grads = params.like(np.empty_like(params.flat))
+    extractor_backward(src, d_h_src, params, grads)
+    if d_z is not None and np.any(d_z[n:]):
+        g_tgt = params.like(np.empty_like(params.flat))
+        extractor_backward(tgt, d_z[n:], params, g_tgt)
+        e = grads.extractor_size
+        grads.flat[:e] += g_tgt.flat[:e]
+    np.matmul(h_src.T, d_logits, out=grads.Wc)
+    d_logits.sum(axis=0, out=grads.bc)
+    return (l_ds, raw_mmd, raw_cmmd), kept, W, grads
+
+
 class TestForwardFeatures:
     def test_zero_input_zero_biases_gives_zero(self):
         params, *_ = tiny_setup()
@@ -58,11 +158,14 @@ class TestForwardFeatures:
     def test_dropout_mask_values_and_rate(self):
         params = init_params(10, 64, 64, 3, np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(200, 10))
-        _, trace = forward_features(x, params, rng=np.random.default_rng(4))
-        for m in (trace.m1, trace.m2):
-            vals = np.unique(m)
-            assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.75, 12)}
-            assert abs((m == 0).mean() - 0.25) < 0.05
+        h, trace = forward_features(x, params, rng=np.random.default_rng(4))
+        h_eval, eval_trace = forward_features(x, params)
+        for keep in (trace.keep1, trace.keep2):
+            assert keep.dtype == bool and keep.shape == (200, 64)
+            assert abs((~keep).mean() - 0.25) < 0.05
+        # kept units are scaled by 1 / 0.75, dropped ones are zero
+        npt.assert_allclose(trace.d1, eval_trace.d1 * trace.keep1 / 0.75, rtol=1e-15)
+        assert not h[~trace.keep2].any()
 
     def test_shape_mismatch(self):
         params, *_ = tiny_setup()
@@ -202,7 +305,8 @@ class TestTotalLoss:
     def test_empty_target_flagged(self):
         params, src_x, src_y, _ = tiny_setup(10)
         trace = compute_losses(src_x, src_y, np.empty((0, 6)), params, 0.0, FIXED)
-        assert trace.tgt is None and trace.K is None and trace.kept_idx.size == 0
+        assert trace.features.x.shape[0] == src_x.shape[0]  # the source rows alone
+        assert trace.K is None and trace.kept_idx.size == 0
         assert trace.l_mmd == 0.0 and trace.l_cmmd == 0.0
         assert trace.total(1.0, 1.0) == trace.l_ds
 
@@ -215,16 +319,17 @@ class TestTotalLoss:
 
 class TestPseudoLabels:
     def test_argmax_and_confidence(self):
-        # the step's shortcut from layer 1 runs the eval-mode forward's operations
+        # the two-pass reference's shortcut from layer 1 runs the eval-mode
+        # forward's operations
         params, _, _, tgt_x = tiny_setup(12)
-        labels, conf = _scores_from_z1(_layer1(tgt_x, params)[1], params)
+        labels, conf = scores_from_z1(side_pass(tgt_x, params, None)[1].z1, params)
         want_labels, want_conf = eval_scores(tgt_x, params)
         npt.assert_array_equal(labels, want_labels)
         npt.assert_array_equal(conf, want_conf)
 
     @pytest.mark.parametrize("dropout", [False, True])
     def test_step_pseudo_labels_equal_eval_mode_scores(self, dropout):
-        # compute_losses reuses its target pass's layer 1; dropout must not leak in
+        # the pseudo-label rows share the step's products; dropout must not leak in
         params, src_x, src_y, tgt_x = tiny_setup(14, B=40)
         tau = 0.4
         rng = np.random.default_rng(6) if dropout else None
@@ -236,11 +341,6 @@ class TestPseudoLabels:
         W, scale = signed_weights(src_y, np.where(keep, labels, -1), params.n_classes)
         npt.assert_array_equal(trace.W, W)
         npt.assert_array_equal(trace.w_scale, scale)
-
-    def test_empty_batch(self):
-        params, *_ = tiny_setup(13)
-        labels, conf = _scores_from_z1(np.empty((0, 4)), params)
-        assert labels.size == 0 and conf.size == 0
 
 
 def fd_param_grads(loss_fn, params, eps=1e-5):
@@ -420,6 +520,62 @@ class TestDegenerateSteps:
         expected = linear_in_weights(*unit_weight_grads(trace), alpha, beta)
         for a, b in zip(backward(trace, alpha, beta).arrays(), expected.arrays()):
             npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+class TestPooledStepMatchesTwoPasses:
+    """compute_losses and backward over the pooled rows, as the trainer
+    gathers them, against two_pass_step. Whether a row shares a BLAS product
+    with others can change its bytes, so they are compared bit for bit where
+    numpy and the BLAS are the golden file's, and to 1e-9 elsewhere."""
+
+    SAME_NUMERICS = environment() == json.loads(GOLDEN.read_text())["environment"]
+
+    def assert_same(self, got, want):
+        if self.SAME_NUMERICS:
+            npt.assert_array_equal(got, want)
+        else:
+            npt.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [16, 310])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 12, 32, 44, 128])  # 12 and 32: preset short
+    @pytest.mark.parametrize("use_mmd, use_cmmd", list(product([False, True], repeat=2)))
+    @pytest.mark.parametrize("weight", [0.0, 1.0], ids=["tgt-grad-zero", "tgt-grad"])
+    def test_losses_and_gradient(self, d, batch, use_mmd, use_cmmd, weight):
+        data = np.random.default_rng(batch)
+        params = init_params(d, 64, 64, 3, data)
+        src_y = data.integers(0, 3, size=batch)
+        x = np.empty((2 * batch, d))  # [source; target] in one matrix
+        x[:batch] = data.normal(size=(batch, d))
+        x[batch:] = data.normal(size=(batch, d)) + 0.5
+        pooled_rng, two_pass_rng = np.random.default_rng(7), np.random.default_rng(7)
+
+        trace = compute_losses(x[:batch], src_y, x[batch:], params, 0.4, None, pooled_rng,
+                               use_mmd=use_mmd, use_cmmd=use_cmmd)
+        grads = backward(trace, weight, weight)
+        losses, kept, W, want = two_pass_step(
+            x[:batch], src_y, x[batch:].copy(), params, 0.4, two_pass_rng,
+            use_mmd, use_cmmd, weight, weight)
+
+        self.assert_same([trace.l_ds, trace.raw_l_mmd, trace.raw_l_cmmd], losses)
+        npt.assert_array_equal(trace.kept_idx, kept)
+        if W is not None:
+            npt.assert_array_equal(trace.W, W)
+        self.assert_same(grads.flat, want.flat)
+        # both drew the same masks, so the streams stand at the same place
+        assert pooled_rng.random() == two_pass_rng.random()
+
+    def test_separate_arrays_are_stacked(self):
+        params, src_x, src_y, tgt_x = tiny_setup(28)
+        x = np.vstack([src_x, tgt_x])
+        n = src_x.shape[0]
+        gathered = compute_losses(x[:n], src_y, x[n:], params, 0.0, None,
+                                  np.random.default_rng(3))
+        separate = compute_losses(src_x, src_y, tgt_x, params, 0.0, None,
+                                  np.random.default_rng(3))
+        assert np.shares_memory(gathered.features.x, x)
+        assert not np.shares_memory(separate.features.x, src_x)
+        npt.assert_array_equal(backward(gathered, 1.0, 1.0).flat,
+                               backward(separate, 1.0, 1.0).flat)
 
 
 class TestCheckpoint:

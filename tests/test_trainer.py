@@ -12,10 +12,11 @@ from ddalign.errors import NumericsError, ValidationError
 from ddalign.net import (
     LOG_CLAMP,
     ModelParams,
-    _layer1,
-    _scores_from_z1,
+    _pseudo_labels,
     compute_losses,
     confidence_mask,
+    forward_features,
+    forward_logits,
     init_params,
 )
 from ddalign.schedules import alpha_at, beta_of, confidence_threshold
@@ -39,8 +40,9 @@ def toy_task(seed=0, n=60, d=8, C=3, shift=1.0):
 
 
 def pseudo_labels(x, params):
-    """A training step's pseudo-labels and confidences, from its layer-1 pass."""
-    return _scores_from_z1(_layer1(x, params)[1], params)
+    """Pseudo-labels and confidences of the eval-mode forward, which a training
+    step's equal (test_net)."""
+    return _pseudo_labels(forward_logits(forward_features(x, params)[0], params))
 
 
 def small_cfg(**kw):
