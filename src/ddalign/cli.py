@@ -39,7 +39,8 @@ from .errors import ValidationError
 from .evaluation import (
     dump_embeddings,
     evaluate,
-    run_protocol,
+    loso_split,
+    run_folds,
     run_synth_protocol,
     save_summary,
 )
@@ -216,11 +217,13 @@ def _run_folds_command(args) -> int:
     else:
         if args.seeds is not None:
             raise ValidationError("--seeds applies to --data synth, not a manifest")
-        summary = run_protocol(
-            load_dataset(args.data), (args.protocol or "single-session").replace("-", "_"),
-            train_config(values), variant=values["variant"],
-            session=args.session, jobs=args.jobs, out_dir=args.out,
-        )
+        protocol = (args.protocol or "single-session").replace("-", "_")
+        # no name holds the loaded manifest, so it is freed once the split is
+        # built and the run keeps only the rows its folds read; run_protocol's
+        # dataset argument would stay alive until every fold had trained
+        folds = loso_split(load_dataset(args.data), protocol, args.session)
+        summary = run_folds(folds, protocol, train_config(values), values["variant"],
+                            args.jobs, args.out)
     print(f"seed: {values['seed']}")
     print(f"{summary.variant} {summary.protocol.replace('_', '-')}: "
           f"{100 * summary.mean_accuracy:.2f} +- {100 * summary.std_accuracy:.2f} "

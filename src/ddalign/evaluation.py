@@ -157,11 +157,14 @@ def _run_fold(args) -> FoldResult:
     return FoldResult(subject=name, metrics=metrics, history_steps=len(result.history))
 
 
-def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> list[FoldResult]:
-    """Train and score one model per fold, fold k with seed cfg.seed + k. Above
-    one job, each worker process gets one run of ceil(folds / jobs) consecutive
-    folds, pickled together so that a matrix they share is sent once. A fold's
-    warnings go to the caller with one process, else to the worker's stderr."""
+def run_folds(
+    folds, protocol: str, cfg: TrainConfig, variant: str, jobs: int, out_dir
+) -> ProtocolSummary:
+    """Train and score one model per fold, fold k with seed cfg.seed + k, into
+    a summary under the ``protocol`` name. Above one job, each worker process
+    gets one run of ceil(folds / jobs) consecutive folds, pickled together so
+    that a matrix they share is sent once. A fold's warnings go to the caller
+    with one process, else to the worker's stderr."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if not folds:
@@ -176,8 +179,10 @@ def _run_folds(folds, cfg: TrainConfig, variant: str, jobs: int, out_dir) -> lis
     workers = math.ceil(len(tasks) / chunk)  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_fold, tasks, chunksize=chunk))
-    return [_run_fold(t) for t in tasks]
+            results = list(pool.map(_run_fold, tasks, chunksize=chunk))
+    else:
+        results = [_run_fold(t) for t in tasks]
+    return ProtocolSummary(variant=variant, protocol=protocol, folds=results)
 
 
 def run_protocol(
@@ -190,8 +195,8 @@ def run_protocol(
     out_dir=None,
 ) -> ProtocolSummary:
     """Train one model per held-out subject and aggregate mean and spread."""
-    return ProtocolSummary(variant=variant, protocol=protocol, folds=_run_folds(
-        loso_split(dataset, protocol, session), cfg, variant, jobs, out_dir))
+    return run_folds(loso_split(dataset, protocol, session), protocol, cfg, variant, jobs,
+                     out_dir)
 
 
 def run_synth_protocol(
@@ -210,8 +215,7 @@ def run_synth_protocol(
         data = FeatureDataset(np.vstack([task.source.features, tgt.features]),
                               np.concatenate([task.source.labels, tgt.labels]), tgt.n_classes)
         folds.append((f"seed{k}", data, np.arange(n), slice(n, 2 * n)))
-    return ProtocolSummary(variant=variant, protocol="synthetic",
-                           folds=_run_folds(folds, cfg, variant, jobs, out_dir))
+    return run_folds(folds, "synthetic", cfg, variant, jobs, out_dir)
 
 
 def dump_embeddings(

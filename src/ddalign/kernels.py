@@ -21,8 +21,8 @@ it was chosen by the median heuristic.
 The large intermediates (the [N, N] Gram, norm-pair sums and weight
 matrices, the pair distances the median selects from, the [N, d] rows and
 products) are written into a KernelBuffers that the caller passes; a training
-run keeps one for all its steps, so that memory is not handed back and
-faulted in again per step.
+run keeps one for all its steps, its pooled batch included, so that memory
+is not handed back and faulted in again per step.
 """
 
 import numpy as np
@@ -31,7 +31,8 @@ from .errors import NumericsError
 
 
 class KernelBuffers:
-    """Destination arrays of the kernel layer, reused from call to call.
+    """Destination arrays of the kernel layer, reused from call to call, and
+    the "batch" array a training run gathers each step's pooled rows into.
 
     An array is made on first request for its name and shape, so a training
     run, which sees two pooled row counts (its batch's and its last batch's),

@@ -334,9 +334,8 @@ def confidence_mask(confidences: np.ndarray, tau: float) -> np.ndarray:
 
 
 def compute_losses(
-    src_x: np.ndarray,
+    x: np.ndarray,
     src_y: np.ndarray,
-    tgt_x: np.ndarray,
     params: ModelParams,
     tau: float,
     sigma: float | None,
@@ -344,29 +343,26 @@ def compute_losses(
     *,
     use_mmd: bool = True,
     use_cmmd: bool = True,
-    buffers: kernels.KernelBuffers | None = None,
+    buffers: kernels.KernelBuffers,
 ) -> StepTrace:
-    """Run both batches through the extractor and evaluate every loss head.
+    """Run the pooled batch through the extractor and evaluate every loss head.
 
-    ``sigma`` None selects the median heuristic; ``rng`` None turns dropout off;
-    ``buffers`` None gives the step a set of kernel buffers of its own. The
-    pass reads src_x and tgt_x in place when they are the two row blocks of
-    one matrix, as the trainer gathers them, and stacks them otherwise.
+    The first len(src_y) rows of ``x`` are the source batch, the rest the
+    target batch, which only an alignment head reads. ``sigma`` None selects
+    the median heuristic; ``rng`` None turns dropout off. The trace's kernel
+    arrays live in ``buffers`` until the next step given them.
     """
-    buffers = kernels.KernelBuffers() if buffers is None else buffers
-    src_x = np.asarray(src_x, dtype=np.float64)
-    tgt_x = np.asarray(tgt_x, dtype=np.float64)
-    if src_x.shape[0] == 0:
+    x = _check_input(x, params)
+    n = len(src_y)
+    if n == 0:
         raise ValidationError("source batch must be non-empty")
     y_onehot = _one_hot(src_y, params.n_classes)
-    n = src_x.shape[0]
-    if y_onehot.shape[0] != n:
+    if n > x.shape[0]:
         raise ValidationError("source labels and features disagree on batch size")
 
-    x = _check_input(src_x, params)
-    aligns = tgt_x.shape[0] > 0 and (use_mmd or use_cmmd)
-    if aligns:
-        x = _stacked(x, _check_input(tgt_x, params))
+    aligns = x.shape[0] > n and (use_mmd or use_cmmd)
+    if not aligns:
+        x = x[:n]
     h, features = forward_features(x, params, rng, n_src=n, pseudo=aligns and use_cmmd)
     n_pseudo = features.head_rows.shape[0] - n
     probs = _head(features.head_rows, params, (n_pseudo, n))  # [pseudo-label rows; source rows]
@@ -410,17 +406,6 @@ def compute_losses(
         kept_idx=kept_idx,
         buffers=buffers,
     )
-
-
-def _stacked(src_x: np.ndarray, tgt_x: np.ndarray) -> np.ndarray:
-    """[src_x; tgt_x]: the matrix they are consecutive row blocks of, else a copy."""
-    base = src_x.base
-    if (base is not None and tgt_x.base is base and base.ndim == 2
-            and base.flags.c_contiguous and base.shape[0] == src_x.shape[0] + tgt_x.shape[0]
-            and src_x.ctypes.data == base.ctypes.data
-            and tgt_x.ctypes.data == base.ctypes.data + src_x.nbytes):
-        return base
-    return np.concatenate([src_x, tgt_x])
 
 
 def _extractor_backward(trace: FeatureTrace, d_h: np.ndarray, params: ModelParams, out):

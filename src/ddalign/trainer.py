@@ -209,7 +209,6 @@ def train(
     velocity = np.zeros_like(params.flat)
     targets = _TargetCycle(tgt_x.shape[0], target_rng)
     buffers = KernelBuffers()  # one set for every step: no fresh [N, N] memory per step
-    gathered: dict[int, np.ndarray] = {}  # pooled [source; target] batch rows, per row count
     flags = cfg.flags
     aligns = flags.use_mmd or flags.use_cmmd  # only the alignment heads read a target batch
     cfg = replace(cfg, **flags.pins)
@@ -224,18 +223,16 @@ def train(
         for start in range(0, order.shape[0], cfg.batch_size):
             batch = rows[order[start:start + cfg.batch_size]]
             n = batch.shape[0]
-            x = gathered.get(n)
-            if x is None:
-                x = gathered[n] = np.empty((2 * n if aligns else n, src_x.shape[1]))
-            # both batches side by side in one matrix, which the extractor reads
-            # in place; the indices are in range, and "clip" lets take write
-            # straight into x
+            # both batches side by side in one matrix, [source; target], which
+            # the extractor reads in place; the indices are in range, and
+            # "clip" lets take write straight into x
+            x = buffers.get("batch", (2 * n if aligns else n, src_x.shape[1]))
             src_x.take(batch, axis=0, out=x[:n], mode="clip")
             if aligns:
                 tgt_x.take(targets.take(n), axis=0, out=x[n:], mode="clip")
             try:
                 trace = compute_losses(
-                    x[:n], src_y[batch], x[n:], params, tau, cfg.sigma,
+                    x, src_y[batch], params, tau, cfg.sigma,
                     dropout_rng, use_mmd=flags.use_mmd, use_cmmd=flags.use_cmmd,
                     buffers=buffers,
                 )

@@ -100,11 +100,12 @@ def test_criterion_2_gradient_correctness():
     src_x = rng.normal(size=(5, 6))
     src_y = rng.integers(0, 3, size=5)
     tgt_x = rng.normal(size=(5, 6)) + 0.3
+    x = np.vstack([src_x, tgt_x])  # the pooled batch [source; target]
     sigma = 2.0
     eps = 1e-5
 
     def loss_at(p, alpha, beta):
-        trace = compute_losses(src_x, src_y, tgt_x, p, tau=0.0, sigma=sigma)
+        trace = compute_losses(x, src_y, p, tau=0.0, sigma=sigma, buffers=KernelBuffers())
         return trace.total(alpha, beta)
 
     def fd(alpha, beta):
@@ -124,7 +125,7 @@ def test_criterion_2_gradient_correctness():
         return grads
 
     t0 = time.perf_counter()
-    trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=sigma)
+    trace = compute_losses(x, src_y, params, tau=0.0, sigma=sigma, buffers=KernelBuffers())
     worst = 0.0
     for alpha, beta, label in ((1.0, 1.0, "total"), (1.0, 0.0, "marginal"),
                                (0.0, 1.0, "conditional")):

@@ -10,6 +10,7 @@ from ddalign.data import FeatureDataset, SubjectDataset, build_run_config
 from ddalign.errors import ValidationError
 from ddalign.evaluation import loso_split, run_protocol
 from ddalign.features import BandSpec, RawWindow, validate_bands
+from ddalign.kernels import KernelBuffers
 from ddalign.net import ModelParams, compute_losses, confidence_mask, forward_logits, init_params
 from ddalign.trainer import TrainConfig, train
 
@@ -62,8 +63,12 @@ CHECKS = {
     "embedding-width": (lambda: forward_logits(np.zeros((2, 4)), params()),
                         "embedding batch has shape (2, 4), expected [B, 5]"),
     "tau": (lambda: confidence_mask(np.ones(3), 1.5), "tau must lie in [0, 1]"),
-    "batch-labels": (lambda: compute_losses(ROWS, LABELS[:5], ROWS, params(), 0.0, None),
+    "batch-labels": (lambda: compute_losses(ROWS[:5], LABELS, params(), 0.0, None,
+                                            buffers=KernelBuffers()),
                      "source labels and features disagree on batch size"),
+    "empty-source-batch": (lambda: compute_losses(ROWS, LABELS[:0], params(), 0.0, None,
+                                                  buffers=KernelBuffers()),
+                           "source batch must be non-empty"),
 }
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts on disk, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import shlex
@@ -7,17 +8,20 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ddalign import cli, evaluation
 from ddalign.cli import main
 from ddalign.data import (ACCEPT_SYNTH, RUN_DEFAULTS, FeatureDataset, load_checkpoint,
                           load_features, save_checkpoint, save_features, save_raw_recording)
 from ddalign.features import RawWindow, build_feature_matrix
 from ddalign.net import init_params
+from ddalign.trainer import train
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -726,6 +730,29 @@ class TestProtocol:
             written = Path("mixed_j1", name).read_bytes()
             for run in ("mixed_j2", "plain_j1", "plain_j2"):
                 assert Path(run, name).read_bytes() == written
+
+    def test_loaded_manifest_freed_before_the_folds_train(self, tmp_path, manifest,
+                                                           monkeypatch):
+        # single-session on a 2 x 2-session manifest: the split copies the first
+        # sessions, and then nothing may hold the loaded matrix of all four
+        manifest.write_text("a,1,s0.csv\na,2,s1.csv\nb,1,s2.csv\nb,2,s0.csv\n")
+        load, loaded, freed = cli.load_dataset, [], []
+
+        def load_and_watch(path):
+            dataset = load(path)
+            loaded.append(weakref.ref(dataset.data.features))
+            return dataset
+
+        def train_after_collect(*args, **kwargs):
+            gc.collect()
+            freed.append(loaded[0]() is None)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", load_and_watch)
+        monkeypatch.setattr(evaluation, "train", train_after_collect)
+        assert run_cli("protocol", "--data", str(manifest), *SHORT_MANIFEST_RUN,
+                       "--jobs", "1") == 0
+        assert len(loaded) == 1 and freed == [True, True]
 
     def test_seeds_with_a_manifest_exit_3(self, tmp_path, manifest, capsys):
         out = tmp_path / "run"

@@ -53,6 +53,13 @@ def tiny_setup(seed=0, d=6, h1=4, h2=4, C=3, B=5):
     return params, src_x, src_y, tgt_x
 
 
+def pooled_step(src_x, src_y, tgt_x, params, *args, **kwargs):
+    """compute_losses on the pooled batch [src_x; tgt_x], with kernel buffers
+    of its own."""
+    return compute_losses(np.concatenate([src_x, tgt_x]), src_y, params, *args,
+                          buffers=KernelBuffers(), **kwargs)
+
+
 # --- the step as separate passes per batch, the reference for the pooled one --
 
 def scores_from_z1(z1, params):
@@ -229,7 +236,7 @@ class TestCrossEntropy:
         params, src_x, src_y, tgt_x = tiny_setup()
         src_y[0] = label
         with pytest.raises(ValidationError, match=r"label id outside \[0, 3\)"):
-            compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED)
+            pooled_step(src_x, src_y, tgt_x, params, 0.0, FIXED)
 
     def test_one_hot_shape_must_match(self):
         with pytest.raises(ValidationError, match=r"shape \(1, 3\), probabilities \(2, 3\)"):
@@ -283,7 +290,7 @@ class TestParameterCount:
 class TestTotalLoss:
     def test_zero_weights_total_is_lds(self):
         params, src_x, src_y, tgt_x = tiny_setup(7)
-        trace = compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED)
+        trace = pooled_step(src_x, src_y, tgt_x, params, 0.0, FIXED)
         assert trace.total(0.0, 0.0) == trace.l_ds
 
     def test_identical_batches_align_to_zero(self):
@@ -291,20 +298,20 @@ class TestTotalLoss:
         # use the model's own predictions as source labels, so the identical
         # target batch carries identical pseudo-labels per class
         src_y, _ = eval_scores(src_x, params)
-        trace = compute_losses(src_x, src_y, src_x.copy(), params, 0.0, FIXED)
+        trace = pooled_step(src_x, src_y, src_x.copy(), params, 0.0, FIXED)
         assert trace.l_mmd <= 1e-10
         assert trace.l_cmmd <= 1e-10
 
     def test_total_recomposes_from_components(self):
         params, src_x, src_y, tgt_x = tiny_setup(9)
-        trace = compute_losses(src_x, src_y, tgt_x, params, 0.0, FIXED)
+        trace = pooled_step(src_x, src_y, tgt_x, params, 0.0, FIXED)
         recomposed = trace.l_ds + 0.7 * trace.l_mmd + 0.3 * trace.l_cmmd
         assert trace.total(0.7, 0.3) == pytest.approx(recomposed, abs=1e-9)
         assert trace.l_mmd > 0 and trace.l_cmmd >= 0
 
     def test_empty_target_flagged(self):
         params, src_x, src_y, _ = tiny_setup(10)
-        trace = compute_losses(src_x, src_y, np.empty((0, 6)), params, 0.0, FIXED)
+        trace = pooled_step(src_x, src_y, np.empty((0, 6)), params, 0.0, FIXED)
         assert trace.features.x.shape[0] == src_x.shape[0]  # the source rows alone
         assert trace.K is None and trace.kept_idx.size == 0
         assert trace.l_mmd == 0.0 and trace.l_cmmd == 0.0
@@ -312,9 +319,22 @@ class TestTotalLoss:
 
     def test_empty_source_rejected(self):
         params, *_ = tiny_setup(11)
-        with pytest.raises(ValidationError):
-            compute_losses(np.empty((0, 6)), np.empty(0, int), np.zeros((2, 6)), params,
-                           0.0, FIXED)
+        with pytest.raises(ValidationError, match="^source batch must be non-empty$"):
+            pooled_step(np.empty((0, 6)), np.empty(0, int), np.zeros((2, 6)), params,
+                        0.0, FIXED)
+
+    def test_heads_off_read_only_the_source_rows(self):
+        params, src_x, src_y, tgt_x = tiny_setup(11)
+        x = np.concatenate([src_x, tgt_x])
+        trace = compute_losses(x, src_y, params, 0.0, FIXED, np.random.default_rng(4),
+                               use_mmd=False, use_cmmd=False, buffers=KernelBuffers())
+        alone = compute_losses(src_x, src_y, params, 0.0, FIXED, np.random.default_rng(4),
+                               buffers=KernelBuffers())
+        assert trace.features.x.shape[0] == src_x.shape[0]
+        assert np.shares_memory(trace.features.x, x)
+        assert trace.K is None and alone.K is None
+        npt.assert_array_equal(trace.features.h, alone.features.h)
+        npt.assert_array_equal(backward(trace, 1.0, 1.0).flat, backward(alone, 1.0, 1.0).flat)
 
 
 class TestPseudoLabels:
@@ -333,7 +353,7 @@ class TestPseudoLabels:
         params, src_x, src_y, tgt_x = tiny_setup(14, B=40)
         tau = 0.4
         rng = np.random.default_rng(6) if dropout else None
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau, FIXED, rng)
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau, FIXED, rng)
         labels, conf = eval_scores(tgt_x, params)
         keep = confidence_mask(conf, tau)
         assert 0 < keep.sum() < keep.size
@@ -383,16 +403,16 @@ def linear_in_weights(g00, g10, g01, alpha, beta) -> ModelParams:
 class TestBackward:
     def test_components_match_finite_differences(self):
         params, src_x, src_y, tgt_x = tiny_setup(14)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         for (alpha, beta), g in zip(UNIT_WEIGHTS, unit_weight_grads(trace)):
             fd = fd_param_grads(
-                lambda p: compute_losses(src_x, src_y, tgt_x, p, tau=0.0,
-                                         sigma=FIXED).total(alpha, beta), params)
+                lambda p: pooled_step(src_x, src_y, tgt_x, p, tau=0.0,
+                                      sigma=FIXED).total(alpha, beta), params)
             assert max_rel_err(g, fd) <= 1e-4, (alpha, beta)
 
     def test_combined_backward_matches_weighted_parts(self):
         params, src_x, src_y, tgt_x = tiny_setup(15)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         combined = backward(trace, alpha=0.6, beta=0.4)
         expected = linear_in_weights(*unit_weight_grads(trace), 0.6, 0.4)
         for a, b in zip(combined.arrays(), expected.arrays()):
@@ -405,8 +425,8 @@ class TestBackward:
         params = ModelParams(np.abs(params.W1), params.b1, np.abs(params.W2),
                              params.b2, Wc, np.zeros(2))
         src_x = np.array([[1.0, 1.0]])
-        trace = compute_losses(src_x, np.array([0]), np.empty((0, 2)), params,
-                               tau=0.0, sigma=FIXED)
+        trace = pooled_step(src_x, np.array([0]), np.empty((0, 2)), params,
+                            tau=0.0, sigma=FIXED)
         grads = backward(trace, alpha=0.0, beta=0.0)
         for arr in grads.arrays():
             npt.assert_allclose(arr, 0.0, atol=1e-12)
@@ -417,17 +437,17 @@ class TestBackward:
         params = ModelParams(params.W1 * 1e-300, params.b1, params.W2,
                              params.b2, params.Wc * 1e10, params.bc)
         with np.errstate(over="ignore"):
-            trace = compute_losses(src_x * 1e300, src_y, tgt_x, params, tau=0.0,
-                                   sigma=FIXED, use_mmd=False, use_cmmd=False)
+            trace = pooled_step(src_x * 1e300, src_y, tgt_x, params, tau=0.0,
+                                sigma=FIXED, use_mmd=False, use_cmmd=False)
             with pytest.raises(NumericsError, match="gradient overflowed: W1"):
                 backward(trace, alpha=0.0, beta=0.0)
 
     def test_duplicating_source_batch_keeps_gradient(self):
         params, src_x, src_y, tgt_x = tiny_setup(17)
-        trace1 = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
+        trace1 = pooled_step(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         g1 = backward(trace1, alpha=1.0, beta=1.0)
-        trace2 = compute_losses(np.vstack([src_x, src_x]), np.concatenate([src_y, src_y]),
-                                tgt_x, params, tau=0.0, sigma=FIXED)
+        trace2 = pooled_step(np.vstack([src_x, src_x]), np.concatenate([src_y, src_y]),
+                             tgt_x, params, tau=0.0, sigma=FIXED)
         g2 = backward(trace2, alpha=1.0, beta=1.0)
         for a, b in zip(g1.arrays(), g2.arrays()):
             npt.assert_allclose(a, b, rtol=1e-9, atol=1e-10)
@@ -437,28 +457,16 @@ class TestBackward:
         # combined backward against manual recomposition through train traces
         params, src_x, src_y, tgt_x = tiny_setup(18)
         rng = np.random.default_rng(99)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED, rng=rng)
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED, rng=rng)
         g = backward(trace, alpha=1.0, beta=1.0)
         assert all(np.isfinite(a).all() for a in g.arrays())
-
-    def test_trace_without_buffers_outlives_next_call(self):
-        params, src_x, src_y, tgt_x = tiny_setup(22)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
-        K, Zc = trace.K.copy(), trace.Zc.copy()
-        g = backward(trace, alpha=1.0, beta=1.0)
-        other = compute_losses(src_x + 1.0, src_y, tgt_x - 1.0, params, tau=0.0, sigma=FIXED)
-        backward(other, alpha=1.0, beta=1.0)
-        assert not np.shares_memory(trace.K, other.K)
-        npt.assert_array_equal(trace.K, K)
-        npt.assert_array_equal(trace.Zc, Zc)
-        npt.assert_array_equal(backward(trace, alpha=1.0, beta=1.0).flat, g.flat)
 
     def test_deterministic_given_seed(self):
         params, src_x, src_y, tgt_x = tiny_setup(21)
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED, rng=rng)
+            trace = pooled_step(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED, rng=rng)
             outs.append(backward(trace, alpha=1.0, beta=1.0))
         for a, b in zip(outs[0].arrays(), outs[1].arrays()):
             npt.assert_array_equal(a, b)
@@ -481,7 +489,7 @@ class TestDegenerateSteps:
                              np.full(4, 0.3), params.Wc, params.bc)
         labels, _ = eval_scores(tgt_x, params)
         src_y = np.full(src_x.shape[0], labels[0])  # one class, shared by both sides
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=self.MEDIAN)
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau=0.0, sigma=self.MEDIAN)
         assert trace.sigma == 1.0
         assert trace.raw_l_mmd == 0.0 and trace.raw_l_cmmd == 0.0
         assert trace.kept_idx.size == tgt_x.shape[0]
@@ -496,7 +504,7 @@ class TestDegenerateSteps:
         params = ModelParams(params.W1, params.b1, params.W2, params.b2, params.Wc,
                              np.array([0.0, 0.0, 30.0]))
         src_y = np.array([0, 1, 0, 1, 0])
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.5, sigma=self.MEDIAN)
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau=0.5, sigma=self.MEDIAN)
         assert trace.kept_idx.size == tgt_x.shape[0]
         assert trace.raw_l_cmmd == 0.0 and trace.raw_l_mmd > 0.0
         g00, g10, g01 = unit_weight_grads(trace)
@@ -505,7 +513,7 @@ class TestDegenerateSteps:
 
     def test_tau_one_empties_pseudo_labels(self):
         params, src_x, src_y, tgt_x = tiny_setup(26)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=1.0, sigma=self.MEDIAN)
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau=1.0, sigma=self.MEDIAN)
         assert trace.kept_idx.size == 0
         assert trace.raw_l_cmmd == 0.0
         g00, _, g01 = unit_weight_grads(trace)
@@ -514,8 +522,8 @@ class TestDegenerateSteps:
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     def test_backward_is_sum_of_parts(self, alpha, beta):
         params, src_x, src_y, tgt_x = tiny_setup(27)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=self.MEDIAN,
-                               rng=np.random.default_rng(5))
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau=0.0, sigma=self.MEDIAN,
+                            rng=np.random.default_rng(5))
         assert trace.raw_l_mmd > 0.0 and trace.raw_l_cmmd > 0.0
         expected = linear_in_weights(*unit_weight_grads(trace), alpha, beta)
         for a, b in zip(backward(trace, alpha, beta).arrays(), expected.arrays()):
@@ -549,8 +557,8 @@ class TestPooledStepMatchesTwoPasses:
         x[batch:] = data.normal(size=(batch, d)) + 0.5
         pooled_rng, two_pass_rng = np.random.default_rng(7), np.random.default_rng(7)
 
-        trace = compute_losses(x[:batch], src_y, x[batch:], params, 0.4, None, pooled_rng,
-                               use_mmd=use_mmd, use_cmmd=use_cmmd)
+        trace = compute_losses(x, src_y, params, 0.4, None, pooled_rng,
+                               use_mmd=use_mmd, use_cmmd=use_cmmd, buffers=KernelBuffers())
         grads = backward(trace, weight, weight)
         losses, kept, W, want = two_pass_step(
             x[:batch], src_y, x[batch:].copy(), params, 0.4, two_pass_rng,
@@ -563,19 +571,6 @@ class TestPooledStepMatchesTwoPasses:
         self.assert_same(grads.flat, want.flat)
         # both drew the same masks, so the streams stand at the same place
         assert pooled_rng.random() == two_pass_rng.random()
-
-    def test_separate_arrays_are_stacked(self):
-        params, src_x, src_y, tgt_x = tiny_setup(28)
-        x = np.vstack([src_x, tgt_x])
-        n = src_x.shape[0]
-        gathered = compute_losses(x[:n], src_y, x[n:], params, 0.0, None,
-                                  np.random.default_rng(3))
-        separate = compute_losses(src_x, src_y, tgt_x, params, 0.0, None,
-                                  np.random.default_rng(3))
-        assert np.shares_memory(gathered.features.x, x)
-        assert not np.shares_memory(separate.features.x, src_x)
-        npt.assert_array_equal(backward(gathered, 1.0, 1.0).flat,
-                               backward(separate, 1.0, 1.0).flat)
 
 
 class TestCheckpoint:
@@ -604,7 +599,7 @@ class TestCheckpoint:
 class TestBreakdown:
     def test_negative_residue_clamped_but_raw_kept(self):
         params, src_x, src_y, tgt_x = tiny_setup(23)
-        trace = compute_losses(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
+        trace = pooled_step(src_x, src_y, tgt_x, params, tau=0.0, sigma=FIXED)
         trace.raw_l_mmd = -1e-15
         assert trace.l_mmd == 0.0
         assert trace.raw_l_mmd == -1e-15

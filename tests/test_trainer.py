@@ -9,6 +9,7 @@ import pytest
 
 from ddalign.data import build_run_config, train_config
 from ddalign.errors import NumericsError, ValidationError
+from ddalign.kernels import KernelBuffers
 from ddalign.net import (
     LOG_CLAMP,
     ModelParams,
@@ -265,8 +266,9 @@ class TestTrain:
 
 
 class TestKernelBuffers:
-    """A run writes every step's kernel intermediates into one set of buffers
-    per pooled size; 300 source rows at batch 128 give N = 256 and 88."""
+    """A run writes every step's pooled batch and kernel intermediates into one
+    set of buffers per pooled size; 300 source rows at batch 128 give N = 256
+    and 88."""
 
     @staticmethod
     def run(sigma):
@@ -277,8 +279,11 @@ class TestKernelBuffers:
     @pytest.mark.parametrize("sigma", [None, 2.0], ids=["median", "fixed"])
     def test_run_buffers_change_no_bit(self, sigma, monkeypatch):
         buffered = self.run(sigma)
-        # every step then makes a throwaway set, as a call without buffers does
-        monkeypatch.setattr("ddalign.trainer.KernelBuffers", lambda: None)
+
+        def fresh_buffers(*args, **kwargs):  # every step's kernel arrays are new
+            return compute_losses(*args, **{**kwargs, "buffers": KernelBuffers()})
+
+        monkeypatch.setattr("ddalign.trainer.compute_losses", fresh_buffers)
         fresh = self.run(sigma)
         npt.assert_array_equal(buffered.params.flat, fresh.params.flat)
         assert buffered.history == fresh.history
@@ -296,6 +301,9 @@ class TestKernelBuffers:
         assert np.shares_memory(traces[0].K, traces[1].K)
         assert np.shares_memory(traces[0].K, traces[3].K)  # kept past the N = 88 step
         assert not np.shares_memory(traces[1].K, traces[2].K)
+        batches = [t.features.x for t in traces[:4]]
+        assert batches[0] is batches[1] is batches[3]
+        assert not np.shares_memory(batches[1], batches[2])
 
 
 # the variants whose pins make alpha and beta 1, and those whose pins make tau 0
